@@ -149,6 +149,12 @@ def _build_run_config(args) -> RunConfig:
     for m in cfg.scales:
         if not 0 < m <= 1:
             raise SystemExit(_usage(f"scale fractions must be in (0, 1], got {m}"))
+    ratio = () if cfg.budget_ratio is None else (cfg.budget_ratio,)
+    for name, values in (("delta", (cfg.delta,)), ("deltas", cfg.deltas),
+                         ("budget-ratio", ratio), ("budget-ratios", cfg.budget_ratios)):
+        for v in values:
+            if not (math.isfinite(v) and v >= 0):
+                raise SystemExit(_usage(f"{name} must be finite and non-negative, got {v}"))
     return cfg
 
 

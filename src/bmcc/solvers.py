@@ -16,11 +16,28 @@ Available strategies:
 
 Every tie among equal-scoring candidates breaks toward the smallest id, so
 all solvers are deterministic functions of their inputs.
+
+The greedy loops avoid rescoring every candidate at every step, and still
+return exactly what a full rescan would:
+
+* Where a score can only fall -- both ``dsa`` passes and the coverage pass
+  of :func:`budgeted_greedy` -- gains are lazy (Minoux's accelerated greedy,
+  also known as CELF): a heap keyed by (-score, id) holds stale upper
+  bounds, and only its top entry is rescored before being examined.
+* Where the incremental path price ``dp`` falls too -- the ratio pass of
+  :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
+  valid, since a taken path makes every path sharing its nodes cheaper and
+  its ratio can rise. There each candidate's gain and ``dp`` are kept exact
+  by inverted indexes (cell -> nodes, node -> paths through it), so taking a
+  path touches only what it newly covers or pays for.
 """
 
+import heapq
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,20 +83,6 @@ class Solution:
     @property
     def total_price(self) -> Decimal:
         return cents_to_decimal(self.total_price_cents)
-
-
-@dataclass
-class GreedyState:
-    """Mutable per-solve bookkeeping: uncovered universe and budget left."""
-
-    uncovered: set[int]
-    budget_cents: int
-    spent_cents: int = 0
-    selected: set[str] = field(default_factory=set)
-
-    @property
-    def remaining_cents(self) -> int:
-        return self.budget_cents - self.spent_cents
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,126 @@ def _candidate_order_key(market, cells_map, ids):
 
 
 # ---------------------------------------------------------------------------
+# Greedy engine shared by the solvers
+
+
+def _lazy_argmax(entries, rescore):
+    """Yield candidate ids best first, rescoring only the top of a heap.
+
+    ``entries`` holds one ``(key, id)`` pair per candidate, a smaller key
+    being better; ``rescore(id)`` returns the key under the caller's current
+    state. Between two yields the caller may change that state, but only so
+    that no key decreases (a marginal gain that can only fall). A stale key is
+    then a lower bound on the fresh one, so a popped candidate whose fresh key
+    still sorts at or before the heap top is the exact best remaining one:
+    Minoux's accelerated greedy. Ids are the second tuple element, so equal
+    scores yield the smallest id first, exactly as a full scan in id order.
+    """
+    heap = list(entries)
+    heapq.heapify(heap)
+    while heap:
+        cid = heapq.heappop(heap)[1]
+        fresh = (rescore(cid), cid)
+        if not heap or fresh <= heap[0]:
+            yield cid
+        else:
+            heapq.heappush(heap, fresh)
+
+
+class _PathGrowth:
+    """A connected set grown from a BFS-tree root by whole candidate paths.
+
+    ``parent`` maps every tree node to its parent (the root to ``None``) in
+    BFS order; ``paths[k]`` lists the nodes of candidate ``k`` from below the
+    root down to its last node. The exact marginal gain ``gain[k]`` (cells
+    not yet covered) and incremental price ``dp[k]`` (price of nodes not yet
+    selected) of every candidate are kept up to date, so a step costs only
+    what it touches:
+
+    * a node's *new cells* are those that neither the root nor any ancestor
+      holds. Along one path they partition its cells outside the root, so a
+      path's gain is the sum of its nodes' uncovered new cells;
+    * node -> candidates through it is built once, and so is cell -> nodes
+      for the few cells new at more than one node; taking a path lowers the
+      count of each node whose new cells it covers, and the gain and price of
+      every candidate below that node.
+    """
+
+    def __init__(self, parent, cells_map, prices, paths):
+        root = next(iter(parent))
+        self.prices = prices
+        self.paths = paths
+        self.selected = {root}
+        self.spent = prices[root]
+        self.covered = set(cells_map[root])
+        # Cells held by one node are new there; a shared cell is new at each
+        # holder with no holder above it, and at none if the root holds it.
+        seen, shared = set(), set()
+        for v in parent:
+            shared |= seen & cells_map[v]
+            seen |= cells_map[v]
+        holders = {c: set() for c in shared}
+        for v in parent:
+            for c in cells_map[v] & shared:
+                holders[c].add(v)
+        self._holders = {}
+        tops = {}
+        for c, hs in holders.items():
+            top = [h for h in hs if not any(a in hs for a in _ancestors(parent, h))]
+            self._holders[c] = top
+            for h in top:
+                tops.setdefault(h, set()).add(c)
+        self._shared = shared
+        self._new_cells = new_cells = {}
+        for v in itertools.islice(parent, 1, None):
+            cells = cells_map[v]
+            if not cells.isdisjoint(shared):
+                cells = (cells - shared) | tops.get(v, set())
+            new_cells[v] = cells
+        self.gain = {}
+        self.dp = {}
+        self._below = below = {}
+        for k, nodes in paths.items():
+            self.gain[k] = sum(len(new_cells[u]) for u in nodes)
+            self.dp[k] = sum(prices[u] for u in nodes)
+            for u in nodes:
+                below.setdefault(u, []).append(k)
+
+    def take(self, k):
+        """Add path ``k`` to the set and pay its incremental price."""
+        gain, dp, covered, below = self.gain, self.dp, self.covered, self._below
+        self.spent += dp[k]
+        lost = {}
+        for u in self.paths[k]:
+            if u in self.selected:
+                continue
+            self.selected.add(u)
+            price = self.prices[u]
+            for j in below[u]:
+                dp[j] -= price
+            fresh = self._new_cells[u] - covered
+            if not fresh:
+                continue
+            covered |= fresh
+            lost[u] = lost.get(u, 0) + len(fresh)
+            for c in fresh & self._shared:
+                for h in self._holders[c]:
+                    if h != u:
+                        lost[h] = lost.get(h, 0) + 1
+        for h, n in lost.items():
+            for j in below[h]:
+                gain[j] -= n
+
+
+def _ancestors(parent, node):
+    """Proper ancestors of ``node`` in a parent map, nearest first."""
+    node = parent[node]
+    while node is not None:
+        yield node
+        node = parent[node]
+
+
+# ---------------------------------------------------------------------------
 # DSA: dual greedy over individual datasets
 
 
@@ -241,45 +364,36 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     Each pass examines candidates in score order; an examined dataset is
     dropped from the pass's pool whether or not it was accepted, and a
     candidate is acceptable only if it keeps the growing set connected and
-    within budget.
+    within budget. Gains only fall as cells get covered, so both passes run
+    on :func:`_lazy_argmax`.
     """
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution("dsa", rounds=(0, 0))
     adjacency = graph.restricted(afford)
     cells_map = _cells_map(market, afford)
-    universe = frozenset().union(*(frozenset(market.dataset(d).cells.tolist())
-                                   for d in market.ids))
+    prices = {did: market.price_cents(did) for did in afford}
 
     def one_round(ratio_based: bool) -> set[str]:
-        state = GreedyState(uncovered=set(universe), budget_cents=b)
-        pool = list(afford)
+        covered: set[int] = set()
+        selected: set[str] = set()
         frontier: set[str] = set()
-        while pool and state.spent_cents <= b:
-            best = None
-            best_gain = -1
-            best_price = 0
-            for did in pool:
-                gain = len(cells_map[did] & state.uncovered)
-                price = market.price_cents(did)
-                if best is None:
-                    better = True
-                elif ratio_based:
-                    better = gain * best_price > best_gain * price
-                else:
-                    better = gain > best_gain
-                if better:
-                    best, best_gain, best_price = did, gain, price
-            pool.remove(best)
-            if state.selected and best not in frontier:
+        spent = 0
+
+        def rescore(did):
+            gain = len(cells_map[did].difference(covered))
+            return -Fraction(gain, prices[did]) if ratio_based else -gain
+
+        for did in _lazy_argmax([(rescore(d), d) for d in afford], rescore):
+            if selected and did not in frontier:
                 continue
-            if state.spent_cents + best_price > b:
+            if spent + prices[did] > b:
                 continue
-            state.selected.add(best)
-            state.spent_cents += best_price
-            state.uncovered -= cells_map[best]
-            frontier.update(adjacency[best])
-        return state.selected
+            selected.add(did)
+            spent += prices[did]
+            covered.update(cells_map[did])
+            frontier.update(adjacency[did])
+        return selected
 
     h1 = one_round(ratio_based=True)
     h2 = one_round(ratio_based=False)
@@ -402,12 +516,14 @@ def _pick_leaf_ratio(candidates):
     return best
 
 
-def _pick_leaf_coverage(candidates):
-    best = None
-    for leaf, gain, dp in candidates:
-        if best is None or gain > best[1]:
-            best = (leaf, gain, dp)
-    return best
+def _ratio_order(leaves, gain, dp):
+    """Yield leaves by :func:`_pick_leaf_ratio` over the live scores, each
+    chosen only after the caller has acted on the previous one."""
+    pool = dict.fromkeys(leaves)
+    while pool:
+        leaf = _pick_leaf_ratio((k, gain[k], dp[k]) for k in pool)[0]
+        del pool[leaf]
+        yield leaf
 
 
 def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]:
@@ -418,38 +534,36 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     A selected path is paid only for its nodes not already in the result; the
     examined leaf leaves the candidate pool whether or not its path fit.
     Returns the empty set when the root itself exceeds the budget.
+
+    Raw gains only fall, so the coverage pass is lazy (:func:`_lazy_argmax`).
+    The ratio pass cannot be: a taken path also lowers the incremental price
+    of every path sharing its nodes, which can raise their ratios. It scans
+    the exact scores that :class:`_PathGrowth` keeps up to date instead.
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
-    market = sub.graph.market
     b = to_cents(budget)
-    root_price = sub.graph.prices[tree.root]
-    if root_price > b:
+    prices = sub.graph.prices
+    if prices[tree.root] > b:
         return set()
-    candidate_ids = list(sub.graph.adjacency)
-    cells_map = _cells_map(market, candidate_ids)
-    universe = frozenset().union(*(cells_map[d] for d in candidate_ids))
-    state = GreedyState(uncovered=set(universe - cells_map[tree.root]),
-                        budget_cents=b, spent_cents=root_price,
-                        selected={tree.root})
-    leaves = list(tree.leaves)
-    while leaves and state.spent_cents <= b:
-        scored = []
-        for leaf in leaves:
-            dp = tree.path_price_cents[leaf] - sum(
-                sub.graph.prices[u] for u in tree.paths[leaf] if u in state.selected)
-            gain = len(tree.path_cells[leaf] & state.uncovered)
-            scored.append((leaf, gain, dp))
-        if flag == "ratio":
-            leaf, _, dp = _pick_leaf_ratio(scored)
-        else:
-            leaf, _, dp = _pick_leaf_coverage(scored)
-        if state.spent_cents + dp <= b:
-            state.selected.update(tree.paths[leaf])
-            state.spent_cents += dp
-            state.uncovered -= tree.path_cells[leaf]
-        leaves.remove(leaf)
-    return state.selected
+    cells_map = _cells_map(sub.graph.market, sub.members)
+    growth = _PathGrowth(tree.parent, cells_map, prices, tree.paths)
+    gain, dp = growth.gain, growth.dp
+    if flag == "coverage":
+        order = _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
+                             lambda leaf: -gain[leaf])
+    else:
+        order = _ratio_order(tree.leaves, gain, dp)
+    remaining = set(tree.leaves)
+    for leaf in order:
+        remaining.discard(leaf)
+        if growth.spent + dp[leaf] <= b:
+            growth.take(leaf)
+            # only a take lowers a price: once none fits, none ever will
+            room = b - growth.spent
+            if all(dp[k] > room for k in remaining):
+                break
+    return growth.selected
 
 
 def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
@@ -513,64 +627,48 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     if not afford:
         return _empty_solution(label)
     candidate_graph = _restricted_graph(graph, afford)
+    prices = candidate_graph.prices
     cells_map = _cells_map(market, afford)
-    universe = frozenset().union(*(cells_map[d] for d in afford))
     results = []
     for sub in connected_components(candidate_graph):
         root = sub.members[0]
-        root_price = candidate_graph.prices[root]
-        if root_price > b:
+        if prices[root] > b:
             continue
         adjacency = sub.adjacency()
         parent = {root: None}
+        paths = {root: ()}
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:
             for v in adjacency[u]:
                 if v not in parent:
                     parent[v] = u
+                    paths[v] = paths[u] + (v,)
                     queue.append(v)
-        paths = {}
-        path_cells = {}
-        for u in sub.members:
-            if u == root:
-                continue
-            chain = []
-            node = u
-            while node != root:
-                chain.append(node)
-                node = parent[node]
-            chain.reverse()
-            paths[u] = tuple(chain)
-            path_cells[u] = frozenset().union(*(cells_map[v] for v in chain))
-        state = GreedyState(uncovered=set(universe - cells_map[root]),
-                            budget_cents=b, spent_cents=root_price,
-                            selected={root})
-        pool = sorted(paths)
+        del paths[root]
+        growth = _PathGrowth(parent, cells_map, prices, paths)
+        dp = growth.dp
+        if variant == "mg":
+            nums = growth.gain
+        else:
+            path_cells = {root: frozenset()}
+            for v, u in itertools.islice(parent.items(), 1, None):
+                path_cells[v] = path_cells[u] | cells_map[v]
+            nums = {u: len(path_cells[u]) for u in paths}
+        pool = dict.fromkeys(sorted(paths))
         while pool:
-            best = None  # (node, score_num, n_nodes, dp)
+            room = b - growth.spent
+            best, best_num, best_n = None, 0, 1
             for u in pool:
-                dp = sum(candidate_graph.prices[v] for v in paths[u]
-                         if v not in state.selected)
-                if state.spent_cents + dp > b:
+                if dp[u] > room:
                     continue
-                if variant == "mc":
-                    num = len(path_cells[u])
-                else:
-                    num = len(path_cells[u] & state.uncovered)
-                n_nodes = len(paths[u])
-                if best is None or num * best[2] > best[1] * n_nodes:
-                    best = (u, num, n_nodes, dp)
+                num, n_nodes = nums[u], len(paths[u])
+                if best is None or num * best_n > best_num * n_nodes:
+                    best, best_num, best_n = u, num, n_nodes
             if best is None:
                 break
-            u, _, _, dp = best
-            state.selected.update(paths[u])
-            state.spent_cents += dp
-            state.uncovered -= path_cells[u]
-            pool.remove(u)
-        results.append(state.selected)
+            growth.take(best)
+            del pool[best]
+        results.append(growth.selected)
     if not results:
         return _empty_solution(label)
     best = min(results, key=lambda c: _candidate_order_key(market, cells_map, c))

@@ -129,6 +129,17 @@ class TestSolve:
         assert code == 1
         assert "magic" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
+        ("--budget-ratio", "-0.5"), ("--budget-ratio", "inf"), ("--budget-ratio", "nan"),
+    ])
+    def test_bad_delta_or_ratio_is_usage_error(self, capsys, example2_catalog, flag, value):
+        code, out, err = run(capsys, "solve", example2_catalog, "--solvers", "dsa", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag[2:] in err
+
     def test_budget_ratio_overrides_absolute(self, tmp_path, capsys, example2_catalog):
         out_json = tmp_path / "report.json"
         # ratio 1.0 of total (21) overrides the absolute 1
@@ -236,6 +247,17 @@ class TestBench:
         assert code == 0
         payload = json.loads(report.read_text())
         assert int(row["coverage"]) == payload["solutions"][0]["coverage"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--deltas", "2,nan"), ("--deltas", "-3"),
+        ("--budget-ratios", "0.1,inf"), ("--budget-ratios", "-0.2"),
+    ])
+    def test_bad_sweep_axis_is_usage_error(self, tmp_path, capsys, small_points, flag, value):
+        code, _, err = run(capsys, "bench", small_points, "--solvers", "dsa", flag, value,
+                           "--out", str(tmp_path / "bench.tsv"))
+        assert code == 1
+        assert err.startswith("error: ") and flag[2:] in err
+        assert not (tmp_path / "bench.tsv").exists()
 
     def test_scale_axis_subsamples(self, tmp_path, capsys, small_points):
         out = tmp_path / "bench.tsv"

@@ -1,0 +1,131 @@
+"""Differential test: the incremental greedy solvers against the full-scan
+loops they replaced (``reference_solvers``), on seeded random markets.
+
+Usage pricing makes every dataset's initial gain-per-price equal, so the
+first picks of the ratio passes are decided by the smallest-id tie-break
+alone; explicit-table pricing makes the ratios distinct. Budgets run from
+below the cheapest dataset up to the whole catalog.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import reference_solvers as ref
+from bmcc.graph import build_graph_indexed, connected_components
+from bmcc.grid import GridConfig
+from bmcc.marketplace import Marketplace, PricingFunction, cents_to_decimal
+from bmcc.solvers import (
+    budgeted_greedy,
+    build_bfs_tree,
+    complete_graph_delta,
+    find_center_exact,
+    find_center_two_bfs,
+    solve_cmc,
+    solve_dpsa,
+    solve_dsa,
+)
+
+from conftest import make_dataset
+
+THETA = 6
+SEEDS = range(8)
+DELTAS = (0.0, 2.0, 10.0, complete_graph_delta(GridConfig(theta=THETA)))
+RATIOS = (0.02, 0.1, 0.3, 1.0)
+
+SOLVERS = {
+    "dsa": (solve_dsa, ref.solve_dsa, {}),
+    "dpsa": (solve_dpsa, ref.solve_dpsa, {"center_mode": "exact"}),
+    "dpsa-ba": (solve_dpsa, ref.solve_dpsa, {"center_mode": "two_bfs"}),
+    "cmc-mc": (solve_cmc, ref.solve_cmc, {"variant": "mc"}),
+    "cmc-mg": (solve_cmc, ref.solve_cmc, {"variant": "mg"}),
+}
+
+
+def differential_market(seed, pricing):
+    """25-40 overlapping blobs of 1-14 cells in a 40x40 corner of a 64x64
+    grid: a few components at small deltas, one at large ones."""
+    rng = np.random.default_rng(1000 + seed)
+    grid = GridConfig(theta=THETA)
+    datasets = []
+    for i in range(int(rng.integers(25, 41))):
+        cx, cy = (int(v) for v in rng.integers(0, 40, size=2))
+        k = int(rng.integers(1, 15))
+        xs = np.clip(cx + rng.integers(-3, 4, size=k), 0, grid.side - 1)
+        ys = np.clip(cy + rng.integers(-3, 4, size=k), 0, grid.side - 1)
+        pairs = sorted({(int(x), int(y)) for x, y in zip(xs, ys)})
+        datasets.append(make_dataset(f"d{i:02d}", pairs, grid))
+    if pricing == "usage":
+        prices = PricingFunction.usage_based()
+    else:
+        prices = PricingFunction.from_table(
+            {d.id: cents_to_decimal(int(rng.integers(50, 5000))) for d in datasets})
+    return Marketplace.build(grid, datasets, prices)
+
+
+def budgets(market):
+    """Budget ratios of the catalog total, plus one cent below the cheapest."""
+    cheapest = min(market.price_cents(d) for d in market.ids)
+    cents = [int(r * market.total_price_cents) for r in RATIOS] + [cheapest - 1]
+    return [cents_to_decimal(c) for c in cents]
+
+
+def solution_key(sol):
+    return (sol.selected, sol.coverage, sol.total_price_cents, sol.round_coverages,
+            sol.status)
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
+@pytest.mark.parametrize("pricing", ("usage", "table"))
+def test_solvers_match_full_scan_reference(pricing, delta):
+    for seed in SEEDS:
+        market = differential_market(seed, pricing)
+        graph = build_graph_indexed(market, delta)
+        for budget in budgets(market):
+            for label, (new, old, kwargs) in SOLVERS.items():
+                got = new(market, budget, delta, graph=graph, **kwargs)
+                want = old(market, budget, delta, graph=graph, **kwargs)
+                assert solution_key(got) == solution_key(want), (seed, str(budget), label)
+
+
+def _trees(sub):
+    """BFS trees from the exact center, the double-BFS center and the
+    smallest id (distinct roots only)."""
+    roots = dict.fromkeys([find_center_exact(sub).center, find_center_two_bfs(sub).center,
+                           sub.members[0]])
+    return [build_bfs_tree(sub, root) for root in roots]
+
+
+def _compare_greedy_on_every_component(graph, budget_list):
+    for sub in connected_components(graph):
+        for tree in _trees(sub):
+            for budget in budget_list:
+                for flag in ("ratio", "coverage"):
+                    got = budgeted_greedy(sub, tree, budget, flag)
+                    want = ref.budgeted_greedy(sub, tree, budget, flag)
+                    assert got == want, (tree.root, str(budget), flag)
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
+@pytest.mark.parametrize("pricing", ("usage", "table"))
+def test_budgeted_greedy_matches_reference_on_every_component(pricing, delta):
+    for seed in SEEDS:
+        market = differential_market(seed, pricing)
+        _compare_greedy_on_every_component(build_graph_indexed(market, delta),
+                                           budgets(market))
+
+
+@pytest.mark.parametrize("delta", DELTAS[1:], ids=lambda d: f"delta{d:g}")
+def test_budgeted_greedy_matches_reference_with_zero_cost_paths(delta):
+    """Free nodes on the graph make zero incremental-price paths appear
+    mid-run, exercising the ratio pass's zero-cost-first rule."""
+    rng = np.random.default_rng(77)
+    for seed in SEEDS:
+        market = differential_market(seed, "table")
+        graph = build_graph_indexed(market, delta)
+        prices = {d: (0 if rng.random() < 0.4 else p) for d, p in graph.prices.items()}
+        free = replace(graph, prices=prices)
+        total = sum(prices.values())
+        budget_list = [cents_to_decimal(int(r * total)) for r in RATIOS]
+        _compare_greedy_on_every_component(free, budget_list)
