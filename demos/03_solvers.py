@@ -62,8 +62,9 @@ def main():
     print(f"BFS-tree leaves and their root paths:")
     for leaf in tree.leaves:
         price = tree.path_price_cents[leaf] // 100
+        cells = set().union(*(market.dataset(u).cells.tolist() for u in tree.paths[leaf]))
         print(f"  {leaf}: path {'->'.join(tree.paths[leaf])}, "
-              f"{len(tree.path_cells[leaf])} cells, price {price}")
+              f"{len(cells)} cells, price {price}")
 
     print(f"\n{'solver':8s} {'coverage':>8s} {'price':>6s}  selected")
     for label in SOLVER_LABELS:

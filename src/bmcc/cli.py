@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,13 @@ DEFAULT_DELTA = 10.0
 DEFAULT_BUDGET_RATIO = 0.1
 DEFAULT_SPREAD = 0.012
 
-_DATA_ERRORS = (GridError, MarketplaceError, GraphConfigError, OracleCapError, OSError)
+
+class ReportFormatError(ValueError):
+    """A solve report given to ``verify`` is not valid JSON or lacks a field."""
+
+
+_DATA_ERRORS = (GridError, MarketplaceError, GraphConfigError, OracleCapError,
+                ReportFormatError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,16 +412,9 @@ def cmd_bench(args) -> int:
     theta_axis = list(cfg.thetas) or [cfg.theta]
     scale_axis = list(cfg.scales) or [1.0]
 
-    points = list(itertools.product(budget_axis, delta_axis, theta_axis, scale_axis))
-    if args.parallel and args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            all_rows = list(pool.map(
-                lambda p: _bench_point(datasets_by_id, ordered_ids, cfg, pricing, *p),
-                points))
-    else:
-        all_rows = [_bench_point(datasets_by_id, ordered_ids, cfg, pricing, *p)
-                    for p in points]
-    rows = [row for group in all_rows for row in group]
+    points = itertools.product(budget_axis, delta_axis, theta_axis, scale_axis)
+    rows = [row for p in points
+            for row in _bench_point(datasets_by_id, ordered_ids, cfg, pricing, *p)]
 
     lines = ["\t".join(_BENCH_COLUMNS)]
     for row in rows:
@@ -435,26 +433,51 @@ def cmd_bench(args) -> int:
     return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
+_REPORT_KEYS = ("algorithm", "selected", "total_price", "coverage")
+
+
+def _load_report(path) -> list[Solution]:
+    """Solutions of a ``solve --json-out`` report, or of a bare entry list."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
+    entries = payload.get("solutions") if isinstance(payload, dict) else payload
+    if not isinstance(entries, list):
+        raise ReportFormatError(f"{path}: expected a list of solutions")
+    solutions = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ReportFormatError(f"{path}: solution {i} is not an object")
+        missing = [k for k in _REPORT_KEYS if k not in entry]
+        if missing:
+            raise ReportFormatError(f"{path}: solution {i} has no {missing[0]!r} key")
+        selected = entry["selected"]
+        if not (isinstance(selected, list) and all(isinstance(d, str) for d in selected)):
+            raise ReportFormatError(f"{path}: solution {i}: 'selected' is not a list of ids")
+        try:
+            solutions.append(Solution(
+                algorithm=entry["algorithm"],
+                selected=tuple(selected),
+                total_price_cents=to_cents(entry["total_price"]),
+                coverage=int(entry["coverage"]),
+                status=entry.get("status", "ok"),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise ReportFormatError(f"{path}: solution {i}: {exc}") from None
+    return solutions
+
+
 def cmd_verify(args) -> int:
     market = load_catalog(args.catalog)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    solutions = _load_report(args.report)
     cfg = _build_run_config(args)
     budget_cents = cfg.resolve_budget_cents(market.total_price_cents)
     budget = cents_to_decimal(budget_cents)
     graph, _ = _build_graph(market, cfg.delta)
-    entries = payload["solutions"] if isinstance(payload, dict) else payload
     all_ok = True
-    for entry in entries:
-        sol = Solution(
-            algorithm=entry["algorithm"],
-            selected=tuple(entry["selected"]),
-            total_price_cents=to_cents(entry["total_price"]),
-            coverage=int(entry["coverage"]),
-            within_budget=True,
-            connected=True,
-            status=entry.get("status", "ok"),
-        )
+    for sol in solutions:
         report = verify_solution(graph, sol, budget)
         all_ok = all_ok and report.ok
         checks = " ".join(f"{name}={str(ok).lower()}" for name, ok in report.checks())
@@ -538,8 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--out", default=None, help="TSV output path (default stdout)")
     p.add_argument("--json-out", dest="json_out", default=None)
-    p.add_argument("--parallel", type=int, default=0,
-                   help="parallelize parameter points (timing less reliable)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="re-verify a solve report against a catalog")

@@ -54,11 +54,16 @@ class DatasetGraph:
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self.adjacency[node_id]
 
-    def restricted(self, ids) -> dict[str, tuple[str, ...]]:
-        """Adjacency of the induced subgraph over ``ids``."""
+    def restricted(self, ids) -> "DatasetGraph":
+        """The induced subgraph over ``ids``, on the same catalog."""
         keep = set(ids)
-        return {u: tuple(v for v in self.adjacency[u] if v in keep)
-                for u in sorted(keep)}
+        nodes = sorted(keep)
+        return DatasetGraph(
+            delta=self.delta,
+            prices={u: self.prices[u] for u in nodes},
+            adjacency={u: tuple(v for v in self.adjacency[u] if v in keep) for u in nodes},
+            market=self.market,
+        )
 
     def stats(self) -> "GraphStats":
         n = len(self.adjacency)
@@ -330,25 +335,39 @@ def build_graph_indexed(market: Marketplace, delta: float,
     return _graph_from_edges(market, delta, neighbor_sets)
 
 
+def bfs(adjacency, root):
+    """Breadth-first search from ``root`` over an id-keyed adjacency mapping.
+
+    Returns ``(parent, layers)``: ``parent`` maps every reached node to its
+    BFS parent in visit order, the root to ``None``; ``layers[d]`` lists the
+    nodes at depth ``d`` in visit order. Neighbors are visited in adjacency
+    order, which is ascending id on a :class:`DatasetGraph`.
+    """
+    parent = {root: None}
+    layers = []
+    layer = [root]
+    while layer:
+        layers.append(layer)
+        nxt = []
+        for u in layer:
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        layer = nxt
+    return parent, layers
+
+
 def connected_components(graph: DatasetGraph) -> list[Subgraph]:
-    """Maximal components via BFS; components ordered by smallest member id,
-    neighbors visited in ascending id within each BFS."""
+    """Maximal components via :func:`bfs`; components ordered by smallest
+    member id."""
     seen = set()
     components = []
     for root in graph.nodes:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in graph.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        components.append(Subgraph(members=tuple(sorted(queue)), graph=graph))
+        if root not in seen:
+            reached, _ = bfs(graph.adjacency, root)
+            seen.update(reached)
+            components.append(Subgraph(members=tuple(sorted(reached)), graph=graph))
     return components
 
 
@@ -375,13 +394,28 @@ def read_adjacency(path) -> DatasetGraph:
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != GRAPH_MAGIC or head[1] != str(GRAPH_VERSION):
         raise GraphConfigError("not a graph adjacency file")
-    delta = float(lines[1].split()[1])
-    count = int(lines[2].split()[1])
+
+    def header(idx, key, cast):
+        parts = lines[idx].split() if idx < len(lines) else []
+        try:
+            if len(parts) == 2 and parts[0] == key:
+                return cast(parts[1])
+        except ValueError:
+            pass
+        raise GraphConfigError(f"expected '{key} <value>' at line {idx + 1}")
+
+    delta = header(1, "delta", float)
+    count = header(2, "nodes", int)
     adjacency = {}
     prices = {}
-    for idx in range(count):
-        parts = lines[3 + idx].split()
-        did, price, k = parts[0], parts[1], int(parts[2])
+    for idx in range(3, 3 + count):
+        if idx >= len(lines):
+            raise GraphConfigError(f"expected {count} node lines, found {idx - 3}")
+        parts = lines[idx].split()
+        try:
+            did, price, k = parts[0], parts[1], int(parts[2])
+        except (IndexError, ValueError):
+            raise GraphConfigError(f"malformed node line at line {idx + 1}") from None
         nbrs = parts[3:]
         if len(nbrs) != k:
             raise GraphConfigError(f"neighbor count mismatch for {did!r}")

@@ -212,17 +212,20 @@ def load_catalog(path) -> Marketplace:
     if head[1] != str(CATALOG_VERSION):
         raise CatalogFormatError(f"unsupported catalog version {head[1]!r}")
 
-    def expect(idx, key, n_values):
-        parts = lines[idx].split()
-        if parts[0] != key or len(parts) != n_values + 1:
-            raise CatalogFormatError(f"expected '{key}' line at line {idx + 1}")
-        return parts[1:]
+    def expect(idx, key, cast, n_values=1):
+        parts = lines[idx].split() if idx < len(lines) else []
+        try:
+            if len(parts) == n_values + 1 and parts[0] == key:
+                return [cast(p) for p in parts[1:]]
+        except ValueError:
+            pass
+        raise CatalogFormatError(f"missing or malformed '{key}' line at line {idx + 1}")
 
-    theta = int(expect(1, "theta", 1)[0])
-    ox, oy = map(float, expect(2, "origin", 2))
-    cw, ch = map(float, expect(3, "cell", 2))
-    kind = expect(4, "pricing", 1)[0]
-    count = int(expect(5, "datasets", 1)[0])
+    theta, = expect(1, "theta", int)
+    ox, oy = expect(2, "origin", float, 2)
+    cw, ch = expect(3, "cell", float, 2)
+    kind, = expect(4, "pricing", str)
+    count, = expect(5, "datasets", int)
     grid = GridConfig(theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
 
     datasets = []
@@ -234,13 +237,17 @@ def load_catalog(path) -> Marketplace:
         parts = lines[idx].split()
         if len(parts) < 4:
             raise CatalogFormatError(f"short dataset line at line {idx + 1}")
-        did, price, n = parts[0], parts[1], int(parts[2])
-        cells = parts[3:]
+        did, price = parts[0], parts[1]
+        try:
+            n = int(parts[2])
+            cells = [int(c) for c in parts[3:]]
+        except ValueError:
+            raise CatalogFormatError(
+                f"dataset {did!r}: non-integer count or cell at line {idx + 1}") from None
         if len(cells) != n:
             raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {idx + 1}")
         try:
-            ds = CellBasedDataset(id=did, cells=np.array([int(c) for c in cells], dtype=np.int64),
-                                  grid=grid)
+            ds = CellBasedDataset(id=did, cells=np.array(cells, dtype=np.int64), grid=grid)
         except GridError as exc:
             raise CatalogFormatError(f"dataset {did!r}: {exc}") from None
         datasets.append(ds)

@@ -45,6 +45,7 @@ from .graph import (
     DatasetGraph,
     GraphConfigError,
     Subgraph,
+    bfs,
     build_graph_indexed,
     connected_components,
 )
@@ -69,14 +70,15 @@ class OracleCapError(ValueError):
 
 @dataclass(frozen=True)
 class Solution:
-    """A solver outcome: selected ids plus recomputable summary figures."""
+    """A solver outcome: selected ids plus recomputable summary figures.
+
+    Feasibility is not stored here: :func:`verify_solution` recomputes it.
+    """
 
     algorithm: str
     selected: tuple[str, ...]
     total_price_cents: int
     coverage: int
-    within_budget: bool
-    connected: bool
     status: str = STATUS_OK
     round_coverages: tuple[int, int] | None = None  # (ratio pass, coverage pass)
 
@@ -90,8 +92,8 @@ class BfsTree:
     """BFS tree of one component, with per-leaf root-to-leaf path summaries.
 
     ``paths[leaf]`` lists the path nodes root excluded, ending at the leaf;
-    ``path_cells`` / ``path_price_cents`` aggregate the datasets on the path.
-    The tree depth equals the root's eccentricity within the component.
+    ``path_price_cents`` sums the prices of the datasets on the path. The
+    tree depth equals the root's eccentricity within the component.
     """
 
     root: str
@@ -99,7 +101,6 @@ class BfsTree:
     depth: dict[str, int]
     leaves: tuple[str, ...]
     paths: dict[str, tuple[str, ...]]
-    path_cells: dict[str, frozenset[int]]
     path_price_cents: dict[str, int]
 
     @property
@@ -146,30 +147,6 @@ class VerificationReport:
         ]
 
 
-def _bfs_depths(adjacency, root):
-    depth = {root: 0}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adjacency[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-    return depth
-
-
-def _farthest(depth_map):
-    """Deepest node, smallest id on ties."""
-    best, best_d = None, -1
-    for node in sorted(depth_map):
-        d = depth_map[node]
-        if d > best_d:
-            best, best_d = node, d
-    return best, best_d
-
-
 def _cells_map(market, ids):
     return {did: frozenset(market.dataset(did).cells.tolist()) for did in ids}
 
@@ -178,16 +155,6 @@ def _union_len(cells_map, ids):
     if not ids:
         return 0
     return len(frozenset().union(*(cells_map[d] for d in ids)))
-
-
-def _restricted_graph(graph: DatasetGraph, ids) -> DatasetGraph:
-    keep = sorted(set(ids))
-    return DatasetGraph(
-        delta=graph.delta,
-        prices={d: graph.prices[d] for d in keep},
-        adjacency=graph.restricted(keep),
-        market=graph.market,
-    )
 
 
 def _prepare(market, budget, delta, graph):
@@ -209,8 +176,7 @@ def _prepare(market, budget, delta, graph):
 
 def _empty_solution(algorithm, status=STATUS_BELOW_MINIMUM, rounds=None):
     return Solution(algorithm=algorithm, selected=(), total_price_cents=0,
-                    coverage=0, within_budget=True, connected=True,
-                    status=status, round_coverages=rounds)
+                    coverage=0, status=status, round_coverages=rounds)
 
 
 def _solution_from_ids(algorithm, market, ids, cells_map, rounds=None):
@@ -220,8 +186,6 @@ def _solution_from_ids(algorithm, market, ids, cells_map, rounds=None):
         selected=selected,
         total_price_cents=sum(market.price_cents(d) for d in selected),
         coverage=_union_len(cells_map, selected),
-        within_budget=True,
-        connected=True,
         status=STATUS_OK,
         round_coverages=rounds,
     )
@@ -346,6 +310,17 @@ class _PathGrowth:
                 gain[j] -= n
 
 
+def _root_paths(parent):
+    """Path of every non-root node of a BFS parent map (root first, in visit
+    order): its nodes from below the root down to it."""
+    root = next(iter(parent))
+    paths = {root: ()}
+    for v, u in itertools.islice(parent.items(), 1, None):
+        paths[v] = paths[u] + (v,)
+    del paths[root]
+    return paths
+
+
 def _ancestors(parent, node):
     """Proper ancestors of ``node`` in a parent map, nearest first."""
     node = parent[node]
@@ -370,7 +345,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution("dsa", rounds=(0, 0))
-    adjacency = graph.restricted(afford)
+    adjacency = graph.restricted(afford).adjacency
     cells_map = _cells_map(market, afford)
     prices = {did: market.price_cents(did) for did in afford}
 
@@ -410,11 +385,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
 def find_center_exact(sub: Subgraph) -> CenterResult:
     """Run BFS from every node; the center has minimum eccentricity
     (smallest id on ties), the radius is that eccentricity."""
-    adjacency = sub.adjacency()
-    eccentricities = {}
-    for node in sub.members:
-        depth = _bfs_depths(adjacency, node)
-        eccentricities[node] = max(depth.values())
+    adjacency = sub.graph.adjacency
+    eccentricities = {node: len(bfs(adjacency, node)[1]) - 1 for node in sub.members}
     center = min(sub.members, key=lambda u: (eccentricities[u], u))
     return CenterResult(center=center, radius=eccentricities[center],
                         eccentricities=eccentricities)
@@ -427,65 +399,29 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
     opposite end; the midpoint of that path is returned as center with half
     the path length (rounded up) as radius.
     """
-    adjacency = sub.adjacency()
-    start = sub.members[0]
-    vj, _ = _farthest(_bfs_depths(adjacency, start))
-    depth = {vj: 0}
-    parent = {vj: None}
-    queue = [vj]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adjacency[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                queue.append(v)
-    vk, diameter = _farthest(depth)
-    path = [vk]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # vj .. vk
-    center = path[diameter // 2]
+    adjacency = sub.graph.adjacency
+    vj = min(bfs(adjacency, sub.members[0])[1][-1])  # farthest, smallest id
+    parent, layers = bfs(adjacency, vj)
+    vk = min(layers[-1])
+    diameter = len(layers) - 1
+    center = vk  # walk up from vk to depth diameter // 2
+    for _ in range(diameter - diameter // 2):
+        center = parent[center]
     return TwoBfsResult(center=center, radius=(diameter + 1) // 2, diameter=diameter)
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
-    """Layerwise BFS tree from ``root`` with per-leaf path aggregates."""
-    market = sub.graph.market
-    adjacency = sub.adjacency()
-    parent: dict[str, str | None] = {root: None}
-    depth = {root: 0}
-    children = {u: [] for u in sub.members}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adjacency[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                children[u].append(v)
-                queue.append(v)
-    leaves = tuple(sorted(u for u in sub.members if not children[u] and u != root))
-    cells_map = _cells_map(market, sub.members)
-    paths = {}
-    path_cells = {}
-    path_price = {}
-    for leaf in leaves:
-        chain = []
-        node = leaf
-        while node != root:
-            chain.append(node)
-            node = parent[node]
-        chain.reverse()
-        paths[leaf] = tuple(chain)
-        path_cells[leaf] = frozenset().union(*(cells_map[u] for u in chain))
-        path_price[leaf] = sum(sub.graph.prices[u] for u in chain)
+    """Layerwise BFS tree from ``root`` with per-leaf path aggregates; the
+    root is never a leaf, so a one-node component has none."""
+    parent, layers = bfs(sub.graph.adjacency, root)
+    depth = {u: d for d, layer in enumerate(layers) for u in layer}
+    inner = set(parent.values())
+    leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
+    to_node = _root_paths(parent)
+    paths = {leaf: to_node[leaf] for leaf in leaves}
+    path_price = {leaf: sum(sub.graph.prices[u] for u in paths[leaf]) for leaf in leaves}
     return BfsTree(root=root, parent=parent, depth=depth, leaves=leaves,
-                   paths=paths, path_cells=path_cells, path_price_cents=path_price)
+                   paths=paths, path_price_cents=path_price)
 
 
 # ---------------------------------------------------------------------------
@@ -580,30 +516,27 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution(label, rounds=(0, 0))
-    candidate_graph = _restricted_graph(graph, afford)
     cells_map = _cells_map(market, afford)
-    ratio_sets = []
-    coverage_sets = []
-    for sub in connected_components(candidate_graph):
+    # one _candidate_order_key per non-empty candidate set, per flag
+    keys = {"ratio": [], "coverage": []}
+    for sub in connected_components(graph.restricted(afford)):
         if center_mode == "exact":
             center = find_center_exact(sub).center
         else:
             center = find_center_two_bfs(sub).center
         tree = build_bfs_tree(sub, center)
-        ratio_sets.append(budgeted_greedy(sub, tree, budget, "ratio"))
-        coverage_sets.append(budgeted_greedy(sub, tree, budget, "coverage"))
-    candidates = [c for c in ratio_sets + coverage_sets if c]
-    if not candidates:
+        for flag, found in keys.items():
+            chosen = budgeted_greedy(sub, tree, budget, flag)
+            if chosen:
+                found.append(_candidate_order_key(market, cells_map, chosen))
+    if not keys["ratio"] and not keys["coverage"]:
         best_single = min(afford, key=lambda d: (-len(cells_map[d]),
                                                  market.price_cents(d), d))
         return _solution_from_ids(label, market, {best_single}, cells_map,
                                   rounds=(0, 0))
-    best1 = min((c for c in ratio_sets if c), default=set(),
-                key=lambda c: _candidate_order_key(market, cells_map, c))
-    best2 = min((c for c in coverage_sets if c), default=set(),
-                key=lambda c: _candidate_order_key(market, cells_map, c))
-    rounds = (_union_len(cells_map, sorted(best1)), _union_len(cells_map, sorted(best2)))
-    best = min(candidates, key=lambda c: _candidate_order_key(market, cells_map, c))
+    # keys sort as (-coverage, price, ids), so each flag's best gives its coverage
+    rounds = tuple(-min(found)[0] if found else 0 for found in keys.values())
+    best = min(keys["ratio"] + keys["coverage"])[2]
     return _solution_from_ids(label, market, best, cells_map, rounds=rounds)
 
 
@@ -626,7 +559,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution(label)
-    candidate_graph = _restricted_graph(graph, afford)
+    candidate_graph = graph.restricted(afford)
     prices = candidate_graph.prices
     cells_map = _cells_map(market, afford)
     results = []
@@ -634,17 +567,8 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         root = sub.members[0]
         if prices[root] > b:
             continue
-        adjacency = sub.adjacency()
-        parent = {root: None}
-        paths = {root: ()}
-        queue = [root]
-        for u in queue:
-            for v in adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    paths[v] = paths[u] + (v,)
-                    queue.append(v)
-        del paths[root]
+        parent, _ = bfs(candidate_graph.adjacency, root)
+        paths = _root_paths(parent)
         growth = _PathGrowth(parent, cells_map, prices, paths)
         dp = growth.dp
         if variant == "mg":
@@ -701,7 +625,7 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
             m |= 1 << bit_of[c]
         masks.append(m)
         prices.append(market.price_cents(did))
-    adjacency = graph.restricted(afford)
+    adjacency = graph.restricted(afford).adjacency
     index = {did: i for i, did in enumerate(afford)}
     adj_bits = [0] * n
     for did, nbrs in adjacency.items():
@@ -769,9 +693,9 @@ def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> Verifica
     if len(solution.selected) <= 1:
         connected = True
     else:
-        adjacency = graph.restricted(solution.selected)
-        depth = _bfs_depths(adjacency, solution.selected[0])
-        connected = len(depth) == len(solution.selected)
+        reached, _ = bfs(graph.restricted(solution.selected).adjacency,
+                         solution.selected[0])
+        connected = len(reached) == len(solution.selected)
     if graph.market is None:
         raise GraphConfigError("graph carries no marketplace; cannot recompute coverage")
     cells_map = _cells_map(graph.market, solution.selected)

@@ -1,30 +1,179 @@
-"""The full-scan greedy loops that the incremental solvers replaced, kept
-verbatim as a differential oracle.
+"""The full-scan greedy loops and the hand-written BFS loops that the
+solvers replaced, kept verbatim as a differential oracle.
 
-Every step here rescores every remaining candidate from scratch against the
-uncovered universe, so these functions are slow but obviously faithful to the
-selection rules. ``test_solvers_differential.py`` checks that the solvers in
-:mod:`bmcc.solvers` return exactly the same selections.
+Every greedy step here rescores every remaining candidate from scratch
+against the uncovered universe, so these functions are slow but obviously
+faithful to the selection rules. ``test_solvers_differential.py`` checks that
+the solvers in :mod:`bmcc.solvers` return exactly the same selections, and
+``test_bfs_differential.py`` that components, centers and BFS trees built on
+:func:`bmcc.graph.bfs` match the loops below. The reference solvers use these
+BFS loops, not the live ones.
 """
 
 from dataclasses import dataclass, field
 
-from bmcc.graph import DatasetGraph, Subgraph, connected_components
+from bmcc.graph import DatasetGraph, Subgraph
 from bmcc.marketplace import Marketplace, to_cents
 from bmcc.solvers import (
-    BfsTree,
+    CenterResult,
     Solution,
+    TwoBfsResult,
     _candidate_order_key,
     _cells_map,
     _empty_solution,
     _prepare,
-    _restricted_graph,
     _solution_from_ids,
     _union_len,
-    build_bfs_tree,
-    find_center_exact,
-    find_center_two_bfs,
 )
+
+
+def connected_components(graph: DatasetGraph) -> list[Subgraph]:
+    """Maximal components via BFS; components ordered by smallest member id,
+    neighbors visited in ascending id within each BFS."""
+    seen = set()
+    components = []
+    for root in graph.nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in graph.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        components.append(Subgraph(members=tuple(sorted(queue)), graph=graph))
+    return components
+
+
+@dataclass(frozen=True)
+class BfsTree:
+    """BFS tree of one component, with per-leaf root-to-leaf path summaries.
+
+    ``paths[leaf]`` lists the path nodes root excluded, ending at the leaf;
+    ``path_cells`` / ``path_price_cents`` aggregate the datasets on the path.
+    The tree depth equals the root's eccentricity within the component.
+    """
+
+    root: str
+    parent: dict[str, str | None]
+    depth: dict[str, int]
+    leaves: tuple[str, ...]
+    paths: dict[str, tuple[str, ...]]
+    path_cells: dict[str, frozenset[int]]
+    path_price_cents: dict[str, int]
+
+    @property
+    def tree_depth(self) -> int:
+        return max(self.depth.values())
+
+
+def _bfs_depths(adjacency, root):
+    depth = {root: 0}
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in adjacency[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    return depth
+
+
+def _farthest(depth_map):
+    """Deepest node, smallest id on ties."""
+    best, best_d = None, -1
+    for node in sorted(depth_map):
+        d = depth_map[node]
+        if d > best_d:
+            best, best_d = node, d
+    return best, best_d
+
+
+def find_center_exact(sub: Subgraph) -> CenterResult:
+    """Run BFS from every node; the center has minimum eccentricity
+    (smallest id on ties), the radius is that eccentricity."""
+    adjacency = sub.adjacency()
+    eccentricities = {}
+    for node in sub.members:
+        depth = _bfs_depths(adjacency, node)
+        eccentricities[node] = max(depth.values())
+    center = min(sub.members, key=lambda u: (eccentricities[u], u))
+    return CenterResult(center=center, radius=eccentricities[center],
+                        eccentricities=eccentricities)
+
+
+def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
+    """Double-BFS center estimate: exact on acyclic components.
+
+    BFS from the smallest id finds a farthest node, BFS from there finds the
+    opposite end; the midpoint of that path is returned as center with half
+    the path length (rounded up) as radius.
+    """
+    adjacency = sub.adjacency()
+    start = sub.members[0]
+    vj, _ = _farthest(_bfs_depths(adjacency, start))
+    depth = {vj: 0}
+    parent = {vj: None}
+    queue = [vj]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in adjacency[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                queue.append(v)
+    vk, diameter = _farthest(depth)
+    path = [vk]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()  # vj .. vk
+    center = path[diameter // 2]
+    return TwoBfsResult(center=center, radius=(diameter + 1) // 2, diameter=diameter)
+
+
+def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
+    """Layerwise BFS tree from ``root`` with per-leaf path aggregates."""
+    market = sub.graph.market
+    adjacency = sub.adjacency()
+    parent: dict[str, str | None] = {root: None}
+    depth = {root: 0}
+    children = {u: [] for u in sub.members}
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in adjacency[u]:
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                children[u].append(v)
+                queue.append(v)
+    leaves = tuple(sorted(u for u in sub.members if not children[u] and u != root))
+    cells_map = _cells_map(market, sub.members)
+    paths = {}
+    path_cells = {}
+    path_price = {}
+    for leaf in leaves:
+        chain = []
+        node = leaf
+        while node != root:
+            chain.append(node)
+            node = parent[node]
+        chain.reverse()
+        paths[leaf] = tuple(chain)
+        path_cells[leaf] = frozenset().union(*(cells_map[u] for u in chain))
+        path_price[leaf] = sum(sub.graph.prices[u] for u in chain)
+    return BfsTree(root=root, parent=parent, depth=depth, leaves=leaves,
+                   paths=paths, path_cells=path_cells, path_price_cents=path_price)
 
 
 @dataclass
@@ -52,7 +201,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution("dsa", rounds=(0, 0))
-    adjacency = graph.restricted(afford)
+    adjacency = graph.restricted(afford).adjacency
     cells_map = _cells_map(market, afford)
     universe = frozenset().union(*(frozenset(market.dataset(d).cells.tolist())
                                    for d in market.ids))
@@ -146,6 +295,8 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     candidate_ids = list(sub.graph.adjacency)
     cells_map = _cells_map(market, candidate_ids)
     universe = frozenset().union(*(cells_map[d] for d in candidate_ids))
+    path_cells = {leaf: frozenset().union(*(cells_map[u] for u in tree.paths[leaf]))
+                  for leaf in tree.leaves}
     state = GreedyState(uncovered=set(universe - cells_map[tree.root]),
                         budget_cents=b, spent_cents=root_price,
                         selected={tree.root})
@@ -155,7 +306,7 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
         for leaf in leaves:
             dp = tree.path_price_cents[leaf] - sum(
                 sub.graph.prices[u] for u in tree.paths[leaf] if u in state.selected)
-            gain = len(tree.path_cells[leaf] & state.uncovered)
+            gain = len(path_cells[leaf] & state.uncovered)
             scored.append((leaf, gain, dp))
         if flag == "ratio":
             leaf, _, dp = _pick_leaf_ratio(scored)
@@ -164,7 +315,7 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
         if state.spent_cents + dp <= b:
             state.selected.update(tree.paths[leaf])
             state.spent_cents += dp
-            state.uncovered -= tree.path_cells[leaf]
+            state.uncovered -= path_cells[leaf]
         leaves.remove(leaf)
     return state.selected
 
@@ -183,7 +334,7 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution(label, rounds=(0, 0))
-    candidate_graph = _restricted_graph(graph, afford)
+    candidate_graph = graph.restricted(afford)
     cells_map = _cells_map(market, afford)
     ratio_sets = []
     coverage_sets = []
@@ -225,7 +376,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     b, afford, graph = _prepare(market, budget, delta, graph)
     if not afford:
         return _empty_solution(label)
-    candidate_graph = _restricted_graph(graph, afford)
+    candidate_graph = graph.restricted(afford)
     cells_map = _cells_map(market, afford)
     universe = frozenset().union(*(cells_map[d] for d in afford))
     results = []

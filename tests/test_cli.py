@@ -204,6 +204,23 @@ class TestBuildGraph:
             "--adjacency-out", str(a2))
         assert a1.read_bytes() == a2.read_bytes()
 
+    @pytest.mark.parametrize("keep, bad, where", [
+        (3, None, "line 4"),            # catalog cut after its third line
+        (6, "datasets x", "line 6"),    # non-integer dataset count
+    ], ids=["truncated", "non-integer-count"])
+    def test_malformed_catalog_is_data_error(self, capsys, example2_catalog, keep, bad,
+                                             where):
+        with open(example2_catalog) as fh:
+            lines = fh.read().splitlines()[:keep]
+        if bad is not None:
+            lines[-1] = bad
+        with open(example2_catalog, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "build-graph", example2_catalog, "--delta", "2")
+        assert code == 2
+        assert where in err
+        assert len(err.splitlines()) == 1
+
 
 def mask_timing(table: str) -> str:
     lines = table.splitlines()
@@ -320,17 +337,6 @@ class TestBench:
         # 60 datasets at 2.00 each -> total 120.00, ratio 0.5 -> budget 60.00
         assert row["budget"] == "60.00"
 
-    def test_parallel_flag_matches_sequential(self, tmp_path, capsys, small_points):
-        outs = []
-        for name, extra in (("seq.tsv", []), ("par.tsv", ["--parallel", "2"])):
-            out = tmp_path / name
-            code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",
-                             "--theta", "7", "--deltas", "5,10", "--seed", "4",
-                             "--out", str(out), *extra)
-            assert code == 0
-            outs.append(mask_timing(out.read_text()))
-        assert outs[0] == outs[1]
-
 
 class TestVerifyCommand:
     def test_good_report_verifies(self, tmp_path, capsys, example2_catalog):
@@ -367,3 +373,36 @@ class TestVerifyCommand:
                            "--budget", "15", "--delta", "2")
         assert code == 2
         assert "ghost" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("{not json", "not a JSON report"),
+        ({"selected": None}, "no 'selected' key"),
+        ({"coverage": None}, "no 'coverage' key"),
+        ({"selected": "d1"}, "'selected' is not a list"),  # a string, not a list of ids
+        ({"coverage": "many"}, "solution 0"),
+        ({"total_price": "1.001"}, "solution 0"),
+    ], ids=["not-json", "no-selected", "no-coverage", "selected-string",
+            "bad-coverage", "sub-cent-price"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, example2_catalog,
+                                            text, where):
+        """``text`` is the whole file, or edits to the first entry of a real
+        report (``None`` deletes the key)."""
+        report = tmp_path / "report.json"
+        if isinstance(text, dict):
+            run(capsys, "solve", example2_catalog, "--solvers", "exact",
+                "--budget", "15", "--delta", "2", "--json-out", str(report))
+            payload = json.loads(report.read_text())
+            entry = payload["solutions"][0]
+            for key, value in text.items():
+                if value is None:
+                    del entry[key]
+                else:
+                    entry[key] = value
+            text = json.dumps(payload)
+        report.write_text(text)
+        code, _, err = run(capsys, "verify", example2_catalog, str(report),
+                           "--budget", "15", "--delta", "2")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert str(report) in err and where in err
+        assert "unknown dataset id" not in err

@@ -272,3 +272,19 @@ class TestStatsAndExport:
         path.write_text("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 1 b\nb 1.00 0\n")
         with pytest.raises(GraphConfigError):
             read_adjacency(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("CBGRAPH 1\n", "line 2"),
+        ("CBGRAPH 1\ndelta x\nnodes 1\na 1.00 0\n", "line 2"),
+        ("CBGRAPH 1\ndelta 1.0\n", "line 3"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes two\n", "line 3"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\n", "found 1"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00\n", "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00 one\n", "line 4"),
+    ], ids=["one-line", "bad-delta", "no-nodes-line", "bad-count", "truncated",
+            "short-node-line", "bad-neighbor-count"])
+    def test_malformed_file_rejected_with_line_number(self, tmp_path, text, where):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        with pytest.raises(GraphConfigError, match=where):
+            read_adjacency(path)

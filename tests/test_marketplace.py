@@ -158,3 +158,19 @@ class TestCatalogFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CatalogFormatError):
             load_catalog(path)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: lines[:3], "line 4"),                   # cut after the 'origin' line
+        (lambda lines: lines[:5] + ["datasets x"] + lines[6:], "line 6"),
+        (lambda lines: lines[:1] + ["theta"] + lines[2:], "line 2"),
+        (lambda lines: lines[:6] + [lines[6].replace(" ", " 1x ", 1)] + lines[7:], "line 7"),
+        (lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " z"] + lines[7:], "line 7"),
+    ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
+            "non-integer-cell"])
+    def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
+                                                              example2_market, edit, where):
+        path = tmp_path / "cat.txt"
+        save_catalog(example2_market, path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(CatalogFormatError, match=where):
+            load_catalog(path)

@@ -319,8 +319,7 @@ class TestVerify:
         sol = solve_exact(example2_market, 15, 2)
         tampered = type(sol)(
             algorithm="exact", selected=("d1", "d3"),
-            total_price_cents=900, coverage=9,
-            within_budget=True, connected=True)
+            total_price_cents=900, coverage=9)
         report = verify_solution(graph, tampered, 15)
         assert not report.connected
         assert not report.ok
@@ -330,8 +329,7 @@ class TestVerify:
         sol = solve_exact(example2_market, 15, 2)
         tampered = type(sol)(
             algorithm="exact", selected=sol.selected,
-            total_price_cents=sol.total_price_cents, coverage=sol.coverage + 1,
-            within_budget=True, connected=True)
+            total_price_cents=sol.total_price_cents, coverage=sol.coverage + 1)
         report = verify_solution(graph, tampered, 15)
         assert not report.coverage_matches
         assert not report.ok
@@ -341,8 +339,7 @@ class TestVerify:
         sol = solve_exact(example2_market, 15, 2)
         tampered = type(sol)(
             algorithm="exact", selected=("ghost",),
-            total_price_cents=0, coverage=0,
-            within_budget=True, connected=True)
+            total_price_cents=0, coverage=0)
         with pytest.raises(KeyError):
             verify_solution(graph, tampered, 15)
 
