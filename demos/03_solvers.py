@@ -61,7 +61,7 @@ def main():
     tree = build_bfs_tree(comp, exact_center.center)
     print(f"BFS-tree leaves and their root paths:")
     for leaf in tree.leaves:
-        price = tree.path_price_cents[leaf] // 100
+        price = sum(market.price_cents(u) for u in tree.paths[leaf]) // 100
         cells = set().union(*(market.dataset(u).cells.tolist() for u in tree.paths[leaf]))
         print(f"  {leaf}: path {'->'.join(tree.paths[leaf])}, "
               f"{len(cells)} cells, price {price}")

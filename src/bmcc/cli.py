@@ -64,7 +64,7 @@ class ReportFormatError(ValueError):
 
 
 _DATA_ERRORS = (GridError, MarketplaceError, GraphConfigError, OracleCapError,
-                ReportFormatError, OSError)
+                ReportFormatError, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -464,7 +464,7 @@ def _load_report(path) -> list[Solution]:
                 coverage=int(entry["coverage"]),
                 status=entry.get("status", "ok"),
             ))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ReportFormatError(f"{path}: solution {i}: {exc}") from None
     return solutions
 

@@ -16,15 +16,18 @@ edge sets are bit-identical by construction.
 import math
 import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .grid import decode_cells
 from .marketplace import Marketplace, cents_to_decimal, to_cents
 
-# Ball-bound guard: prune/accept only with a clear margin so float rounding in
-# centroid arithmetic can never flip a borderline pair; everything inside the
-# margin falls through to the exact integer check at the leaves.
+# Ball-bound guard, relative to the grid side: prune/accept only with a clear
+# margin so float rounding in centroid arithmetic can never flip a borderline
+# pair; everything inside the margin falls through to the exact integer check
+# at the leaves.
 _BOUND_EPS = 1e-9
 
 _CHUNK_ELEMS = 4_000_000  # cap on temporary (cells_a x cells_b) matrices
@@ -53,6 +56,13 @@ class DatasetGraph:
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self.adjacency[node_id]
+
+    @cached_property
+    def cells(self) -> dict[str, frozenset[int]]:
+        """Cell ids of every node, built from the catalog on first use."""
+        if self.market is None:
+            raise GraphConfigError("graph carries no marketplace; cannot read cells")
+        return {u: frozenset(self.market.dataset(u).cells.tolist()) for u in self.adjacency}
 
     def restricted(self, ids) -> "DatasetGraph":
         """The induced subgraph over ``ids``, on the same catalog."""
@@ -130,10 +140,11 @@ class BallTree:
 
 
 def _sq_threshold(delta: float) -> int:
-    """Integer threshold T with (int) d2 <= delta**2  <=>  d2 <= T."""
+    """Integer threshold T with (int) d2 <= delta**2  <=>  d2 <= T, exact
+    even where the float square of ``delta`` would round."""
     if delta < 0:
         raise GraphConfigError("delta must be non-negative")
-    return math.floor(float(delta) * float(delta))
+    return math.floor(Fraction(float(delta)) ** 2)
 
 
 def _min_sqdist_coords(a: np.ndarray, b: np.ndarray) -> int:
@@ -301,8 +312,9 @@ def build_graph_indexed(market: Marketplace, delta: float,
     order = tree.order.tolist()
 
     neighbor_sets = {did: set() for did in ids}
-    lo_guard = delta + _BOUND_EPS
-    hi_guard = delta - _BOUND_EPS
+    eps = _BOUND_EPS * market.grid.side
+    lo_guard = delta + eps
+    hi_guard = delta - eps
     for i in range(n):
         ci_x, ci_y, ri = dcx[i], dcy[i], drad[i]
         found = []

@@ -14,6 +14,7 @@ code and the row index ``y`` the odd ones, so ``encode_cell(0, 0) == 0`` and
 
 from dataclasses import dataclass, field
 import csv
+import math
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class GridConfig:
 
     ``(origin_x, origin_y)`` is the bottom-left corner of the bounding space
     and ``cell_width`` / ``cell_height`` are the cell extents in input
-    coordinate units.
+    coordinate units; all four must be finite.
     """
 
     theta: int
@@ -70,6 +71,9 @@ class GridConfig:
     def __post_init__(self):
         if not 1 <= self.theta <= MAX_THETA:
             raise GridError(f"theta must be in [1, {MAX_THETA}], got {self.theta}")
+        extents = (self.origin_x, self.origin_y, self.cell_width, self.cell_height)
+        if not all(math.isfinite(v) for v in extents):
+            raise GridError(f"grid origin and cell extents must be finite, got {extents}")
         if self.cell_width <= 0 or self.cell_height <= 0:
             raise GridError("cell extents must be positive")
 
@@ -212,13 +216,14 @@ def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     """Map every point of ``dataset`` to its cell and return the sorted id set.
 
     Points exactly on the upper boundary clamp to the last cell; points
-    outside the bounding space raise :class:`RasterizationError`.
+    outside the bounding space, NaN coordinates included, raise
+    :class:`RasterizationError`.
     """
     side = grid.side
     fx = (dataset.points[:, 0] - grid.origin_x) / grid.cell_width
     fy = (dataset.points[:, 1] - grid.origin_y) / grid.cell_height
     limit = side * (1.0 + _BOUNDARY_RTOL)
-    bad = (fx < 0) | (fy < 0) | (fx > limit) | (fy > limit)
+    bad = ~((fx >= 0) & (fy >= 0) & (fx <= limit) & (fy <= limit))
     if bad.any():
         i = int(np.argmax(bad))
         pt = tuple(dataset.points[i])
@@ -242,8 +247,8 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     """Parse a delimited point file into datasets, in first-appearance order.
 
     The file must be UTF-8 with a header row naming the ``dataset_id``, ``x``
-    and ``y`` columns (any order, extra columns ignored). Malformed rows fail
-    with their line number.
+    and ``y`` columns (any order, extra columns ignored). Malformed rows and
+    non-finite coordinates fail with their line number.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -275,6 +280,8 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
                 y = float(row[y_col])
             except ValueError:
                 raise PointFileError(line_no, f"bad coordinate in row {row!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise PointFileError(line_no, f"non-finite coordinate in row {row!r}")
             groups.setdefault(did, []).append((x, y))
     if not groups:
         raise PointFileError(2, "no data rows")

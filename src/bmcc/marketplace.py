@@ -6,6 +6,7 @@ charges one unit per covered cell, matching the default used throughout the
 benchmark harness.
 """
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
@@ -37,8 +38,8 @@ class CatalogFormatError(MarketplaceError):
 def to_cents(value) -> int:
     """Convert a decimal amount (int, str, float, Decimal) to integer cents.
 
-    Amounts must be representable at two decimal places; anything finer is
-    rejected rather than silently rounded.
+    Amounts must be finite and representable at two decimal places; anything
+    finer is rejected rather than silently rounded.
     """
     if isinstance(value, int):
         return value * 100
@@ -46,7 +47,12 @@ def to_cents(value) -> int:
         d = Decimal(str(value))
     except InvalidOperation:
         raise MarketplaceError(f"not a decimal amount: {value!r}") from None
-    q = d.quantize(_CENT)
+    if not d.is_finite():
+        raise MarketplaceError(f"not a finite amount: {value!r}")
+    try:
+        q = d.quantize(_CENT)
+    except InvalidOperation:
+        raise MarketplaceError(f"amount {value!r} is too large") from None
     if q != d:
         raise MarketplaceError(f"amount {value!r} is finer than one cent")
     return int(q * 100)
@@ -200,6 +206,13 @@ def save_catalog(market: Marketplace, path) -> None:
             fh.write(f"{did} {price} {ds.coverage} {cells}\n")
 
 
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 def load_catalog(path) -> Marketplace:
     """Parse a catalog file written by :func:`save_catalog`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -222,8 +235,8 @@ def load_catalog(path) -> Marketplace:
         raise CatalogFormatError(f"missing or malformed '{key}' line at line {idx + 1}")
 
     theta, = expect(1, "theta", int)
-    ox, oy = expect(2, "origin", float, 2)
-    cw, ch = expect(3, "cell", float, 2)
+    ox, oy = expect(2, "origin", _finite_float, 2)
+    cw, ch = expect(3, "cell", _finite_float, 2)
     kind, = expect(4, "pricing", str)
     count, = expect(5, "datasets", int)
     grid = GridConfig(theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)

@@ -89,23 +89,18 @@ class Solution:
 
 @dataclass(frozen=True)
 class BfsTree:
-    """BFS tree of one component, with per-leaf root-to-leaf path summaries.
+    """BFS tree of one component, with the root-to-leaf path of every leaf.
 
-    ``paths[leaf]`` lists the path nodes root excluded, ending at the leaf;
-    ``path_price_cents`` sums the prices of the datasets on the path. The
-    tree depth equals the root's eccentricity within the component.
+    ``parent`` lists the nodes in visit order; ``paths[leaf]`` lists the path
+    nodes root excluded, ending at the leaf. ``tree_depth`` equals the root's
+    eccentricity within the component.
     """
 
     root: str
     parent: dict[str, str | None]
-    depth: dict[str, int]
     leaves: tuple[str, ...]
     paths: dict[str, tuple[str, ...]]
-    path_price_cents: dict[str, int]
-
-    @property
-    def tree_depth(self) -> int:
-        return max(self.depth.values())
+    tree_depth: int
 
 
 @dataclass(frozen=True)
@@ -147,18 +142,9 @@ class VerificationReport:
         ]
 
 
-def _cells_map(market, ids):
-    return {did: frozenset(market.dataset(did).cells.tolist()) for did in ids}
-
-
-def _union_len(cells_map, ids):
-    if not ids:
-        return 0
-    return len(frozenset().union(*(cells_map[d] for d in ids)))
-
-
 def _prepare(market, budget, delta, graph):
-    """Common front matter: budget in cents, affordable ids, candidate graph."""
+    """Common front matter: the budget in cents and the candidate graph, the
+    graph induced by the datasets priced within the budget."""
     b = to_cents(budget)
     if b < 0:
         raise ValueError("budget must be non-negative")
@@ -170,8 +156,7 @@ def _prepare(market, budget, delta, graph):
         if graph.delta != float(delta):
             raise GraphConfigError(
                 f"graph was built at delta={graph.delta}, solve requested {delta}")
-    afford = sorted(did for did in market.ids if market.price_cents(did) <= b)
-    return b, afford, graph
+    return b, graph.restricted(did for did, price in graph.prices.items() if price <= b)
 
 
 def _empty_solution(algorithm, status=STATUS_BELOW_MINIMUM, rounds=None):
@@ -179,23 +164,17 @@ def _empty_solution(algorithm, status=STATUS_BELOW_MINIMUM, rounds=None):
                     coverage=0, status=status, round_coverages=rounds)
 
 
-def _solution_from_ids(algorithm, market, ids, cells_map, rounds=None):
-    selected = tuple(sorted(ids))
-    return Solution(
-        algorithm=algorithm,
-        selected=selected,
-        total_price_cents=sum(market.price_cents(d) for d in selected),
-        coverage=_union_len(cells_map, selected),
-        status=STATUS_OK,
-        round_coverages=rounds,
-    )
-
-
-def _candidate_order_key(market, cells_map, ids):
-    """Total order on candidate node sets: coverage desc, price asc, ids."""
+def _candidate_order_key(graph, ids):
+    """Summary of a candidate node set, ``(-coverage, price, sorted ids)``:
+    the smallest key is the best candidate."""
     sel = tuple(sorted(ids))
-    price = sum(market.price_cents(d) for d in sel)
-    return (-_union_len(cells_map, sel), price, sel)
+    covered = frozenset().union(*(graph.cells[d] for d in sel))
+    return (-len(covered), sum(graph.prices[d] for d in sel), sel)
+
+
+def _solution(algorithm, key, rounds=None):
+    """The :class:`Solution` of a candidate summarized by ``key``."""
+    return Solution(algorithm, key[2], key[1], -key[0], round_coverages=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +321,10 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     within budget. Gains only fall as cells get covered, so both passes run
     on :func:`_lazy_argmax`.
     """
-    b, afford, graph = _prepare(market, budget, delta, graph)
-    if not afford:
+    b, candidate = _prepare(market, budget, delta, graph)
+    if not candidate.nodes:
         return _empty_solution("dsa", rounds=(0, 0))
-    adjacency = graph.restricted(afford).adjacency
-    cells_map = _cells_map(market, afford)
-    prices = {did: market.price_cents(did) for did in afford}
+    adjacency, cells_map, prices = candidate.adjacency, candidate.cells, candidate.prices
 
     def one_round(ratio_based: bool) -> set[str]:
         covered: set[int] = set()
@@ -359,7 +336,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             gain = len(cells_map[did].difference(covered))
             return -Fraction(gain, prices[did]) if ratio_based else -gain
 
-        for did in _lazy_argmax([(rescore(d), d) for d in afford], rescore):
+        for did in _lazy_argmax([(rescore(d), d) for d in adjacency], rescore):
             if selected and did not in frontier:
                 continue
             if spent + prices[did] > b:
@@ -370,12 +347,10 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             frontier.update(adjacency[did])
         return selected
 
-    h1 = one_round(ratio_based=True)
-    h2 = one_round(ratio_based=False)
-    cov1 = _union_len(cells_map, sorted(h1))
-    cov2 = _union_len(cells_map, sorted(h2))
-    chosen = h2 if cov2 > cov1 else h1
-    return _solution_from_ids("dsa", market, chosen, cells_map, rounds=(cov1, cov2))
+    k1 = _candidate_order_key(candidate, one_round(ratio_based=True))
+    k2 = _candidate_order_key(candidate, one_round(ratio_based=False))
+    # the raw-gain pass wins only on strictly higher coverage
+    return _solution("dsa", k2 if k2[0] < k1[0] else k1, rounds=(-k1[0], -k2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +386,15 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
-    """Layerwise BFS tree from ``root`` with per-leaf path aggregates; the
-    root is never a leaf, so a one-node component has none."""
+    """Layerwise BFS tree from ``root`` with the path of every leaf; the root
+    is never a leaf, so a one-node component has none."""
     parent, layers = bfs(sub.graph.adjacency, root)
-    depth = {u: d for d, layer in enumerate(layers) for u in layer}
     inner = set(parent.values())
     leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
     to_node = _root_paths(parent)
-    paths = {leaf: to_node[leaf] for leaf in leaves}
-    path_price = {leaf: sum(sub.graph.prices[u] for u in paths[leaf]) for leaf in leaves}
-    return BfsTree(root=root, parent=parent, depth=depth, leaves=leaves,
-                   paths=paths, path_price_cents=path_price)
+    return BfsTree(root=root, parent=parent, leaves=leaves,
+                   paths={leaf: to_node[leaf] for leaf in leaves},
+                   tree_depth=len(layers) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +455,7 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     prices = sub.graph.prices
     if prices[tree.root] > b:
         return set()
-    cells_map = _cells_map(sub.graph.market, sub.members)
-    growth = _PathGrowth(tree.parent, cells_map, prices, tree.paths)
+    growth = _PathGrowth(tree.parent, sub.graph.cells, prices, tree.paths)
     gain, dp = growth.gain, growth.dp
     if flag == "coverage":
         order = _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
@@ -513,13 +485,12 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     if center_mode not in ("exact", "two_bfs"):
         raise ValueError(f"unknown center_mode {center_mode!r}")
     label = "dpsa" if center_mode == "exact" else "dpsa-ba"
-    b, afford, graph = _prepare(market, budget, delta, graph)
-    if not afford:
+    b, candidate = _prepare(market, budget, delta, graph)
+    if not candidate.nodes:
         return _empty_solution(label, rounds=(0, 0))
-    cells_map = _cells_map(market, afford)
     # one _candidate_order_key per non-empty candidate set, per flag
     keys = {"ratio": [], "coverage": []}
-    for sub in connected_components(graph.restricted(afford)):
+    for sub in connected_components(candidate):
         if center_mode == "exact":
             center = find_center_exact(sub).center
         else:
@@ -528,16 +499,13 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
         for flag, found in keys.items():
             chosen = budgeted_greedy(sub, tree, budget, flag)
             if chosen:
-                found.append(_candidate_order_key(market, cells_map, chosen))
+                found.append(_candidate_order_key(candidate, chosen))
     if not keys["ratio"] and not keys["coverage"]:
-        best_single = min(afford, key=lambda d: (-len(cells_map[d]),
-                                                 market.price_cents(d), d))
-        return _solution_from_ids(label, market, {best_single}, cells_map,
-                                  rounds=(0, 0))
+        best_single = min(_candidate_order_key(candidate, (d,)) for d in candidate.nodes)
+        return _solution(label, best_single, rounds=(0, 0))
     # keys sort as (-coverage, price, ids), so each flag's best gives its coverage
     rounds = tuple(-min(found)[0] if found else 0 for found in keys.values())
-    best = min(keys["ratio"] + keys["coverage"])[2]
-    return _solution_from_ids(label, market, best, cells_map, rounds=rounds)
+    return _solution(label, min(keys["ratio"] + keys["coverage"]), rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +524,16 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     if variant not in ("mc", "mg"):
         raise ValueError(f"unknown cmc variant {variant!r}")
     label = f"cmc-{variant}"
-    b, afford, graph = _prepare(market, budget, delta, graph)
-    if not afford:
+    b, candidate = _prepare(market, budget, delta, graph)
+    if not candidate.nodes:
         return _empty_solution(label)
-    candidate_graph = graph.restricted(afford)
-    prices = candidate_graph.prices
-    cells_map = _cells_map(market, afford)
+    prices, cells_map = candidate.prices, candidate.cells
     results = []
-    for sub in connected_components(candidate_graph):
+    for sub in connected_components(candidate):
         root = sub.members[0]
         if prices[root] > b:
             continue
-        parent, _ = bfs(candidate_graph.adjacency, root)
+        parent, _ = bfs(candidate.adjacency, root)
         paths = _root_paths(parent)
         growth = _PathGrowth(parent, cells_map, prices, paths)
         dp = growth.dp
@@ -595,8 +561,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         results.append(growth.selected)
     if not results:
         return _empty_solution(label)
-    best = min(results, key=lambda c: _candidate_order_key(market, cells_map, c))
-    return _solution_from_ids(label, market, best, cells_map)
+    return _solution(label, min(_candidate_order_key(candidate, c) for c in results))
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +576,11 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
     if len(market) > cap:
         raise OracleCapError(
             f"exact oracle capped at {cap} datasets, catalog has {len(market)}")
-    b, afford, graph = _prepare(market, budget, delta, graph)
+    b, candidate = _prepare(market, budget, delta, graph)
+    afford = candidate.nodes
     if not afford:
         return _empty_solution("exact")
-    cells_map = _cells_map(market, afford)
+    cells_map = candidate.cells
     n = len(afford)
     bit_of = {c: i for i, c in enumerate(sorted(frozenset().union(*cells_map.values())))}
     masks = []
@@ -624,11 +590,10 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
         for c in cells_map[did]:
             m |= 1 << bit_of[c]
         masks.append(m)
-        prices.append(market.price_cents(did))
-    adjacency = graph.restricted(afford).adjacency
+        prices.append(candidate.prices[did])
     index = {did: i for i, did in enumerate(afford)}
     adj_bits = [0] * n
-    for did, nbrs in adjacency.items():
+    for did, nbrs in candidate.adjacency.items():
         for v in nbrs:
             adj_bits[index[did]] |= 1 << index[v]
 
@@ -651,8 +616,7 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
     size = 1 << n
     price_sum = [0] * size
     union = [0] * size
-    best_key = (0, 0, ())  # (-coverage, price, ids) of the empty set
-    best_mask = 0
+    best_key = (0, 0, ())  # _candidate_order_key of the empty set
     for mask in range(1, size):
         low = mask & -mask
         rest = mask ^ low
@@ -672,11 +636,7 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
         key = (-cov, p, ids)
         if key < best_key:
             best_key = key
-            best_mask = mask
-    if best_mask == 0:
-        return _empty_solution("exact", status=STATUS_OK)
-    ids = [afford[j] for j in range(n) if best_mask >> j & 1]
-    return _solution_from_ids("exact", market, ids, cells_map)
+    return _solution("exact", best_key)
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +650,13 @@ def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> Verifica
             raise UnknownDatasetError(did)
     b = to_cents(budget)
     price = sum(graph.prices[d] for d in solution.selected)
+    chosen = graph.restricted(solution.selected)
     if len(solution.selected) <= 1:
         connected = True
     else:
-        reached, _ = bfs(graph.restricted(solution.selected).adjacency,
-                         solution.selected[0])
+        reached, _ = bfs(chosen.adjacency, solution.selected[0])
         connected = len(reached) == len(solution.selected)
-    if graph.market is None:
-        raise GraphConfigError("graph carries no marketplace; cannot recompute coverage")
-    cells_map = _cells_map(graph.market, solution.selected)
-    coverage = _union_len(cells_map, solution.selected)
+    coverage = len(frozenset().union(*chosen.cells.values()))
     return VerificationReport(
         within_budget=price <= b,
         connected=connected,

@@ -7,24 +7,67 @@ faithful to the selection rules. ``test_solvers_differential.py`` checks that
 the solvers in :mod:`bmcc.solvers` return exactly the same selections, and
 ``test_bfs_differential.py`` that components, centers and BFS trees built on
 :func:`bmcc.graph.bfs` match the loops below. The reference solvers use these
-BFS loops, not the live ones.
+BFS loops, not the live ones, and their own copies of the per-solve helpers
+that the solvers replaced with the candidate graph's cell sets.
 """
 
 from dataclasses import dataclass, field
 
-from bmcc.graph import DatasetGraph, Subgraph
+from bmcc.graph import DatasetGraph, GraphConfigError, Subgraph, build_graph_indexed
 from bmcc.marketplace import Marketplace, to_cents
 from bmcc.solvers import (
+    STATUS_OK,
     CenterResult,
     Solution,
     TwoBfsResult,
-    _candidate_order_key,
-    _cells_map,
     _empty_solution,
-    _prepare,
-    _solution_from_ids,
-    _union_len,
 )
+
+
+def _cells_map(market, ids):
+    return {did: frozenset(market.dataset(did).cells.tolist()) for did in ids}
+
+
+def _union_len(cells_map, ids):
+    if not ids:
+        return 0
+    return len(frozenset().union(*(cells_map[d] for d in ids)))
+
+
+def _prepare(market, budget, delta, graph):
+    """Common front matter: budget in cents, affordable ids, candidate graph."""
+    b = to_cents(budget)
+    if b < 0:
+        raise ValueError("budget must be non-negative")
+    if graph is None:
+        graph = build_graph_indexed(market, delta)
+    else:
+        if graph.market is not market:
+            raise GraphConfigError("graph was built over a different marketplace")
+        if graph.delta != float(delta):
+            raise GraphConfigError(
+                f"graph was built at delta={graph.delta}, solve requested {delta}")
+    afford = sorted(did for did in market.ids if market.price_cents(did) <= b)
+    return b, afford, graph
+
+
+def _solution_from_ids(algorithm, market, ids, cells_map, rounds=None):
+    selected = tuple(sorted(ids))
+    return Solution(
+        algorithm=algorithm,
+        selected=selected,
+        total_price_cents=sum(market.price_cents(d) for d in selected),
+        coverage=_union_len(cells_map, selected),
+        status=STATUS_OK,
+        round_coverages=rounds,
+    )
+
+
+def _candidate_order_key(market, cells_map, ids):
+    """Total order on candidate node sets: coverage desc, price asc, ids."""
+    sel = tuple(sorted(ids))
+    price = sum(market.price_cents(d) for d in sel)
+    return (-_union_len(cells_map, sel), price, sel)
 
 
 def connected_components(graph: DatasetGraph) -> list[Subgraph]:
@@ -304,7 +347,7 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     while leaves and state.spent_cents <= b:
         scored = []
         for leaf in leaves:
-            dp = tree.path_price_cents[leaf] - sum(
+            dp = sum(sub.graph.prices[u] for u in tree.paths[leaf]) - sum(
                 sub.graph.prices[u] for u in tree.paths[leaf] if u in state.selected)
             gain = len(path_cells[leaf] & state.uncovered)
             scored.append((leaf, gain, dp))

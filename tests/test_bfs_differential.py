@@ -12,8 +12,7 @@ from bmcc.solvers import build_bfs_tree, find_center_exact, find_center_two_bfs
 
 from test_solvers_differential import DELTAS, SEEDS, differential_market
 
-TREE_FIELDS = ("root", "parent", "depth", "leaves", "paths", "path_price_cents",
-               "tree_depth")
+TREE_FIELDS = ("root", "parent", "leaves", "paths", "tree_depth")
 
 
 def _graphs(market, delta):

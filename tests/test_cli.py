@@ -381,8 +381,12 @@ class TestVerifyCommand:
         ({"selected": "d1"}, "'selected' is not a list"),  # a string, not a list of ids
         ({"coverage": "many"}, "solution 0"),
         ({"total_price": "1.001"}, "solution 0"),
+        ({"total_price": "Infinity"}, "solution 0"),
+        ({"total_price": "1e400"}, "solution 0"),
+        ({"coverage": float("inf")}, "solution 0"),  # written as the JSON token Infinity
     ], ids=["not-json", "no-selected", "no-coverage", "selected-string",
-            "bad-coverage", "sub-cent-price"])
+            "bad-coverage", "sub-cent-price", "infinite-price", "huge-price",
+            "infinite-coverage"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, example2_catalog,
                                             text, where):
         """``text`` is the whole file, or edits to the first entry of a real
@@ -406,3 +410,53 @@ class TestVerifyCommand:
         assert len(err.splitlines()) == 1
         assert str(report) in err and where in err
         assert "unknown dataset id" not in err
+
+
+class TestBadInputFiles:
+    """Non-finite amounts and files that are not UTF-8 end in one ``error:``
+    line and exit 2, never a traceback."""
+
+    def test_infinite_budget_is_data_error(self, capsys, example2_catalog):
+        code, _, err = run(capsys, "solve", example2_catalog, "--budget", "inf")
+        assert code == 2
+        assert err == "error: not a finite amount: 'inf'\n"
+
+    def test_infinite_table_price_is_data_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["d00,0.1,0.1", "d01,0.9,0.9"])
+        table = tmp_path / "prices.txt"
+        table.write_text("d00 inf\nd01 1.25\n")
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"),
+                           "--pricing", "table", "--price-table", str(table))
+        assert code == 2
+        assert err == "error: not a finite amount: 'inf'\n"
+
+    def test_infinite_point_is_data_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["d0,0.1,0.2", "d9,inf,0.5"])
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"))
+        assert code == 2
+        assert "line 3" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("boundary", ["points", "price-table", "catalog", "config",
+                                          "report"])
+    def test_file_not_utf8_is_data_error(self, tmp_path, capsys, example2_catalog,
+                                         boundary):
+        bad = tmp_path / "bad.txt"
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+        texts = {"points": b"dataset_id,x,y\na,0.1,0.2\xff\n", "price-table": b"a 1\xff\n",
+                 "catalog": b"CBCAT 1\ntheta 3\xff\n", "config": b"delta = 2\xff\n",
+                 "report": b'{"solutions": ["\xff"]}'}
+        bad.write_bytes(texts[boundary])
+        argv = {
+            "points": ["ingest", str(bad), str(tmp_path / "out.cat")],
+            "price-table": ["ingest", str(pts), str(tmp_path / "out.cat"),
+                            "--pricing", "table", "--price-table", str(bad)],
+            "catalog": ["solve", str(bad)],
+            "config": ["solve", example2_catalog, "--config", str(bad)],
+            "report": ["verify", example2_catalog, str(bad)],
+        }[boundary]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmcc.grid import GridConfig
 from bmcc.graph import (
@@ -204,6 +206,45 @@ class TestIndexedGraph:
         tree = build_ball_tree(m1)
         with pytest.raises(GraphConfigError):
             build_graph_indexed(m2, 1.0, tree)
+
+
+THETA31_MAX = (1 << 31) - 1  # largest cell index at theta=31
+
+
+class TestTheta31Exactness:
+    """At theta=31 a squared distance needs 62 bits, past a float's 53: the
+    threshold and the ball-bound guard must stay exact there."""
+
+    @pytest.mark.parametrize("far, edge", [((THETA31_MAX, 0), True),
+                                           ((THETA31_MAX, 1), False)],
+                             ids=["distance-exactly-delta", "one-cell-farther"])
+    def test_grid_width_delta_in_both_paths(self, far, edge):
+        m = make_market({"a": [(0, 0)], "b": [far]}, theta=31)
+        gn = build_graph_naive(m, THETA31_MAX)
+        gi = build_graph_indexed(m, THETA31_MAX)
+        assert gn.adjacency["a"] == (("b",) if edge else ())
+        assert gi.adjacency == gn.adjacency
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_naive_indexed_and_exact_truth_agree(self, data):
+        coord = st.one_of(st.sampled_from([0, 1, 2, THETA31_MAX - 1, THETA31_MAX]),
+                          st.integers(0, THETA31_MAX))
+        cells = st.lists(st.tuples(coord, coord), min_size=1, max_size=3, unique=True)
+        sets = data.draw(st.lists(cells, min_size=2, max_size=5))
+        m = make_market({f"d{i}": pairs for i, pairs in enumerate(sets)}, theta=31)
+        exact = [[min((ax - bx) ** 2 + (ay - by) ** 2 for ax, ay in a for bx, by in b)
+                  for b in sets] for a in sets]
+        # no int64 squared distance overflows: the matrix holds the exact values
+        assert min_sqdist_matrix(m).tolist() == exact
+        d2 = data.draw(st.sampled_from(sorted({v for row in exact for v in row})))
+        delta = data.draw(st.sampled_from([math.sqrt(d2), math.nextafter(math.sqrt(d2), 0),
+                                           math.nextafter(math.sqrt(d2), math.inf)]))
+        truth = {f"d{i}": tuple(f"d{j}" for j in range(len(sets))
+                                if j != i and exact[i][j] <= Fraction(delta) ** 2)
+                 for i in range(len(sets))}
+        assert build_graph_naive(m, delta).adjacency == truth
+        assert build_graph_indexed(m, delta).adjacency == truth
 
 
 class TestComponents:

@@ -91,6 +91,12 @@ class TestGridConfig:
         with pytest.raises(GridError):
             GridConfig(theta=2, cell_width=0.0)
 
+    @pytest.mark.parametrize("field", ["origin_x", "origin_y", "cell_width", "cell_height"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_origin_or_extent_rejected(self, field, value):
+        with pytest.raises(GridError, match="finite"):
+            GridConfig(theta=2, **{field: value})
+
     def test_envelope_derivation(self):
         ds = [PointDataset("a", [(0.0, 0.0), (8.0, 4.0)])]
         g = GridConfig.from_envelope(ds, theta=2)
@@ -130,6 +136,13 @@ class TestRasterize:
             rasterize(PointDataset("bad", [(0.5, 0.5), (5.0, 0.0)]), g)
         assert info.value.dataset_id == "bad"
         assert info.value.point == (5.0, 0.0)
+
+    @pytest.mark.parametrize("point", [(float("nan"), 0.5), (0.5, float("nan"))])
+    def test_nan_coordinate_is_outside(self, point):
+        g = GridConfig(theta=2)
+        with pytest.raises(RasterizationError) as info:
+            rasterize(PointDataset("bad", [(0.5, 0.5), point]), g)
+        assert info.value.dataset_id == "bad"
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(GridError):
@@ -216,6 +229,14 @@ class TestPointFiles:
         path = tmp_path / "pts.csv"
         path.write_text("dataset_id,x,y\na,0.1,0.2\na,zzz,0.3\n")
         with pytest.raises(PointFileError) as info:
+            read_points_file(path)
+        assert info.value.line_number == 3
+
+    @pytest.mark.parametrize("row", ["a,inf,0.3", "a,0.3,-inf", "a,nan,0.3", "a,0.3,NaN"])
+    def test_non_finite_coordinate_reports_line(self, tmp_path, row):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"dataset_id,x,y\na,0.1,0.2\n{row}\n")
+        with pytest.raises(PointFileError, match="non-finite") as info:
             read_points_file(path)
         assert info.value.line_number == 3
 

@@ -33,6 +33,12 @@ class TestMoney:
     def test_round_trip(self):
         assert cents_to_decimal(to_cents("12.34")) == Decimal("12.34")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "snan", "Infinity",
+                                       "1e100000", "1e400", float("inf")])
+    def test_non_finite_or_huge_amount_rejected_naming_value(self, value):
+        with pytest.raises(MarketplaceError, match=repr(value)):
+            to_cents(value)
+
 
 class TestPricing:
     def test_usage_price_equals_coverage(self, example2_market):
@@ -165,8 +171,12 @@ class TestCatalogFiles:
         (lambda lines: lines[:1] + ["theta"] + lines[2:], "line 2"),
         (lambda lines: lines[:6] + [lines[6].replace(" ", " 1x ", 1)] + lines[7:], "line 7"),
         (lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " z"] + lines[7:], "line 7"),
+        (lambda lines: lines[:2] + ["origin nan 0.0"] + lines[3:], "line 3"),
+        (lambda lines: lines[:2] + ["origin 0.0 -inf"] + lines[3:], "line 3"),
+        (lambda lines: lines[:3] + ["cell inf 1.0"] + lines[4:], "line 4"),
+        (lambda lines: lines[:3] + ["cell 1.0 nan"] + lines[4:], "line 4"),
     ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
-            "non-integer-cell"])
+            "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan"])
     def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
                                                               example2_market, edit, where):
         path = tmp_path / "cat.txt"

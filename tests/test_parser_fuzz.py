@@ -1,0 +1,136 @@
+"""Grammar fuzzing of the four text parsers at the input boundaries.
+
+Each input is built from the header keys and line shapes of one file format,
+filled with value tokens that include non-finite, huge, empty and malformed
+values. Every input must either parse or raise one of the typed data errors
+that the CLI turns into exit code 2; any other exception is a crash.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bmcc.cli import ReportFormatError, _load_report
+from bmcc.graph import GraphConfigError, read_adjacency
+from bmcc.grid import GridError, read_points_file
+from bmcc.marketplace import MarketplaceError, load_catalog
+
+TYPED_ERRORS = (GridError, MarketplaceError, GraphConfigError, ReportFormatError)
+
+TOKENS = ("nan", "inf", "-inf", "1e400", "-", "", "0", "1", "-1", "0.5", "1.005", "31",
+          "40", "x", "d0", "usage_based", "explicit_table", "theta", "datasets")
+token = st.sampled_from(TOKENS)
+
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def corrupted(lines, sep=" "):
+    """A valid text given as ``sep``-separated lines, with up to two tokens
+    replaced by grammar tokens (the empty one deletes) and now and then cut
+    after some line. Few edits keep most inputs deep enough to reach the value
+    checks behind the header."""
+    def apply(args):
+        edits, cut = args
+        rows = [line.split(sep) for line in lines]
+        for i, j, tok in edits:
+            row = rows[-1 - i % len(rows)]  # small draws edit the body lines
+            row[j % (len(row) + 1):j % (len(row) + 1) + 1] = [tok]
+        return "\n".join(sep.join(row) for row in rows[:cut]) + "\n"
+    edits = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5), token), max_size=2)
+    cut = st.one_of(st.just(len(lines)), st.integers(0, len(lines)))
+    return st.tuples(edits, cut).map(apply)
+
+
+def cell_lists(n):
+    return st.lists(st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True)
+                    .map(sorted), min_size=n, max_size=n)
+
+
+@st.composite
+def catalog_text(draw):
+    kind = draw(st.sampled_from(("usage_based", "explicit_table")))
+    cells = draw(cell_lists(draw(st.integers(1, 3))))
+    lines = ["CBCAT 1", f"theta {draw(st.sampled_from((2, 3)))}", "origin 0.0 -1.5",
+             "cell 1.0 0.5", f"pricing {kind}", f"datasets {len(cells)}"]
+    for i, cs in enumerate(cells):
+        price = "-" if kind == "usage_based" else draw(st.sampled_from(("1", "2.50")))
+        lines.append(" ".join([f"d{i}", price, str(len(cs)), *map(str, cs)]))
+    return draw(corrupted(lines))
+
+
+@st.composite
+def adjacency_text(draw):
+    n = draw(st.integers(1, 3))
+    edges = draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])
+                         if n > 1 else st.nothing()))
+    lines = ["CBGRAPH 1", "delta 1.0", f"nodes {n}"]
+    for u in range(n):
+        nbrs = sorted(f"d{v}" for e in edges for v in e if u in e and v != u)
+        lines.append(" ".join([f"d{u}", "1.50", str(len(nbrs)), *nbrs]))
+    return draw(corrupted(lines))
+
+
+@st.composite
+def points_text(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(("d0", "d1")), st.floats(-2, 2),
+                                   st.floats(-2, 2)), min_size=1, max_size=3))
+    return draw(corrupted(["dataset_id,x,y", *(f"{d},{x!r},{y!r}" for d, x, y in rows)],
+                          sep=","))
+
+
+# JSON cannot spell 1e400, so a placeholder string is swapped for the literal
+BIG = "__1e400__"
+json_value = st.sampled_from(("", "nan", "1e400", "Infinity", "-", 0, -1, 2.5,
+                              float("inf"), float("nan"), None, True, BIG, [], {}))
+report_entry = st.one_of(
+    st.fixed_dictionaries(
+        {"algorithm": st.sampled_from(("dsa", "exact")),
+         "selected": st.lists(st.sampled_from(("d0", "d1")), max_size=2),
+         "total_price": st.one_of(st.sampled_from(("4.00", "15")), json_value),
+         "coverage": st.one_of(st.sampled_from((5, 15)), json_value)},
+        optional={"status": st.sampled_from(("ok", 1))}),
+    st.dictionaries(st.sampled_from(("algorithm", "selected", "total_price", "coverage")),
+                    st.one_of(json_value, st.lists(json_value, max_size=2))))
+report_text = st.one_of(
+    st.builds(lambda entries: {"solutions": entries}, st.lists(report_entry, max_size=3)),
+    st.lists(report_entry, max_size=3),
+    json_value,
+).map(lambda payload: json.dumps(payload).replace(f'"{BIG}"', "1e400"))
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+
+def parses_or_raises_typed_error(parser, path, text):
+    path.write_text(text, encoding="utf-8")
+    try:
+        parser(path)
+    except TYPED_ERRORS:
+        pass
+
+
+@FUZZ
+@given(text=catalog_text())
+def test_catalog_parser(scratch_file, text):
+    parses_or_raises_typed_error(load_catalog, scratch_file, text)
+
+
+@FUZZ
+@given(text=adjacency_text())
+def test_adjacency_parser(scratch_file, text):
+    parses_or_raises_typed_error(read_adjacency, scratch_file, text)
+
+
+@FUZZ
+@given(text=points_text())
+def test_points_parser(scratch_file, text):
+    parses_or_raises_typed_error(read_points_file, scratch_file, text)
+
+
+@FUZZ
+@given(text=report_text)
+def test_report_parser(scratch_file, text):
+    parses_or_raises_typed_error(_load_report, scratch_file, text)

@@ -162,7 +162,6 @@ class TestBudgetedGreedy:
         assert tree.leaves == ("d3", "d5", "d6", "d7", "d8")
         assert tree.paths["d5"] == ("d1", "d5")
         assert tree.paths["d6"] == ("d6",)
-        assert tree.path_price_cents["d5"] == 600
         assert tree.tree_depth == res.radius
 
     def test_zero_cost_paths_rank_first(self):
