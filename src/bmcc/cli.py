@@ -19,6 +19,7 @@ from .grid import (
     GridConfig,
     GridError,
     PointDataset,
+    open_text,
     rasterize,
     read_points_file,
     write_points_file,
@@ -64,7 +65,7 @@ class ReportFormatError(ValueError):
 
 
 _DATA_ERRORS = (GridError, MarketplaceError, GraphConfigError, OracleCapError,
-                ReportFormatError, OSError, UnicodeDecodeError)
+                ReportFormatError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +104,7 @@ class RunConfig:
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, MarketplaceError) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -170,7 +171,7 @@ def _usage(message) -> int:
 
 def _read_price_table(path) -> dict:
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, MarketplaceError) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -438,9 +439,10 @@ _REPORT_KEYS = ("algorithm", "selected", "total_price", "coverage")
 
 def _load_report(path) -> list[Solution]:
     """Solutions of a ``solve --json-out`` report, or of a bare entry list."""
+    with open_text(path, ReportFormatError) as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
     except ValueError as exc:
         raise ReportFormatError(f"{path}: not a JSON report: {exc}") from None
     entries = payload.get("solutions") if isinstance(payload, dict) else payload
@@ -456,12 +458,16 @@ def _load_report(path) -> list[Solution]:
         selected = entry["selected"]
         if not (isinstance(selected, list) and all(isinstance(d, str) for d in selected)):
             raise ReportFormatError(f"{path}: solution {i}: 'selected' is not a list of ids")
+        coverage = entry["coverage"]
+        if isinstance(coverage, bool) or not isinstance(coverage, int) or coverage < 0:
+            raise ReportFormatError(
+                f"{path}: solution {i}: 'coverage' is not a non-negative integer")
         try:
             solutions.append(Solution(
                 algorithm=entry["algorithm"],
                 selected=tuple(selected),
                 total_price_cents=to_cents(entry["total_price"]),
-                coverage=int(entry["coverage"]),
+                coverage=coverage,
                 status=entry.get("status", "ok"),
             ))
         except (TypeError, ValueError, OverflowError) as exc:

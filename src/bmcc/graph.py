@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import decode_cells
-from .marketplace import Marketplace, cents_to_decimal, to_cents
+from .grid import decode_cells, open_text
+from .marketplace import Marketplace, MarketplaceError, cents_to_decimal, to_cents
 
 # Ball-bound guard, relative to the grid side: prune/accept only with a clear
 # margin so float rounding in centroid arithmetic can never flip a borderline
@@ -401,7 +401,7 @@ def write_adjacency(graph: DatasetGraph, path) -> None:
 
 def read_adjacency(path) -> DatasetGraph:
     """Parse an adjacency export; the result carries prices but no catalog."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, GraphConfigError) as fh:
         lines = fh.read().splitlines()
     head = lines[0].split() if lines else []
     if len(head) != 2 or head[0] != GRAPH_MAGIC or head[1] != str(GRAPH_VERSION):
@@ -417,6 +417,8 @@ def read_adjacency(path) -> DatasetGraph:
         raise GraphConfigError(f"expected '{key} <value>' at line {idx + 1}")
 
     delta = header(1, "delta", float)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise GraphConfigError(f"delta must be finite and non-negative at line 2, got {delta}")
     count = header(2, "nodes", int)
     adjacency = {}
     prices = {}
@@ -431,8 +433,14 @@ def read_adjacency(path) -> DatasetGraph:
         nbrs = parts[3:]
         if len(nbrs) != k:
             raise GraphConfigError(f"neighbor count mismatch for {did!r}")
+        try:
+            cents = to_cents(price)
+        except MarketplaceError as exc:
+            raise GraphConfigError(f"{exc} at line {idx + 1}") from None
+        if cents < 0:
+            raise GraphConfigError(f"negative price {price!r} at line {idx + 1}")
         adjacency[did] = tuple(nbrs)
-        prices[did] = to_cents(price)
+        prices[did] = cents
     for u, nbrs in adjacency.items():
         for v in nbrs:
             if v not in adjacency or u not in adjacency[v]:

@@ -12,6 +12,7 @@ code and the row index ``y`` the odd ones, so ``encode_cell(0, 0) == 0`` and
 ``encode_cell(1, 0) == 1``.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 import csv
 import math
@@ -243,6 +244,17 @@ def coverage_of_union(collection) -> int:
     return int(np.unique(np.concatenate(arrays)).size)
 
 
+@contextmanager
+def open_text(path, error, newline=None):
+    """Open ``path`` for reading as UTF-8 text. Bytes that do not decode
+    raise ``error`` with a message naming the path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise error(f"{path}: not a UTF-8 text file") from None
+
+
 def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     """Parse a delimited point file into datasets, in first-appearance order.
 
@@ -251,7 +263,7 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     non-finite coordinates fail with their line number.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, GridError, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)

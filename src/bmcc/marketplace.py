@@ -12,7 +12,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .grid import CellBasedDataset, GridConfig, GridError
+from .grid import CellBasedDataset, GridConfig, GridError, open_text
 
 USAGE_BASED = "usage_based"
 EXPLICIT_TABLE = "explicit_table"
@@ -215,7 +215,7 @@ def _finite_float(text) -> float:
 
 def load_catalog(path) -> Marketplace:
     """Parse a catalog file written by :func:`save_catalog`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, CatalogFormatError) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CatalogFormatError("empty catalog file")

@@ -9,7 +9,9 @@ Available strategies:
   then raw gain), returning the better result.
 * ``dpsa`` / ``dpsa-ba`` -- per component, greedy selection of root-to-leaf
   paths of the BFS tree rooted at the component center (exact center, or the
-  double-BFS approximation for ``-ba``).
+  double-BFS approximation for ``-ba``). The exact center is found by
+  eccentricity bounding (:func:`find_center_exact`): a few BFS runs per
+  component rather than one per node.
 * ``cmc-mc`` / ``cmc-mg`` -- baselines that grow root-to-node paths by
   average coverage / average marginal gain per path node.
 * ``exact`` -- exhaustive oracle for small catalogs.
@@ -35,9 +37,10 @@ return exactly what a full rescan would:
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -105,9 +108,20 @@ class BfsTree:
 
 @dataclass(frozen=True)
 class CenterResult:
+    """Exact center and radius of one component.
+
+    ``eccentricities`` maps every member to its eccentricity. It costs one
+    BFS per member, so it is computed from ``component`` only when read.
+    """
+
     center: str
     radius: int
-    eccentricities: dict[str, int]
+    component: Subgraph = field(repr=False, compare=False)
+
+    @cached_property
+    def eccentricities(self) -> dict[str, int]:
+        adjacency = self.component.graph.adjacency
+        return {u: len(bfs(adjacency, u)[1]) - 1 for u in self.component.members}
 
 
 @dataclass(frozen=True)
@@ -358,13 +372,49 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
 
 
 def find_center_exact(sub: Subgraph) -> CenterResult:
-    """Run BFS from every node; the center has minimum eccentricity
-    (smallest id on ties), the radius is that eccentricity."""
+    """Exact center by eccentricity bounding (Takes & Kosters): the member of
+    minimum eccentricity, smallest id on ties, and that eccentricity as radius.
+
+    Every member keeps bounds ``lo <= ecc <= hi``. A BFS from ``v`` with
+    eccentricity ``e`` reaches each ``w`` at some distance ``d``, and the
+    triangle inequality gives ``max(d, e - d) <= ecc(w) <= e + d``. A member
+    stays a candidate until its bounds meet (its eccentricity is then exact
+    and may become the best ``(ecc, id)`` pair) or ``(lo, id)`` sorts after
+    the best pair, so it cannot be the center. BFS roots alternate between
+    the candidate of smallest ``(lo, id)`` and that of largest ``hi``
+    (smallest id on ties); each root's own bounds meet, so the loop ends. The
+    answer does not depend on the choice of roots, only the number of BFS
+    runs does. Components of one or two members need no BFS.
+    """
+    members = sub.members
+    if len(members) <= 2:
+        return CenterResult(members[0], len(members) - 1, sub)
     adjacency = sub.graph.adjacency
-    eccentricities = {node: len(bfs(adjacency, node)[1]) - 1 for node in sub.members}
-    center = min(sub.members, key=lambda u: (eccentricities[u], u))
-    return CenterResult(center=center, radius=eccentricities[center],
-                        eccentricities=eccentricities)
+    lo = dict.fromkeys(members, 0)
+    hi = dict.fromkeys(members, len(members) - 1)
+    best = (len(members), "")  # sorts after every (eccentricity, id) pair
+    candidates = set(members)
+    low_turn = True
+    while candidates:
+        if low_turn:
+            root = min(candidates, key=lambda u: (lo[u], u))
+        else:
+            root = min(candidates, key=lambda u: (-hi[u], u))
+        low_turn = not low_turn
+        layers = bfs(adjacency, root)[1]
+        e = len(layers) - 1
+        for d, layer in enumerate(layers):
+            low, high = max(d, e - d), e + d
+            for w in layer:
+                if lo[w] < low:
+                    lo[w] = low
+                if hi[w] > high:
+                    hi[w] = high
+        for w in candidates:
+            if lo[w] == hi[w] and (lo[w], w) < best:
+                best = (lo[w], w)
+        candidates = {w for w in candidates if lo[w] < hi[w] and (lo[w], w) < best}
+    return CenterResult(best[1], best[0], sub)
 
 
 def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:

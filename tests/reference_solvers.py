@@ -4,11 +4,14 @@ solvers replaced, kept verbatim as a differential oracle.
 Every greedy step here rescores every remaining candidate from scratch
 against the uncovered universe, so these functions are slow but obviously
 faithful to the selection rules. ``test_solvers_differential.py`` checks that
-the solvers in :mod:`bmcc.solvers` return exactly the same selections, and
+the solvers in :mod:`bmcc.solvers` return exactly the same selections,
 ``test_bfs_differential.py`` that components, centers and BFS trees built on
-:func:`bmcc.graph.bfs` match the loops below. The reference solvers use these
-BFS loops, not the live ones, and their own copies of the per-solve helpers
-that the solvers replaced with the candidate graph's cell sets.
+:func:`bmcc.graph.bfs` match the loops below, and
+``test_center_differential.py`` that the bounded exact center matches the
+one-BFS-per-node :func:`find_center_exact` below. The reference solvers use
+these BFS loops, not the live ones, and their own copies of the per-solve
+helpers that the solvers replaced with the candidate graph's cell sets, and
+of the ``CenterResult`` that stored every eccentricity.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +20,6 @@ from bmcc.graph import DatasetGraph, GraphConfigError, Subgraph, build_graph_ind
 from bmcc.marketplace import Marketplace, to_cents
 from bmcc.solvers import (
     STATUS_OK,
-    CenterResult,
     Solution,
     TwoBfsResult,
     _empty_solution,
@@ -90,6 +92,13 @@ def connected_components(graph: DatasetGraph) -> list[Subgraph]:
                     queue.append(v)
         components.append(Subgraph(members=tuple(sorted(queue)), graph=graph))
     return components
+
+
+@dataclass(frozen=True)
+class CenterResult:
+    center: str
+    radius: int
+    eccentricities: dict[str, int]
 
 
 @dataclass(frozen=True)

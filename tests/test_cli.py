@@ -384,9 +384,15 @@ class TestVerifyCommand:
         ({"total_price": "Infinity"}, "solution 0"),
         ({"total_price": "1e400"}, "solution 0"),
         ({"coverage": float("inf")}, "solution 0"),  # written as the JSON token Infinity
+        ({"coverage": 2.7}, "'coverage' is not a non-negative integer"),
+        ({"coverage": 15.0}, "'coverage' is not a non-negative integer"),
+        ({"coverage": True}, "'coverage' is not a non-negative integer"),
+        ({"coverage": "15"}, "'coverage' is not a non-negative integer"),
+        ({"coverage": -15}, "'coverage' is not a non-negative integer"),
     ], ids=["not-json", "no-selected", "no-coverage", "selected-string",
             "bad-coverage", "sub-cent-price", "infinite-price", "huge-price",
-            "infinite-coverage"])
+            "infinite-coverage", "float-coverage", "integral-float-coverage",
+            "bool-coverage", "string-coverage", "negative-coverage"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, example2_catalog,
                                             text, where):
         """``text`` is the whole file, or edits to the first entry of a real
@@ -460,3 +466,4 @@ class TestBadInputFiles:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{bad}: not a UTF-8 text file" in err

@@ -322,10 +322,23 @@ class TestStatsAndExport:
         ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\n", "found 1"),
         ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00\n", "line 4"),
         ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00 one\n", "line 4"),
+        ("CBGRAPH 1\ndelta nan\nnodes 1\na 1.00 0\n", "line 2"),
+        ("CBGRAPH 1\ndelta inf\nnodes 1\na 1.00 0\n", "line 2"),
+        ("CBGRAPH 1\ndelta -1\nnodes 1\na 1.00 0\n", "line 2"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\nb -1 0\n", "line 5"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na nan 0\n", "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.005 0\n", "line 4"),
     ], ids=["one-line", "bad-delta", "no-nodes-line", "bad-count", "truncated",
-            "short-node-line", "bad-neighbor-count"])
+            "short-node-line", "bad-neighbor-count", "nan-delta", "infinite-delta",
+            "negative-delta", "negative-price", "nan-price", "sub-cent-price"])
     def test_malformed_file_rejected_with_line_number(self, tmp_path, text, where):
         path = tmp_path / "graph.txt"
         path.write_text(text)
         with pytest.raises(GraphConfigError, match=where):
+            read_adjacency(path)
+
+    def test_file_not_utf8_rejected_with_path(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"CBGRAPH 1\ndelta 1.0\xff\n")
+        with pytest.raises(GraphConfigError, match="graph.txt: not a UTF-8 text file"):
             read_adjacency(path)

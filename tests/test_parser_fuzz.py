@@ -3,10 +3,14 @@
 Each input is built from the header keys and line shapes of one file format,
 filled with value tokens that include non-finite, huge, empty and malformed
 values. Every input must either parse or raise one of the typed data errors
-that the CLI turns into exit code 2; any other exception is a crash.
+that the CLI turns into exit code 2; any other exception is a crash. What
+does parse must hold values that the library can use: an adjacency file's
+delta is finite and non-negative, its prices non-negative, and a report's
+coverages are non-negative integers.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,11 +109,12 @@ def scratch_file(tmp_path_factory):
 
 
 def parses_or_raises_typed_error(parser, path, text):
+    """The parsed value, or None when the parser raised a typed error."""
     path.write_text(text, encoding="utf-8")
     try:
-        parser(path)
+        return parser(path)
     except TYPED_ERRORS:
-        pass
+        return None
 
 
 @FUZZ
@@ -121,7 +126,10 @@ def test_catalog_parser(scratch_file, text):
 @FUZZ
 @given(text=adjacency_text())
 def test_adjacency_parser(scratch_file, text):
-    parses_or_raises_typed_error(read_adjacency, scratch_file, text)
+    graph = parses_or_raises_typed_error(read_adjacency, scratch_file, text)
+    if graph is not None:
+        assert math.isfinite(graph.delta) and graph.delta >= 0
+        assert all(p >= 0 for p in graph.prices.values())
 
 
 @FUZZ
@@ -133,4 +141,6 @@ def test_points_parser(scratch_file, text):
 @FUZZ
 @given(text=report_text)
 def test_report_parser(scratch_file, text):
-    parses_or_raises_typed_error(_load_report, scratch_file, text)
+    solutions = parses_or_raises_typed_error(_load_report, scratch_file, text)
+    for sol in solutions or ():
+        assert type(sol.coverage) is int and sol.coverage >= 0
