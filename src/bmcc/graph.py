@@ -400,7 +400,13 @@ def write_adjacency(graph: DatasetGraph, path) -> None:
 
 
 def read_adjacency(path) -> DatasetGraph:
-    """Parse an adjacency export; the result carries prices but no catalog."""
+    """Parse an adjacency export; the result carries prices but no catalog.
+
+    The file must hold exactly ``nodes`` node lines, each with a distinct id
+    and a neighbor list in strictly ascending id order without the node
+    itself, and every edge must be listed at both ends. Anything else raises
+    :class:`GraphConfigError` naming the offending line.
+    """
     with open_text(path, GraphConfigError) as fh:
         lines = fh.read().splitlines()
     head = lines[0].split() if lines else []
@@ -420,8 +426,14 @@ def read_adjacency(path) -> DatasetGraph:
     if not (math.isfinite(delta) and delta >= 0):
         raise GraphConfigError(f"delta must be finite and non-negative at line 2, got {delta}")
     count = header(2, "nodes", int)
+    if count < 0:
+        raise GraphConfigError(f"negative node count {count} at line 3")
+    extra = next((i for i in range(3 + count, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise GraphConfigError(f"line {extra + 1} is past the {count} node lines")
     adjacency = {}
     prices = {}
+    line_of = {}
     for idx in range(3, 3 + count):
         if idx >= len(lines):
             raise GraphConfigError(f"expected {count} node lines, found {idx - 3}")
@@ -432,7 +444,14 @@ def read_adjacency(path) -> DatasetGraph:
             raise GraphConfigError(f"malformed node line at line {idx + 1}") from None
         nbrs = parts[3:]
         if len(nbrs) != k:
-            raise GraphConfigError(f"neighbor count mismatch for {did!r}")
+            raise GraphConfigError(f"neighbor count mismatch for {did!r} at line {idx + 1}")
+        if did in adjacency:
+            raise GraphConfigError(f"repeated node id {did!r} at line {idx + 1}")
+        if did in nbrs:
+            raise GraphConfigError(f"self-loop at {did!r} at line {idx + 1}")
+        if any(v >= w for v, w in zip(nbrs, nbrs[1:])):
+            raise GraphConfigError(
+                f"neighbors of {did!r} are not strictly ascending at line {idx + 1}")
         try:
             cents = to_cents(price)
         except MarketplaceError as exc:
@@ -441,10 +460,12 @@ def read_adjacency(path) -> DatasetGraph:
             raise GraphConfigError(f"negative price {price!r} at line {idx + 1}")
         adjacency[did] = tuple(nbrs)
         prices[did] = cents
+        line_of[did] = idx + 1
     for u, nbrs in adjacency.items():
         for v in nbrs:
             if v not in adjacency or u not in adjacency[v]:
-                raise GraphConfigError(f"asymmetric adjacency at edge {u!r}-{v!r}")
+                raise GraphConfigError(
+                    f"asymmetric adjacency at edge {u!r}-{v!r} at line {line_of[u]}")
     return DatasetGraph(delta=delta, prices=prices,
                         adjacency={u: adjacency[u] for u in sorted(adjacency)},
                         market=None)

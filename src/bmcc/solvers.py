@@ -25,13 +25,19 @@ return exactly what a full rescan would:
 * Where a score can only fall -- both ``dsa`` passes and the coverage pass
   of :func:`budgeted_greedy` -- gains are lazy (Minoux's accelerated greedy,
   also known as CELF): a heap keyed by (-score, id) holds stale upper
-  bounds, and only its top entry is rescored before being examined.
+  bounds, and only its top entry is rescored before being examined. The
+  ``dsa`` ratio pass keys by the float quotient gain / price, which is
+  correctly rounded and so never inverts two exact ratios; only equal floats
+  are compared exactly, by integer cross-multiplication.
 * Where the incremental path price ``dp`` falls too -- the ratio pass of
   :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
   valid, since a taken path makes every path sharing its nodes cheaper and
   its ratio can rise. There each candidate's gain and ``dp`` are kept exact
   by inverted indexes (cell -> nodes, node -> paths through it), so taking a
-  path touches only what it newly covers or pays for.
+  path touches only what it newly covers or pays for. Initial gains and
+  prices are running sums in parent order, O(n) per tree, and the set-up is
+  built once per :class:`BfsTree`: both flags of :func:`budgeted_greedy`
+  grow a copy of it.
 """
 
 import heapq
@@ -39,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -96,7 +101,9 @@ class BfsTree:
 
     ``parent`` lists the nodes in visit order; ``paths[leaf]`` lists the path
     nodes root excluded, ending at the leaf. ``tree_depth`` equals the root's
-    eccentricity within the component.
+    eccentricity within the component. The path set-up that both flags of
+    :func:`budgeted_greedy` start from is built from ``component`` once, on
+    first use; a tree without leaves needs none.
     """
 
     root: str
@@ -104,6 +111,12 @@ class BfsTree:
     leaves: tuple[str, ...]
     paths: dict[str, tuple[str, ...]]
     tree_depth: int
+    component: Subgraph = field(repr=False, compare=False)
+
+    @cached_property
+    def _growth(self) -> "_PathGrowth":
+        graph = self.component.graph
+        return _PathGrowth(self.parent, graph.cells, graph.prices, self.paths)
 
 
 @dataclass(frozen=True)
@@ -218,23 +231,58 @@ def _lazy_argmax(entries, rescore):
             heapq.heappush(heap, fresh)
 
 
+class _RatioKey:
+    """Heap key of the ratio ``gain / price`` (``price > 0``): a larger ratio
+    sorts first, as ``-Fraction(gain, price)`` would, without building one.
+
+    Keys compare by the float quotient first. CPython rounds int / int true
+    division correctly, so the quotient is monotone in the exact ratio: two
+    unequal floats order as the exact ratios do. Only equal floats -- common,
+    since usage pricing makes every initial ratio equal -- are compared
+    exactly, by integer cross-multiplication.
+    """
+
+    __slots__ = ("q", "gain", "price")
+
+    def __init__(self, gain, price):
+        self.q = gain / price
+        self.gain = gain
+        self.price = price
+
+    def __eq__(self, other):
+        return self.q == other.q and self.gain * other.price == other.gain * self.price
+
+    def __lt__(self, other):
+        if self.q != other.q:
+            return self.q > other.q
+        return self.gain * other.price > other.gain * self.price
+
+    def __le__(self, other):
+        return not other < self
+
+
 class _PathGrowth:
     """A connected set grown from a BFS-tree root by whole candidate paths.
 
     ``parent`` maps every tree node to its parent (the root to ``None``) in
     BFS order; ``paths[k]`` lists the nodes of candidate ``k`` from below the
-    root down to its last node. The exact marginal gain ``gain[k]`` (cells
+    root down to node ``k`` itself. The exact marginal gain ``gain[k]`` (cells
     not yet covered) and incremental price ``dp[k]`` (price of nodes not yet
     selected) of every candidate are kept up to date, so a step costs only
     what it touches:
 
     * a node's *new cells* are those that neither the root nor any ancestor
       holds. Along one path they partition its cells outside the root, so a
-      path's gain is the sum of its nodes' uncovered new cells;
+      path's initial gain is the running sum of new-cell counts down to its
+      end node, and its initial ``dp`` the running sum of prices: one pass in
+      parent order for all candidates;
     * node -> candidates through it is built once, and so is cell -> nodes
       for the few cells new at more than one node; taking a path lowers the
       count of each node whose new cells it covers, and the gain and price of
       every candidate below that node.
+
+    The indexes are read-only after set-up, so :meth:`copy` starts another
+    growth from the same state without rebuilding them.
     """
 
     def __init__(self, parent, cells_map, prices, paths):
@@ -263,19 +311,28 @@ class _PathGrowth:
                 tops.setdefault(h, set()).add(c)
         self._shared = shared
         self._new_cells = new_cells = {}
-        for v in itertools.islice(parent, 1, None):
+        gain_to, dp_to = {root: 0}, {root: 0}
+        for v, u in itertools.islice(parent.items(), 1, None):
             cells = cells_map[v]
             if not cells.isdisjoint(shared):
                 cells = (cells - shared) | tops.get(v, set())
             new_cells[v] = cells
-        self.gain = {}
-        self.dp = {}
+            gain_to[v] = gain_to[u] + len(cells)
+            dp_to[v] = dp_to[u] + prices[v]
+        self.gain = {k: gain_to[k] for k in paths}
+        self.dp = {k: dp_to[k] for k in paths}
         self._below = below = {}
         for k, nodes in paths.items():
-            self.gain[k] = sum(len(new_cells[u]) for u in nodes)
-            self.dp[k] = sum(prices[u] for u in nodes)
             for u in nodes:
                 below.setdefault(u, []).append(k)
+
+    def copy(self):
+        """A growth in this one's state, sharing its read-only indexes."""
+        other = object.__new__(_PathGrowth)
+        vars(other).update(vars(self))
+        other.gain, other.dp = dict(self.gain), dict(self.dp)
+        other.selected, other.covered = set(self.selected), set(self.covered)
+        return other
 
     def take(self, k):
         """Add path ``k`` to the set and pay its incremental price."""
@@ -348,7 +405,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
 
         def rescore(did):
             gain = len(cells_map[did].difference(covered))
-            return -Fraction(gain, prices[did]) if ratio_based else -gain
+            return _RatioKey(gain, prices[did]) if ratio_based else -gain
 
         for did in _lazy_argmax([(rescore(d), d) for d in adjacency], rescore):
             if selected and did not in frontier:
@@ -444,7 +501,7 @@ def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     to_node = _root_paths(parent)
     return BfsTree(root=root, parent=parent, leaves=leaves,
                    paths={leaf: to_node[leaf] for leaf in leaves},
-                   tree_depth=len(layers) - 1)
+                   tree_depth=len(layers) - 1, component=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +555,9 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     The ratio pass cannot be: a taken path also lowers the incremental price
     of every path sharing its nodes, which can raise their ratios. It scans
     the exact scores that :class:`_PathGrowth` keeps up to date instead.
+    Both flags start from a copy of the tree's path set-up, which is built
+    from ``tree.component`` (the ``sub`` it was built on) once per tree; a
+    tree without leaves returns its root alone.
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
@@ -505,7 +565,9 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     prices = sub.graph.prices
     if prices[tree.root] > b:
         return set()
-    growth = _PathGrowth(tree.parent, sub.graph.cells, prices, tree.paths)
+    if not tree.leaves:
+        return {tree.root}
+    growth = tree._growth.copy()
     gain, dp = growth.gain, growth.dp
     if flag == "coverage":
         order = _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
@@ -538,7 +600,8 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution(label, rounds=(0, 0))
-    # one _candidate_order_key per non-empty candidate set, per flag
+    # one _candidate_order_key per component and flag: every member of the
+    # candidate graph fits the budget, so no greedy result is empty
     keys = {"ratio": [], "coverage": []}
     for sub in connected_components(candidate):
         if center_mode == "exact":
@@ -548,13 +611,9 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
         tree = build_bfs_tree(sub, center)
         for flag, found in keys.items():
             chosen = budgeted_greedy(sub, tree, budget, flag)
-            if chosen:
-                found.append(_candidate_order_key(candidate, chosen))
-    if not keys["ratio"] and not keys["coverage"]:
-        best_single = min(_candidate_order_key(candidate, (d,)) for d in candidate.nodes)
-        return _solution(label, best_single, rounds=(0, 0))
+            found.append(_candidate_order_key(candidate, chosen))
     # keys sort as (-coverage, price, ids), so each flag's best gives its coverage
-    rounds = tuple(-min(found)[0] if found else 0 for found in keys.values())
+    rounds = tuple(-min(found)[0] for found in keys.values())
     return _solution(label, min(keys["ratio"] + keys["coverage"]), rounds=rounds)
 
 
@@ -581,8 +640,6 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     results = []
     for sub in connected_components(candidate):
         root = sub.members[0]
-        if prices[root] > b:
-            continue
         parent, _ = bfs(candidate.adjacency, root)
         paths = _root_paths(parent)
         growth = _PathGrowth(parent, cells_map, prices, paths)
@@ -609,8 +666,6 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
             growth.take(best)
             del pool[best]
         results.append(growth.selected)
-    if not results:
-        return _empty_solution(label)
     return _solution(label, min(_candidate_order_key(candidate, c) for c in results))
 
 

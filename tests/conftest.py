@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmcc.grid import CellBasedDataset, GridConfig, encode_cell
-from bmcc.graph import DatasetGraph, connected_components
+from bmcc.grid import CellBasedDataset, GridConfig, encode_cell, rasterize, read_points_file
+from bmcc.graph import DatasetGraph, build_graph_indexed, connected_components
 from bmcc.marketplace import Marketplace, PricingFunction
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,6 +25,17 @@ def make_market(index_sets, theta, prices=None):
     datasets = [make_dataset(did, pairs, grid) for did, pairs in index_sets.items()]
     pricing = PricingFunction.from_table(prices) if prices else PricingFunction.usage_based()
     return Marketplace.build(grid, datasets, pricing)
+
+
+@pytest.fixture(scope="session")
+def synth_giant():
+    """Largest component of the committed 1000-dataset catalog at theta=11,
+    delta=10 (the graph of acceptance criterion 9)."""
+    datasets = read_points_file(DATA_DIR / "synth1000.csv")
+    grid = GridConfig.from_envelope(datasets, theta=11)
+    market = Marketplace.build(grid, [rasterize(d, grid) for d in datasets],
+                               PricingFunction.usage_based())
+    return max(connected_components(build_graph_indexed(market, 10)), key=len)
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,8 @@ import pytest
 
 import bmcc.solvers as solvers
 import reference_solvers as ref
-from bmcc.graph import DatasetGraph, build_graph_indexed, connected_components
-from bmcc.grid import GridConfig, rasterize, read_points_file
-from bmcc.marketplace import Marketplace, PricingFunction
+from bmcc.graph import DatasetGraph, connected_components
 from bmcc.solvers import find_center_exact
-
-from conftest import DATA_DIR
 
 
 def _component(n, edges, seed=0):
@@ -105,17 +101,6 @@ def test_small_components_run_no_bfs(monkeypatch):
         res = find_center_exact(_component(n, edges))
         assert (res.center, res.radius) == (center, n - 1)
     assert calls == []
-
-
-@pytest.fixture(scope="module")
-def synth_giant():
-    """Largest component of the committed 1000-dataset catalog at theta=11,
-    delta=10 (the graph of acceptance criterion 9)."""
-    datasets = read_points_file(DATA_DIR / "synth1000.csv")
-    grid = GridConfig.from_envelope(datasets, theta=11)
-    market = Marketplace.build(grid, [rasterize(d, grid) for d in datasets],
-                               PricingFunction.usage_based())
-    return max(connected_components(build_graph_indexed(market, 10)), key=len)
 
 
 # BFS runs find_center_exact makes on the synth1000 giant component. A change

@@ -328,9 +328,19 @@ class TestStatsAndExport:
         ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\nb -1 0\n", "line 5"),
         ("CBGRAPH 1\ndelta 1.0\nnodes 1\na nan 0\n", "line 4"),
         ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.005 0\n", "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes -1\na 1.00 0\n", "line 3"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00 0\nb 1.00 0\n", "line 5"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\na 2.00 0\n", "line 5"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 1\na 1.00 1 a\n", "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 3\na 1.00 2 c b\nb 1.00 1 a\nc 1.00 1 a\n",
+         "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 2 b b\nb 1.00 1 a\n", "line 4"),
+        ("CBGRAPH 1\ndelta 1.0\nnodes 2\na 1.00 0\nb 1.00 1 a\n", "line 5"),
     ], ids=["one-line", "bad-delta", "no-nodes-line", "bad-count", "truncated",
             "short-node-line", "bad-neighbor-count", "nan-delta", "infinite-delta",
-            "negative-delta", "negative-price", "nan-price", "sub-cent-price"])
+            "negative-delta", "negative-price", "nan-price", "sub-cent-price",
+            "negative-count", "line-past-count", "repeated-id", "self-loop",
+            "unsorted-neighbors", "repeated-neighbor", "asymmetric-edge"])
     def test_malformed_file_rejected_with_line_number(self, tmp_path, text, where):
         path = tmp_path / "graph.txt"
         path.write_text(text)

@@ -5,8 +5,10 @@ filled with value tokens that include non-finite, huge, empty and malformed
 values. Every input must either parse or raise one of the typed data errors
 that the CLI turns into exit code 2; any other exception is a crash. What
 does parse must hold values that the library can use: an adjacency file's
-delta is finite and non-negative, its prices non-negative, and a report's
-coverages are non-negative integers.
+delta is finite and non-negative, its prices non-negative, its node count
+that of the header with every id once, and its neighbor lists strictly
+ascending without self-loops; a report's coverages are non-negative
+integers.
 """
 
 import json
@@ -65,13 +67,22 @@ def catalog_text(draw):
 
 @st.composite
 def adjacency_text(draw):
+    """A valid adjacency file, now and then with a neighbor list reversed or a
+    node line repeated (counted in the header or past it), then corrupted."""
     n = draw(st.integers(1, 3))
     edges = draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])
                          if n > 1 else st.nothing()))
-    lines = ["CBGRAPH 1", "delta 1.0", f"nodes {n}"]
+    reverse = draw(st.integers(-1, n - 1))
+    repeat, counted = draw(st.integers(-1, n - 1)), draw(st.booleans())
+    count = n + (repeat >= 0 and counted)
+    lines = ["CBGRAPH 1", "delta 1.0", f"nodes {count}"]
     for u in range(n):
         nbrs = sorted(f"d{v}" for e in edges for v in e if u in e and v != u)
+        if u == reverse:
+            nbrs.reverse()
         lines.append(" ".join([f"d{u}", "1.50", str(len(nbrs)), *nbrs]))
+    if repeat >= 0:
+        lines.append(lines[3 + repeat])
     return draw(corrupted(lines))
 
 
@@ -130,6 +141,12 @@ def test_adjacency_parser(scratch_file, text):
     if graph is not None:
         assert math.isfinite(graph.delta) and graph.delta >= 0
         assert all(p >= 0 for p in graph.prices.values())
+        # one node per counted line, each id once; no line past the count
+        lines = text.splitlines()
+        node_lines = [line for line in lines[3:] if line.strip()]
+        assert len(graph.adjacency) == len(node_lines) == int(lines[2].split()[1])
+        for u, nbrs in graph.adjacency.items():
+            assert u not in nbrs and list(nbrs) == sorted(set(nbrs))
 
 
 @FUZZ

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import bmcc.solvers as solvers
 from bmcc.graph import build_graph_naive, connected_components
 from bmcc.grid import CellRangeError
 from bmcc.marketplace import cents_to_decimal
@@ -21,6 +23,8 @@ from bmcc.solvers import (
     solve_dsa,
     solve_exact,
     verify_solution,
+    _RatioKey,
+    _lazy_argmax,
     _pick_leaf_ratio,
 )
 
@@ -176,6 +180,93 @@ class TestBudgetedGreedy:
         tree = build_bfs_tree(sub, "d2")
         with pytest.raises(ValueError):
             budgeted_greedy(sub, tree, 14, "bogus")
+
+
+class TestRatioKey:
+    BIG = 2 ** 53
+
+    def test_orders_as_negated_fractions(self):
+        big = self.BIG
+        # (2**53 + 1) / 2**53 rounds to 1.0, the quotient of 1 / 1: the float
+        # ties, the exact ratios differ
+        assert (big + 1) / big == 1 / 1
+        pairs = [(g, p) for g in range(4) for p in range(1, 5)]
+        pairs += [(big + 1, big), (big, big), (big - 1, big), (3 * big + 1, 3 * big),
+                  (big + 2, big + 1), (1, big), (1, big + 1)]
+        for a in pairs:
+            for b in pairs:
+                want = -Fraction(*a), -Fraction(*b)
+                got = _RatioKey(*a), _RatioKey(*b)
+                assert (got[0] < got[1], got[0] <= got[1], got[0] == got[1]) == \
+                    (want[0] < want[1], want[0] <= want[1], want[0] == want[1]), (a, b)
+
+    def test_lazy_argmax_breaks_float_ties_exactly(self):
+        big = self.BIG
+        # "a" is popped first on a stale key; its fresh ratio 1/1 has the same
+        # float as b's, but is exactly smaller, so b must come first
+        fresh = {"a": _RatioKey(1, 1), "b": _RatioKey(big + 1, big)}
+        entries = [(_RatioKey(2, 1), "a"), (fresh["b"], "b")]
+        assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["b", "a"]
+        # exactly equal ratios fall back to the smaller id
+        fresh = {"a": _RatioKey(2, 2), "b": _RatioKey(1, 1)}
+        entries = [(_RatioKey(2, 1), "b"), (fresh["a"], "a")]
+        assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["a", "b"]
+
+
+def _count_path_setups(monkeypatch):
+    """Record the root of every path set-up built from now on."""
+    built = []
+    init = solvers._PathGrowth.__init__
+
+    def counting_init(self, parent, *args):
+        built.append(next(iter(parent)))
+        init(self, parent, *args)
+
+    monkeypatch.setattr(solvers._PathGrowth, "__init__", counting_init)
+    return built
+
+
+# Path set-ups solve_dpsa builds on the synth1000 catalog at delta=10 and a
+# tenth of the total price: one per tree with a leaf (every root of the
+# affordable graph is within budget), shared by the ratio and coverage passes.
+# A one-node tree needs none: its root is the whole answer.
+SYNTH_DPSA_PATH_SETUPS = 12
+
+
+class TestPathSetup:
+    def test_budgeted_greedy_builds_one_setup_per_tree(self, synth_giant, monkeypatch):
+        built = _count_path_setups(monkeypatch)
+        tree = build_bfs_tree(synth_giant, find_center_exact(synth_giant).center)
+        below_root = cents_to_decimal(synth_giant.graph.prices[tree.root] - 1)
+        assert budgeted_greedy(synth_giant, tree, below_root, "ratio") == set()
+        assert built == []
+        budget = cents_to_decimal(synth_giant.graph.market.total_price_cents // 10)
+        first = [budgeted_greedy(synth_giant, tree, budget, flag)
+                 for flag in ("ratio", "coverage", "ratio")]
+        assert built == [tree.root]
+        # each pass grows its own copy, so a rerun starts from the same state
+        assert first[0] == first[2] != first[1]
+        fresh = build_bfs_tree(synth_giant, tree.root)
+        assert budgeted_greedy(synth_giant, fresh, budget, "coverage") == first[1]
+
+    def test_one_node_tree_builds_no_setup(self, monkeypatch):
+        built = _count_path_setups(monkeypatch)
+        sub = connected_components(_graph_of(make_market({"only": [(0, 0)]}, theta=3), 1))[0]
+        tree = build_bfs_tree(sub, "only")
+        assert [budgeted_greedy(sub, tree, 5, flag) for flag in ("ratio", "coverage")] == \
+            [{"only"}, {"only"}]
+        assert budgeted_greedy(sub, tree, 0, "ratio") == set()
+        assert built == []
+
+    def test_dpsa_builds_one_setup_per_tree(self, synth_giant, monkeypatch):
+        graph = synth_giant.graph
+        budget = cents_to_decimal(graph.market.total_price_cents // 10)
+        built = _count_path_setups(monkeypatch)
+        solve_dpsa(graph.market, budget, 10, graph=graph)
+        affordable = graph.restricted(
+            d for d, p in graph.prices.items() if p <= graph.market.total_price_cents // 10)
+        with_leaves = [sub for sub in connected_components(affordable) if len(sub) > 1]
+        assert len(built) == len(set(built)) == len(with_leaves) == SYNTH_DPSA_PATH_SETUPS
 
 
 class TestDpsa:
