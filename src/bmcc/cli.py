@@ -1,6 +1,11 @@
 """Command-line harness: ingest point files, build graphs, run solvers,
 verify results and execute parameter sweeps.
 
+Each subcommand registers only the flags it reads, and argparse checks every
+value. ``--config`` names a file of ``key = value`` lines whose keys are the
+subcommand's flag names; its lines are parsed as ``--key=value`` flags ahead
+of the command line, so explicit flags win.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 feasibility failure.
 """
 
@@ -11,11 +16,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .grid import (
+    MAX_THETA,
     GridConfig,
     GridError,
     PointDataset,
@@ -31,11 +37,9 @@ from .graph import (
     write_adjacency,
 )
 from .marketplace import (
-    EXPLICIT_TABLE,
     Marketplace,
     MarketplaceError,
     PricingFunction,
-    USAGE_BASED,
     cents_to_decimal,
     load_catalog,
     save_catalog,
@@ -56,8 +60,9 @@ EXIT_INFEASIBLE = 3
 
 DEFAULT_THETA = 11
 DEFAULT_DELTA = 10.0
-DEFAULT_BUDGET_RATIO = 0.1
+DEFAULT_BUDGET_RATIO = Fraction(1, 10)
 DEFAULT_SPREAD = 0.012
+DEFAULT_SOLVERS = ("dsa", "dpsa-ba", "cmc-mc", "cmc-mg")
 
 
 class ReportFormatError(ValueError):
@@ -68,42 +73,99 @@ _DATA_ERRORS = (GridError, MarketplaceError, GraphConfigError, OracleCapError,
                 ReportFormatError, OSError)
 
 
+class _UsageError(Exception):
+    """A bad flag or config key; ``main`` prints it as one ``error:`` line."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters; sweep axes are only used by ``bench``."""
-
-    theta: int = DEFAULT_THETA
-    delta: float = DEFAULT_DELTA
-    budget: str | None = None
-    budget_ratio: float | None = None
-    pricing: str = "usage"
-    solvers: tuple[str, ...] = ("dsa", "dpsa-ba", "cmc-mc", "cmc-mg")
-    seed: int = 0
-    oracle_cap: int = 15
-    budgets: tuple[str, ...] = ()
-    budget_ratios: tuple[float, ...] = ()
-    deltas: tuple[float, ...] = ()
-    thetas: tuple[int, ...] = ()
-    scales: tuple[float, ...] = ()
-
-    def resolve_budget_cents(self, total_cents: int) -> int:
-        """Ratio takes precedence over an absolute budget when both appear."""
-        if self.budget_ratio is not None:
-            return math.floor(self.budget_ratio * total_cents)
-        if self.budget is not None:
-            return to_cents(self.budget)
-        return math.floor(DEFAULT_BUDGET_RATIO * total_cents)
+def _checked(cast, ok, requirement):
+    """An argparse ``type=``: cast the flag's text, then reject a value
+    failing ``ok``. Either failure is a usage error naming the flag."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__.lstrip("_")
+    return parse
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _comma_list(item):
+    """An argparse ``type=`` for a non-empty comma-separated list of ``item``."""
+    def parse(text):
+        values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
+    parse.__name__ = item.__name__
+    return parse
+
+
+def _decimal(text) -> Fraction:
+    """The exact value of a decimal string: '0.29' is 29/100, not its float.
+
+    The float screens the string first: '1/3' and 'nan' fail, and an exponent
+    past a float's range gives inf, which fails, or 0, which is taken as 0
+    (its budget floors to 0 cents on any catalog under 1e323 cents). So
+    ``Fraction`` never builds a huge power of ten."""
+    approx = float(text)
+    if not math.isfinite(approx):
+        raise ValueError(f"not finite: {text!r}")
+    return Fraction(text) if approx else Fraction(0)
+
+
+_NON_NEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0,
+                         "finite and non-negative")
+_RATIO = _checked(_decimal, lambda r: 0 <= r <= 1, "in [0, 1]")
+_SCALE = _checked(float, lambda m: 0 < m <= 1, "in (0, 1]")
+_THETA = _checked(int, lambda t: 1 <= t <= MAX_THETA, f"in [1, {MAX_THETA}]")
+_COUNT = _checked(int, lambda n: n >= 0, "non-negative")
+_POSITIVE = _checked(int, lambda n: n >= 1, "at least 1")
+_SOLVER = _checked(str, lambda s: s in SOLVER_LABELS, "one of " + ", ".join(SOLVER_LABELS))
+_CHARACTER = _checked(str, lambda s: len(s) == 1, "one character")
+# Only the sign is checked here: ``to_cents`` rejects an amount that is not a
+# finite whole number of cents as a data error, as it does in a price table.
+_AMOUNT = _checked(str, lambda s: not s.lstrip().startswith("-"), "non-negative")
+
+_FLAGS = {
+    "datasets": dict(type=_POSITIVE, default=100),
+    "points-per": dict(type=_POSITIVE, default=30),
+    "spread": dict(type=_NON_NEGATIVE, default=DEFAULT_SPREAD),
+    "seed": dict(type=_COUNT, default=0),
+    "theta": dict(type=_THETA, default=DEFAULT_THETA, help="grid resolution exponent"),
+    "bounds": dict(type=float, nargs=4, metavar=("X0", "Y0", "X1", "Y1")),
+    "pricing": dict(choices=("usage", "table"), default="usage"),
+    "price-table": dict(help="price file for --pricing table (one '<id> <price>' per line)"),
+    "delimiter": dict(type=_CHARACTER, default=","),
+    "delta": dict(type=_NON_NEGATIVE, default=DEFAULT_DELTA,
+                  help="connectivity threshold (cells)"),
+    "budget": dict(type=_AMOUNT, help="absolute budget"),
+    "budget-ratio": dict(type=_RATIO, help="budget as a fraction of the total catalog "
+                                           "price, floored to cents (overrides --budget)"),
+    "solvers": dict(type=_comma_list(_SOLVER), default=DEFAULT_SOLVERS,
+                    help="comma list: " + ",".join(SOLVER_LABELS)),
+    "oracle-cap": dict(type=_COUNT, default=15),
+    "budgets": dict(type=_comma_list(_AMOUNT), default=()),
+    "budget-ratios": dict(type=_comma_list(_RATIO), default=()),
+    "deltas": dict(type=_comma_list(_NON_NEGATIVE), default=()),
+    "thetas": dict(type=_comma_list(_THETA), default=()),
+    "scales": dict(type=_comma_list(_SCALE), default=()),
+    "naive": dict(action="store_true", help="all-pairs construction"),
+    "adjacency-out": {},
+    "json-out": {},
+    "out": dict(help="TSV output path (default stdout)"),
+    "config": dict(help="file of 'key = value' lines, keys being this command's flag "
+                        "names; explicit flags override it"),
+}
+
+
+def _config_args(path) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    args = []
     with open_text(path, MarketplaceError) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -112,61 +174,16 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise MarketplaceError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            values[key] = value.strip()
-    return values
+            args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return args
 
 
-def _build_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, cast, list_of=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            raw = file_values[name]
-            if list_of is not None:
-                return tuple(list_of(part.strip()) for part in raw.split(",") if part.strip())
-            return cast(raw)
-        return getattr(cfg, name)
-
-    cfg.theta = pick("theta", int)
-    cfg.delta = pick("delta", float)
-    cfg.budget = pick("budget", str)
-    cfg.budget_ratio = pick("budget_ratio", float)
-    cfg.pricing = pick("pricing", str)
-    solvers = pick("solvers", str, list_of=str)
-    if isinstance(solvers, str):
-        solvers = tuple(s.strip() for s in solvers.split(",") if s.strip())
-    cfg.solvers = tuple(solvers)
-    cfg.seed = pick("seed", int)
-    cfg.oracle_cap = pick("oracle_cap", int)
-    cfg.budgets = tuple(pick("budgets", str, list_of=str) or ())
-    cfg.budget_ratios = tuple(pick("budget_ratios", float, list_of=float) or ())
-    cfg.deltas = tuple(pick("deltas", float, list_of=float) or ())
-    cfg.thetas = tuple(pick("thetas", int, list_of=int) or ())
-    cfg.scales = tuple(pick("scales", float, list_of=float) or ())
-    for label in cfg.solvers:
-        if label not in SOLVER_LABELS:
-            raise SystemExit(_usage(f"unknown solver label {label!r}; "
-                                    f"choose from {', '.join(SOLVER_LABELS)}"))
-    for m in cfg.scales:
-        if not 0 < m <= 1:
-            raise SystemExit(_usage(f"scale fractions must be in (0, 1], got {m}"))
-    ratio = () if cfg.budget_ratio is None else (cfg.budget_ratio,)
-    for name, values in (("delta", (cfg.delta,)), ("deltas", cfg.deltas),
-                         ("budget-ratio", ratio), ("budget-ratios", cfg.budget_ratios)):
-        for v in values:
-            if not (math.isfinite(v) and v >= 0):
-                raise SystemExit(_usage(f"{name} must be finite and non-negative, got {v}"))
-    return cfg
-
-
-def _usage(message) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_USAGE
+def _budget_cents(ratio, budget, total_cents) -> int:
+    """The budget in cents: ``ratio`` of the catalog total, floored exactly,
+    else the absolute ``budget``, else the default ratio."""
+    if ratio is None and budget is not None:
+        return to_cents(budget)
+    return math.floor((DEFAULT_BUDGET_RATIO if ratio is None else ratio) * total_cents)
 
 
 def _read_price_table(path) -> dict:
@@ -184,13 +201,11 @@ def _read_price_table(path) -> dict:
 
 
 def _pricing_from_args(kind, table_path) -> PricingFunction:
-    if kind in ("usage", USAGE_BASED):
+    if kind == "usage":
         return PricingFunction.usage_based()
-    if kind in ("table", EXPLICIT_TABLE):
-        if not table_path:
-            raise MarketplaceError("table pricing requires --price-table")
-        return PricingFunction.from_table(_read_price_table(table_path))
-    raise MarketplaceError(f"unknown pricing kind {kind!r}")
+    if not table_path:
+        raise MarketplaceError("table pricing requires --price-table")
+    return PricingFunction.from_table(_read_price_table(table_path))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +214,7 @@ def _pricing_from_args(kind, table_path) -> PricingFunction:
 
 def cmd_ingest(args) -> int:
     datasets = read_points_file(args.points, delimiter=args.delimiter)
-    grid = GridConfig.from_envelope(datasets, theta=args.theta or DEFAULT_THETA,
-                                    bounds=args.bounds)
+    grid = GridConfig.from_envelope(datasets, theta=args.theta, bounds=args.bounds)
     rasterized = [rasterize(d, grid) for d in datasets]
     pricing = _pricing_from_args(args.pricing, args.price_table)
     market = Marketplace.build(grid, rasterized, pricing)
@@ -236,8 +250,6 @@ def generate_datasets(n_datasets: int, points_per: int, spread: float,
 
 
 def cmd_gen(args) -> int:
-    if args.datasets < 1 or args.points_per < 1 or args.spread < 0:
-        return _usage("gen requires datasets >= 1, points-per >= 1, spread >= 0")
     datasets = generate_datasets(args.datasets, args.points_per, args.spread, args.seed)
     write_points_file(args.points, datasets)
     print(f"generated: {args.points} ({args.datasets} datasets, "
@@ -256,8 +268,7 @@ def _build_graph(market, delta, naive=False):
 
 def cmd_build_graph(args) -> int:
     market = load_catalog(args.catalog)
-    cfg = _build_run_config(args)
-    graph, build_ms = _build_graph(market, cfg.delta, naive=args.naive)
+    graph, build_ms = _build_graph(market, args.delta, naive=args.naive)
     stats = graph.stats()
     print(f"catalog: {args.catalog}")
     print(f"delta: {graph.delta!r}")
@@ -303,12 +314,22 @@ def _print_solution_block(entry) -> None:
     print(f"  solve_ms: {entry['solve_ms']}")
 
 
+def _run_solvers(labels, graph, budget, oracle_cap):
+    """Solve, time and verify each solver in turn; yields ``(solution,
+    verification report, solve ms)``."""
+    for label in labels:
+        t0 = time.perf_counter()
+        sol = solve(label, graph.market, budget, graph.delta, graph=graph,
+                    oracle_cap=oracle_cap)
+        ms = (time.perf_counter() - t0) * 1000.0
+        yield sol, verify_solution(graph, sol, budget), ms
+
+
 def cmd_solve(args) -> int:
     market = load_catalog(args.catalog)
-    cfg = _build_run_config(args)
-    budget_cents = cfg.resolve_budget_cents(market.total_price_cents)
-    budget = cents_to_decimal(budget_cents)
-    graph, build_ms = _build_graph(market, cfg.delta, naive=args.naive)
+    budget = cents_to_decimal(_budget_cents(args.budget_ratio, args.budget,
+                                            market.total_price_cents))
+    graph, build_ms = _build_graph(market, args.delta, naive=args.naive)
     stats = graph.stats()
     print(f"catalog: {args.catalog}")
     print(f"datasets: {len(market)}")
@@ -318,14 +339,7 @@ def cmd_solve(args) -> int:
           f"avg_degree={stats.average_degree:.6f} components={stats.components}")
     print(f"graph_build_ms: {build_ms:.3f}")
     entries = []
-    all_ok = True
-    for label in cfg.solvers:
-        t0 = time.perf_counter()
-        sol = solve(label, market, budget, cfg.delta, graph=graph,
-                    oracle_cap=cfg.oracle_cap)
-        ms = (time.perf_counter() - t0) * 1000.0
-        report = verify_solution(graph, sol, budget)
-        all_ok = all_ok and report.ok
+    for sol, report, ms in _run_solvers(args.solvers, graph, budget, args.oracle_cap):
         entry = _solution_dict(sol, report, ms)
         entries.append(entry)
         _print_solution_block(entry)
@@ -335,7 +349,7 @@ def cmd_solve(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return EXIT_OK if all_ok else EXIT_INFEASIBLE
+    return EXIT_OK if all(e["verified"] for e in entries) else EXIT_INFEASIBLE
 
 
 _BENCH_COLUMNS = (
@@ -345,77 +359,61 @@ _BENCH_COLUMNS = (
 )
 
 
-def _bench_point(datasets_by_id, ordered_ids, cfg, pricing, budget_spec, delta, theta, scale):
-    """Run every solver at one parameter point; returns one row per solver."""
+def _bench_point(args, datasets_by_id, ordered_ids, pricing, budget_spec, delta, theta,
+                 scale):
+    """Run every solver at one parameter point; returns one row per solver.
+    ``budget_spec`` is ``(ratio, None)`` or ``(None, absolute budget)``."""
     take = math.ceil(scale * len(ordered_ids))
     chosen = sorted(ordered_ids[:take])
     subset = [datasets_by_id[did] for did in chosen]
     grid = GridConfig.from_envelope(subset, theta=theta)
     market = Marketplace.build(grid, [rasterize(d, grid) for d in subset], pricing)
-    kind, value = budget_spec
-    if kind == "ratio":
-        budget_cents = math.floor(value * market.total_price_cents)
-        ratio_repr = repr(value)
-    else:
-        budget_cents = to_cents(value)
-        ratio_repr = "-"
-    budget = cents_to_decimal(budget_cents)
+    ratio, absolute = budget_spec
+    budget = cents_to_decimal(_budget_cents(ratio, absolute, market.total_price_cents))
     graph, build_ms = _build_graph(market, delta)
     stats = graph.stats()
-    rows = []
-    for label in cfg.solvers:
-        t0 = time.perf_counter()
-        sol = solve(label, market, budget, delta, graph=graph, oracle_cap=cfg.oracle_cap)
-        ms = (time.perf_counter() - t0) * 1000.0
-        report = verify_solution(graph, sol, budget)
-        rows.append({
-            "solver": label,
-            "budget_ratio": ratio_repr,
-            "budget": str(budget),
-            "delta": repr(float(delta)),
-            "theta": theta,
-            "scale": repr(float(scale)),
-            "n_datasets": len(market),
-            "graph_nodes": stats.nodes,
-            "graph_edges": stats.edges,
-            "avg_degree": f"{stats.average_degree:.6f}",
-            "components": stats.components,
-            "coverage": sol.coverage,
-            "total_price": str(sol.total_price),
-            "status": sol.status,
-            "feasible": str(report.ok).lower(),
-            "solve_ms": f"{ms:.3f}",
-            "graph_build_ms": f"{build_ms:.3f}",
-        })
-    return rows
+    return [{
+        "solver": sol.algorithm,
+        "budget_ratio": "-" if ratio is None else repr(float(ratio)),
+        "budget": str(budget),
+        "delta": repr(float(delta)),
+        "theta": theta,
+        "scale": repr(float(scale)),
+        "n_datasets": len(market),
+        "graph_nodes": stats.nodes,
+        "graph_edges": stats.edges,
+        "avg_degree": f"{stats.average_degree:.6f}",
+        "components": stats.components,
+        "coverage": sol.coverage,
+        "total_price": str(sol.total_price),
+        "status": sol.status,
+        "feasible": str(report.ok).lower(),
+        "solve_ms": f"{ms:.3f}",
+        "graph_build_ms": f"{build_ms:.3f}",
+    } for sol, report, ms in _run_solvers(args.solvers, graph, budget, args.oracle_cap)]
 
 
 def cmd_bench(args) -> int:
-    cfg = _build_run_config(args)
     datasets = read_points_file(args.points, delimiter=args.delimiter)
     datasets_by_id = {d.id: d for d in datasets}
-    pricing = _pricing_from_args(cfg.pricing, getattr(args, "price_table", None))
-    rng = np.random.default_rng(cfg.seed)
+    pricing = _pricing_from_args(args.pricing, args.price_table)
+    rng = np.random.default_rng(args.seed)
     all_ids = sorted(datasets_by_id)
     ordered_ids = [all_ids[i] for i in rng.permutation(len(all_ids))]
 
-    if cfg.budget_ratios:
-        budget_axis = [("ratio", r) for r in cfg.budget_ratios]
-    elif cfg.budgets:
-        budget_axis = [("absolute", b) for b in cfg.budgets]
-    elif cfg.budget_ratio is not None:
-        budget_axis = [("ratio", cfg.budget_ratio)]
-    elif cfg.budget is not None:
-        budget_axis = [("absolute", cfg.budget)]
+    if args.budget_ratios:
+        budget_axis = [(r, None) for r in args.budget_ratios]
+    elif args.budgets:
+        budget_axis = [(None, b) for b in args.budgets]
+    elif args.budget_ratio is None and args.budget is not None:
+        budget_axis = [(None, args.budget)]
     else:
-        budget_axis = [("ratio", DEFAULT_BUDGET_RATIO)]
-    delta_axis = list(cfg.deltas) or [cfg.delta]
-    theta_axis = list(cfg.thetas) or [cfg.theta]
-    scale_axis = list(cfg.scales) or [1.0]
-
-    points = itertools.product(budget_axis, delta_axis, theta_axis, scale_axis)
+        budget_axis = [(DEFAULT_BUDGET_RATIO if args.budget_ratio is None
+                        else args.budget_ratio, None)]
+    points = itertools.product(budget_axis, args.deltas or [args.delta],
+                               args.thetas or [args.theta], args.scales or [1.0])
     rows = [row for p in points
-            for row in _bench_point(datasets_by_id, ordered_ids, cfg, pricing, *p)]
+            for row in _bench_point(args, datasets_by_id, ordered_ids, pricing, *p)]
 
     lines = ["\t".join(_BENCH_COLUMNS)]
     for row in rows:
@@ -478,10 +476,9 @@ def _load_report(path) -> list[Solution]:
 def cmd_verify(args) -> int:
     market = load_catalog(args.catalog)
     solutions = _load_report(args.report)
-    cfg = _build_run_config(args)
-    budget_cents = cfg.resolve_budget_cents(market.total_price_cents)
-    budget = cents_to_decimal(budget_cents)
-    graph, _ = _build_graph(market, cfg.delta)
+    budget = cents_to_decimal(_budget_cents(args.budget_ratio, args.budget,
+                                            market.total_price_cents))
+    graph, _ = _build_graph(market, args.delta)
     all_ok = True
     for sol in solutions:
         report = verify_solution(graph, sol, budget)
@@ -496,98 +493,57 @@ def cmd_verify(args) -> int:
 # Parser
 
 
-def _add_run_flags(p, include_sweeps=False):
-    p.add_argument("--theta", type=int, default=None, help="grid resolution exponent")
-    p.add_argument("--delta", type=float, default=None, help="connectivity threshold (cells)")
-    p.add_argument("--budget", type=str, default=None, help="absolute budget")
-    p.add_argument("--budget-ratio", dest="budget_ratio", type=float, default=None,
-                   help="budget as a ratio of total catalog price (overrides --budget)")
-    p.add_argument("--pricing", choices=("usage", "table"), default=None)
-    p.add_argument("--solvers", type=lambda s: tuple(x.strip() for x in s.split(",")),
-                   default=None, help="comma list: " + ",".join(SOLVER_LABELS))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--oracle-cap", dest="oracle_cap", type=int, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value config file; explicit flags override it")
-    if include_sweeps:
-        p.add_argument("--budgets", type=lambda s: tuple(x.strip() for x in s.split(",")),
-                       default=None)
-        p.add_argument("--budget-ratios", dest="budget_ratios",
-                       type=lambda s: tuple(float(x) for x in s.split(",")), default=None)
-        p.add_argument("--deltas", type=lambda s: tuple(float(x) for x in s.split(",")),
-                       default=None)
-        p.add_argument("--thetas", type=lambda s: tuple(int(x) for x in s.split(",")),
-                       default=None)
-        p.add_argument("--scales", type=lambda s: tuple(float(x) for x in s.split(",")),
-                       default=None)
+def _add_command(sub, name, func, summary, positionals, flags):
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for positional in positionals:
+        p.add_argument(positional)
+    for flag in flags:
+        p.add_argument("--" + flag, **_FLAGS[flag])
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bmcc", description=__doc__)
+    parser = _Parser(prog="bmcc", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="rasterize a point file into a catalog")
-    p.add_argument("points")
-    p.add_argument("catalog")
-    p.add_argument("--theta", type=int, default=None)
-    p.add_argument("--bounds", type=float, nargs=4, default=None,
-                   metavar=("X0", "Y0", "X1", "Y1"))
-    p.add_argument("--pricing", choices=("usage", "table"), default="usage")
-    p.add_argument("--price-table", dest="price_table", default=None)
-    p.add_argument("--delimiter", default=",")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("gen", help="generate a synthetic point file")
-    p.add_argument("points")
-    p.add_argument("--datasets", type=int, default=100)
-    p.add_argument("--points-per", dest="points_per", type=int, default=30)
-    p.add_argument("--spread", type=float, default=DEFAULT_SPREAD)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("build-graph", help="build the dataset graph and report stats")
-    p.add_argument("catalog")
-    _add_run_flags(p)
-    p.add_argument("--naive", action="store_true", help="all-pairs construction")
-    p.add_argument("--adjacency-out", dest="adjacency_out", default=None)
-    p.set_defaults(func=cmd_build_graph)
-
-    p = sub.add_parser("solve", help="run solvers at one parameter point")
-    p.add_argument("catalog")
-    _add_run_flags(p)
-    p.add_argument("--naive", action="store_true")
-    p.add_argument("--json-out", dest="json_out", default=None)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("bench", help="parameter sweep over a point file")
-    p.add_argument("points")
-    _add_run_flags(p, include_sweeps=True)
-    p.add_argument("--price-table", dest="price_table", default=None,
-                   help="price file for --pricing table (one '<id> <price>' per line)")
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--out", default=None, help="TSV output path (default stdout)")
-    p.add_argument("--json-out", dest="json_out", default=None)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("verify", help="re-verify a solve report against a catalog")
-    p.add_argument("catalog")
-    p.add_argument("report")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_verify)
-
+    _add_command(sub, "ingest", cmd_ingest, "rasterize a point file into a catalog",
+                 ("points", "catalog"),
+                 ("theta", "bounds", "pricing", "price-table", "delimiter"))
+    _add_command(sub, "gen", cmd_gen, "generate a synthetic point file", ("points",),
+                 ("datasets", "points-per", "spread", "seed"))
+    _add_command(sub, "build-graph", cmd_build_graph,
+                 "build the dataset graph and report stats", ("catalog",),
+                 ("delta", "naive", "adjacency-out", "config"))
+    _add_command(sub, "solve", cmd_solve, "run solvers at one parameter point",
+                 ("catalog",),
+                 ("delta", "budget", "budget-ratio", "solvers", "oracle-cap", "naive",
+                  "json-out", "config"))
+    _add_command(sub, "bench", cmd_bench, "parameter sweep over a point file", ("points",),
+                 ("theta", "delta", "budget", "budget-ratio", "pricing", "price-table",
+                  "solvers", "seed", "oracle-cap", "budgets", "budget-ratios", "deltas",
+                  "thetas", "scales", "delimiter", "out", "json-out", "config"))
+    _add_command(sub, "verify", cmd_verify, "re-verify a solve report against a catalog",
+                 ("catalog", "report"), ("delta", "budget", "budget-ratio", "config"))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        if getattr(args, "config", None):
+            # The command line parsed alone, so an error now is the file's.
+            config = _config_args(args.config)
+            try:
+                args = parser.parse_args(argv[:1] + config + argv[1:])
+            except _UsageError as exc:
+                raise _UsageError(f"{args.config}: {exc}") from None
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # --help
+        return exc.code
+    except _UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

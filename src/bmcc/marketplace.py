@@ -72,8 +72,13 @@ class PricingFunction:
     def __post_init__(self):
         if self.kind not in (USAGE_BASED, EXPLICIT_TABLE):
             raise MarketplaceError(f"unknown pricing kind {self.kind!r}")
-        if self.kind == EXPLICIT_TABLE and not self.table:
-            raise MarketplaceError("explicit_table pricing requires a price table")
+        if self.kind == EXPLICIT_TABLE:
+            if not self.table:
+                raise MarketplaceError("explicit_table pricing requires a price table")
+            for did, cents in self.table.items():
+                if type(cents) is not int or cents <= 0:
+                    raise MarketplaceError(
+                        f"price for {did!r} must be positive int cents, got {cents!r}")
 
     @classmethod
     def usage_based(cls):
@@ -82,13 +87,8 @@ class PricingFunction:
     @classmethod
     def from_table(cls, table) -> "PricingFunction":
         """Build table pricing from a mapping of id -> decimal amount."""
-        cents = {}
-        for did, value in table.items():
-            c = to_cents(value)
-            if c <= 0:
-                raise MarketplaceError(f"price for {did!r} must be positive")
-            cents[did] = c
-        return cls(kind=EXPLICIT_TABLE, table=cents)
+        return cls(kind=EXPLICIT_TABLE,
+                   table={did: to_cents(value) for did, value in table.items()})
 
 
 @dataclass(eq=False)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -100,6 +101,26 @@ class TestGen:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ingest", "{pts}", "{out}", "--theta", "0"], "theta"),
+    (["ingest", "{pts}", "{out}", "--delimiter", ""], "delimiter"),
+    (["bench", "{pts}", "--out", "{out}", "--delimiter", ""], "delimiter"),
+    (["gen", "{out}", "--spread", "nan"], "spread"),
+    (["gen", "{out}", "--spread", "inf"], "spread"),
+], ids=["ingest-theta-0", "ingest-empty-delimiter", "bench-empty-delimiter",
+        "gen-nan-spread", "gen-inf-spread"])
+def test_bad_ingest_gen_bench_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, *(a.format(pts=pts, out=out) for a in argv))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
 class TestSolve:
     def test_exact_dominates_dsa_and_exit_zero(self, tmp_path, capsys, example2_catalog):
         out_json = tmp_path / "report.json"
@@ -132,6 +153,7 @@ class TestSolve:
     @pytest.mark.parametrize("flag,value", [
         ("--delta", "nan"), ("--delta", "-1"), ("--delta", "inf"),
         ("--budget-ratio", "-0.5"), ("--budget-ratio", "inf"), ("--budget-ratio", "nan"),
+        ("--budget-ratio", "1e308"), ("--budget", "-5"),
     ])
     def test_bad_delta_or_ratio_is_usage_error(self, capsys, example2_catalog, flag, value):
         code, out, err = run(capsys, "solve", example2_catalog, "--solvers", "dsa", flag, value)
@@ -182,6 +204,54 @@ class TestSolve:
                          "--budget", "2", "--json-out", str(out_json))
         payload = json.loads(out_json.read_text())
         assert payload["budget"] == "2.00"
+
+    @pytest.mark.parametrize("line, key", [
+        ("delta = abc", "delta"),   # a bad value
+        ("detla = 5", "detla"),     # a misspelt key
+        ("thetas = 7", "thetas"),   # a flag of bench, not of solve
+    ])
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, example2_catalog,
+                                           line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"solvers = dsa\n{line}\n")
+        code, out, err = run(capsys, "solve", example2_catalog, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err and str(cfg) in err
+
+    def test_config_is_read_with_sys_argv(self, tmp_path, capsys, monkeypatch,
+                                          example2_catalog):
+        """``main()`` without arguments reparses ``sys.argv`` with the file's flags."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 2\nsolvers = exact\nbudget = 15\n")
+        out_json = tmp_path / "report.json"
+        monkeypatch.setattr(sys, "argv", ["bmcc", "solve", example2_catalog, "--config",
+                                          str(cfg), "--budget", "2",
+                                          "--json-out", str(out_json)])
+        assert main() == 0
+        capsys.readouterr()
+        payload = json.loads(out_json.read_text())
+        assert (payload["delta"], payload["budget"]) == (2.0, "2.00")
+        assert payload["solutions"][0]["algorithm"] == "exact"
+
+    def test_budget_ratio_is_floored_exactly(self, tmp_path, capsys):
+        """0.29 of a 1.00 catalog is 0.29; as floats, 0.29 * 100 floors to 28."""
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.5,0.5"])
+        cat = tmp_path / "one.cat"
+        run(capsys, "ingest", str(pts), str(cat), "--theta", "3")
+        code, out, _ = run(capsys, "solve", str(cat), "--solvers", "dsa",
+                           "--budget-ratio", "0.29")
+        assert code == 0
+        assert "budget: 0.29\n" in out
+        bench = tmp_path / "bench.tsv"
+        code, _, _ = run(capsys, "bench", str(pts), "--solvers", "dsa", "--theta", "3",
+                         "--budget-ratio", "0.29", "--out", str(bench))
+        assert code == 0
+        rows = [r.split("\t") for r in bench.read_text().splitlines()]
+        row = dict(zip(rows[0], rows[1]))
+        assert (row["budget_ratio"], row["budget"]) == ("0.29", "0.29")
 
 
 class TestBuildGraph:
@@ -268,6 +338,7 @@ class TestBench:
     @pytest.mark.parametrize("flag,value", [
         ("--deltas", "2,nan"), ("--deltas", "-3"),
         ("--budget-ratios", "0.1,inf"), ("--budget-ratios", "-0.2"),
+        ("--budgets", "-1"),
     ])
     def test_bad_sweep_axis_is_usage_error(self, tmp_path, capsys, small_points, flag, value):
         code, _, err = run(capsys, "bench", small_points, "--solvers", "dsa", flag, value,

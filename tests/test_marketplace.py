@@ -5,6 +5,7 @@ import pytest
 
 from bmcc.grid import CellBasedDataset, GridConfig
 from bmcc.marketplace import (
+    EXPLICIT_TABLE,
     CatalogFormatError,
     Marketplace,
     MarketplaceError,
@@ -70,6 +71,13 @@ class TestPricing:
     def test_nonpositive_price_rejected(self):
         with pytest.raises(MarketplaceError):
             PricingFunction.from_table({"d1": 0})
+
+    @pytest.mark.parametrize("cents", [0, -150, 150.0, "150", True])
+    def test_explicit_table_holds_positive_int_cents(self, cents):
+        """A table built directly is checked as ``from_table``'s is, so no
+        free or negative price reaches a solver's ratio keys."""
+        with pytest.raises(MarketplaceError, match="price for 'd1'"):
+            PricingFunction(kind=EXPLICIT_TABLE, table={"d1": cents, "d2": 100})
 
     def test_pmin_pmax_bracket_all_prices(self, example2_market):
         m = example2_market
