@@ -456,6 +456,8 @@ def _load_report(path) -> list[Solution]:
         selected = entry["selected"]
         if not (isinstance(selected, list) and all(isinstance(d, str) for d in selected)):
             raise ReportFormatError(f"{path}: solution {i}: 'selected' is not a list of ids")
+        if len(set(selected)) != len(selected):
+            raise ReportFormatError(f"{path}: solution {i}: 'selected' repeats an id")
         coverage = entry["coverage"]
         if isinstance(coverage, bool) or not isinstance(coverage, int) or coverage < 0:
             raise ReportFormatError(

@@ -221,13 +221,14 @@ def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     :class:`RasterizationError`.
     """
     side = grid.side
-    fx = (dataset.points[:, 0] - grid.origin_x) / grid.cell_width
-    fy = (dataset.points[:, 1] - grid.origin_y) / grid.cell_height
+    with np.errstate(over="ignore"):  # an overflowed index is outside the grid
+        fx = (dataset.points[:, 0] - grid.origin_x) / grid.cell_width
+        fy = (dataset.points[:, 1] - grid.origin_y) / grid.cell_height
     limit = side * (1.0 + _BOUNDARY_RTOL)
     bad = ~((fx >= 0) & (fy >= 0) & (fx <= limit) & (fy <= limit))
     if bad.any():
         i = int(np.argmax(bad))
-        pt = tuple(dataset.points[i])
+        pt = tuple(dataset.points[i].tolist())
         raise RasterizationError(
             dataset.id, pt, f"dataset {dataset.id!r}: point {pt} outside the bounding space")
     ix = np.minimum(np.floor(fx).astype(np.int64), side - 1)

@@ -14,7 +14,9 @@ Available strategies:
   component rather than one per node.
 * ``cmc-mc`` / ``cmc-mg`` -- baselines that grow root-to-node paths by
   average coverage / average marginal gain per path node.
-* ``exact`` -- exhaustive oracle for small catalogs.
+* ``exact`` -- exhaustive oracle for small catalogs: it enumerates every
+  connected, budget-feasible set of the candidate graph exactly once (ESU),
+  with no table over all 2^n subsets.
 
 Every tie among equal-scoring candidates breaks toward the smallest id, so
 all solvers are deterministic functions of their inputs.
@@ -673,75 +675,49 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
 # Exact oracle
 
 
+def _connected_sets(graph: DatasetGraph, budget: int):
+    """Yield ``(members, covered cells, price)`` for every connected node set
+    of ``graph`` priced at most ``budget`` cents, each set exactly once. Every
+    node of ``graph`` must fit the budget on its own, as in a candidate graph.
+
+    This is Wernicke's ESU enumeration ("Efficient detection of network
+    motifs", IEEE/ACM TCBB 2006): a set grows only from its smallest member
+    ``v``, and only by nodes above ``v`` in its extension, which gains just
+    the exclusive neighbours of each added node (above ``v`` and adjacent to
+    no earlier member). A node that would overrun the budget is never added:
+    prices are non-negative, so every set containing it is over budget too.
+    """
+    adj, prices, cells = graph.adjacency, graph.prices, graph.cells
+    for v in graph.nodes:
+        stack = [([v], {v, *adj[v]}, [u for u in adj[v] if u > v], cells[v], prices[v])]
+        while stack:
+            members, seen, extension, covered, price = stack.pop()
+            yield members, covered, price
+            for i, w in enumerate(extension):
+                p = price + prices[w]
+                if p <= budget:
+                    fresh = [u for u in adj[w] if u > v and u not in seen]
+                    stack.append((members + [w], seen.union(adj[w]),
+                                  extension[i + 1:] + fresh, covered | cells[w], p))
+
+
 def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
                 graph: DatasetGraph | None = None) -> Solution:
-    """Exhaustive search over affordable subsets; ties prefer lower total
-    price, then lexicographically smaller id tuples. Refuses catalogs larger
-    than ``cap``."""
+    """Exhaustive search over the connected, budget-feasible sets of the
+    candidate graph, each enumerated once (:func:`_connected_sets`); ties
+    prefer lower total price, then lexicographically smaller id tuples.
+    Refuses catalogs larger than ``cap``."""
     if len(market) > cap:
         raise OracleCapError(
             f"exact oracle capped at {cap} datasets, catalog has {len(market)}")
     b, candidate = _prepare(market, budget, delta, graph)
-    afford = candidate.nodes
-    if not afford:
+    if not candidate.nodes:
         return _empty_solution("exact")
-    cells_map = candidate.cells
-    n = len(afford)
-    bit_of = {c: i for i, c in enumerate(sorted(frozenset().union(*cells_map.values())))}
-    masks = []
-    prices = []
-    for did in afford:
-        m = 0
-        for c in cells_map[did]:
-            m |= 1 << bit_of[c]
-        masks.append(m)
-        prices.append(candidate.prices[did])
-    index = {did: i for i, did in enumerate(afford)}
-    adj_bits = [0] * n
-    for did, nbrs in candidate.adjacency.items():
-        for v in nbrs:
-            adj_bits[index[did]] |= 1 << index[v]
-
-    def connected(subset: int) -> bool:
-        low = subset & -subset
-        reached = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                fb = f & -f
-                nxt |= adj_bits[fb.bit_length() - 1]
-                f ^= fb
-            nxt &= subset & ~reached
-            reached |= nxt
-            frontier = nxt
-        return reached == subset
-
-    size = 1 << n
-    price_sum = [0] * size
-    union = [0] * size
-    best_key = (0, 0, ())  # _candidate_order_key of the empty set
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        p = price_sum[rest] + prices[i]
-        price_sum[mask] = p
-        if p > b:
-            continue
-        u = union[rest] | masks[i]
-        union[mask] = u
-        if not connected(mask):
-            continue
-        cov = u.bit_count()
-        if cov < -best_key[0]:
-            continue
-        ids = tuple(afford[j] for j in range(n) if mask >> j & 1)
-        key = (-cov, p, ids)
-        if key < best_key:
-            best_key = key
-    return _solution("exact", best_key)
+    best = (0, 0, ())  # _candidate_order_key of the empty set
+    for members, covered, price in _connected_sets(candidate, b):
+        if (-len(covered), price) <= best[:2]:
+            best = min(best, (-len(covered), price, tuple(sorted(members))))
+    return _solution("exact", best)
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,34 @@
-"""The full-scan greedy loops and the hand-written BFS loops that the
-solvers replaced, kept verbatim as a differential oracle.
+"""The full-scan greedy loops, the hand-written BFS loops and the bitmask
+exact oracle that the solvers replaced, kept verbatim as a differential
+oracle.
 
 Every greedy step here rescores every remaining candidate from scratch
 against the uncovered universe, so these functions are slow but obviously
 faithful to the selection rules. ``test_solvers_differential.py`` checks that
 the solvers in :mod:`bmcc.solvers` return exactly the same selections,
 ``test_bfs_differential.py`` that components, centers and BFS trees built on
-:func:`bmcc.graph.bfs` match the loops below, and
-``test_center_differential.py`` that the bounded exact center matches the
-one-BFS-per-node :func:`find_center_exact` below. The reference solvers use
-these BFS loops, not the live ones, and their own copies of the per-solve
-helpers that the solvers replaced with the candidate graph's cell sets, and
-of the ``CenterResult`` that stored every eccentricity.
-"""
+:func:`bmcc.graph.bfs` match the loops below, ``test_center_differential.py``
+that the bounded exact center matches the one-BFS-per-node
+:func:`find_center_exact` below, and ``test_exact_differential.py`` that the
+connected-set oracle returns the same solutions as :func:`solve_exact` below,
+which walks all 2^n subsets of the affordable datasets (its one edit: it
+calls the live ``_prepare``, as this module has its own). The reference
+solvers use these BFS loops, not the live ones, and their own copies of the
+per-solve helpers that the solvers replaced with the candidate graph's cell
+sets, and of the ``CenterResult`` that stored every eccentricity."""
 
 from dataclasses import dataclass, field
 
 from bmcc.graph import DatasetGraph, GraphConfigError, Subgraph, build_graph_indexed
 from bmcc.marketplace import Marketplace, to_cents
+from bmcc import solvers as live
 from bmcc.solvers import (
     STATUS_OK,
+    OracleCapError,
     Solution,
     TwoBfsResult,
     _empty_solution,
+    _solution,
 )
 
 
@@ -491,3 +497,74 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         return _empty_solution(label)
     best = min(results, key=lambda c: _candidate_order_key(market, cells_map, c))
     return _solution_from_ids(label, market, best, cells_map)
+
+
+def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
+                graph: DatasetGraph | None = None) -> Solution:
+    """Exhaustive search over affordable subsets; ties prefer lower total
+    price, then lexicographically smaller id tuples. Refuses catalogs larger
+    than ``cap``."""
+    if len(market) > cap:
+        raise OracleCapError(
+            f"exact oracle capped at {cap} datasets, catalog has {len(market)}")
+    b, candidate = live._prepare(market, budget, delta, graph)
+    afford = candidate.nodes
+    if not afford:
+        return _empty_solution("exact")
+    cells_map = candidate.cells
+    n = len(afford)
+    bit_of = {c: i for i, c in enumerate(sorted(frozenset().union(*cells_map.values())))}
+    masks = []
+    prices = []
+    for did in afford:
+        m = 0
+        for c in cells_map[did]:
+            m |= 1 << bit_of[c]
+        masks.append(m)
+        prices.append(candidate.prices[did])
+    index = {did: i for i, did in enumerate(afford)}
+    adj_bits = [0] * n
+    for did, nbrs in candidate.adjacency.items():
+        for v in nbrs:
+            adj_bits[index[did]] |= 1 << index[v]
+
+    def connected(subset: int) -> bool:
+        low = subset & -subset
+        reached = low
+        frontier = low
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                fb = f & -f
+                nxt |= adj_bits[fb.bit_length() - 1]
+                f ^= fb
+            nxt &= subset & ~reached
+            reached |= nxt
+            frontier = nxt
+        return reached == subset
+
+    size = 1 << n
+    price_sum = [0] * size
+    union = [0] * size
+    best_key = (0, 0, ())  # _candidate_order_key of the empty set
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        p = price_sum[rest] + prices[i]
+        price_sum[mask] = p
+        if p > b:
+            continue
+        u = union[rest] | masks[i]
+        union[mask] = u
+        if not connected(mask):
+            continue
+        cov = u.bit_count()
+        if cov < -best_key[0]:
+            continue
+        ids = tuple(afford[j] for j in range(n) if mask >> j & 1)
+        key = (-cov, p, ids)
+        if key < best_key:
+            best_key = key
+    return _solution("exact", best_key)

@@ -50,6 +50,18 @@ class TestIngest:
         assert code == 2
         assert "outside" in err
 
+    def test_overflowing_cell_index_is_one_data_error(self, tmp_path, capsys, recwarn):
+        """Bounds so tight that the cell index overflows to inf: the point is
+        outside, reported with plain floats, and numpy stays quiet."""
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.0906,0.2299"])
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "x.cat"),
+                           "--bounds", "0", "0", "1e-320", "1e-320")
+        assert code == 2
+        assert err.splitlines() == [
+            "error: dataset 'a': point (0.0906, 0.2299) outside the bounding space"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("dataset_id,x,y\na,0.1,0.2\na,oops,0.3\n")
@@ -253,6 +265,23 @@ class TestSolve:
         row = dict(zip(rows[0], rows[1]))
         assert (row["budget_ratio"], row["budget"]) == ("0.29", "0.29")
 
+    def test_exact_beyond_bitmask_oracle_limit(self, tmp_path, capsys):
+        """The oracle keeps no table over all 2^n subsets, so a 40-dataset
+        catalog under --oracle-cap 40 solves and verifies."""
+        pts, cat, report = tmp_path / "pts.csv", tmp_path / "x.cat", tmp_path / "r.json"
+        run(capsys, "gen", str(pts), "--datasets", "40", "--points-per", "5", "--seed", "3")
+        run(capsys, "ingest", str(pts), str(cat), "--theta", "8")
+        flags = ("--delta", "5", "--budget-ratio", "0.29")
+        code, _, err = run(capsys, "solve", str(cat), "--solvers", "exact,dpsa",
+                           "--oracle-cap", "40", "--json-out", str(report), *flags)
+        assert code == 0, err
+        exact, dpsa = json.loads(report.read_text())["solutions"]
+        assert exact["algorithm"] == "exact"
+        assert exact["coverage"] >= dpsa["coverage"]
+        code, out, _ = run(capsys, "verify", str(cat), str(report), *flags)
+        assert code == 0
+        assert out.splitlines()[-1] == "verified: true"
+
 
 class TestBuildGraph:
     def test_stats_and_adjacency_export(self, tmp_path, capsys, example2_catalog):
@@ -450,6 +479,7 @@ class TestVerifyCommand:
         ({"selected": None}, "no 'selected' key"),
         ({"coverage": None}, "no 'coverage' key"),
         ({"selected": "d1"}, "'selected' is not a list"),  # a string, not a list of ids
+        ({"selected": ["d1", "d1"]}, "'selected' repeats an id"),
         ({"coverage": "many"}, "solution 0"),
         ({"total_price": "1.001"}, "solution 0"),
         ({"total_price": "Infinity"}, "solution 0"),
@@ -461,9 +491,10 @@ class TestVerifyCommand:
         ({"coverage": "15"}, "'coverage' is not a non-negative integer"),
         ({"coverage": -15}, "'coverage' is not a non-negative integer"),
     ], ids=["not-json", "no-selected", "no-coverage", "selected-string",
-            "bad-coverage", "sub-cent-price", "infinite-price", "huge-price",
-            "infinite-coverage", "float-coverage", "integral-float-coverage",
-            "bool-coverage", "string-coverage", "negative-coverage"])
+            "repeated-id", "bad-coverage", "sub-cent-price", "infinite-price",
+            "huge-price", "infinite-coverage", "float-coverage",
+            "integral-float-coverage", "bool-coverage", "string-coverage",
+            "negative-coverage"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, example2_catalog,
                                             text, where):
         """``text`` is the whole file, or edits to the first entry of a real
