@@ -11,7 +11,11 @@ from bmcc.cli import main as bmcc
 
 
 def main():
-    tmp = Path(tempfile.mkdtemp(prefix="bmcc-demo-"))
+    with tempfile.TemporaryDirectory(prefix="bmcc-demo-") as tmp:
+        run(Path(tmp))
+
+
+def run(tmp):
     points = tmp / "points.csv"
     table = tmp / "bench.tsv"
 
@@ -23,7 +27,7 @@ def main():
         "bench", str(points),
         "--solvers", "dsa,dpsa-ba,cmc-mc,cmc-mg",
         "--theta", "8",
-        "--deltas", "5,10,20",
+        "--delta", "5,10,20",
         "--scales", "0.5,1.0",
         "--budget-ratio", "0.1",
         "--seed", "1",
@@ -42,7 +46,6 @@ def main():
     for row in rows[1:]:
         parts = row.split("\t")
         print("  ".join(parts[i].ljust(w) for i, w in zip(idx, widths)))
-    print(f"\nfull table: {table}")
 
 
 if __name__ == "__main__":

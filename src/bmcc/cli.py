@@ -4,7 +4,8 @@ verify results and execute parameter sweeps.
 Each subcommand registers only the flags it reads, and argparse checks every
 value. ``--config`` names a file of ``key = value`` lines whose keys are the
 subcommand's flag names; its lines are parsed as ``--key=value`` flags ahead
-of the command line, so explicit flags win.
+of the command line, and the last flag given for a setting wins, so explicit
+flags override the file.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 feasibility failure.
 """
@@ -30,12 +31,7 @@ from .grid import (
     read_points_file,
     write_points_file,
 )
-from .graph import (
-    GraphConfigError,
-    build_graph_indexed,
-    build_graph_naive,
-    write_adjacency,
-)
+from .graph import GraphConfigError, build_graph_indexed, write_adjacency
 from .marketplace import (
     Marketplace,
     MarketplaceError,
@@ -60,7 +56,7 @@ EXIT_INFEASIBLE = 3
 
 DEFAULT_THETA = 11
 DEFAULT_DELTA = 10.0
-DEFAULT_BUDGET_RATIO = Fraction(1, 10)
+DEFAULT_BUDGET = ("ratio", Fraction(1, 10))
 DEFAULT_SPREAD = 0.012
 DEFAULT_SOLVERS = ("dsa", "dpsa-ba", "cmc-mc", "cmc-mg")
 
@@ -82,14 +78,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _checked(cast, ok, requirement):
+def _checked(cast, ok, requirement, tag=None):
     """An argparse ``type=``: cast the flag's text, then reject a value
-    failing ``ok``. Either failure is a usage error naming the flag."""
+    failing ``ok``. Either failure is a usage error naming the flag. A
+    ``tag`` makes the value ``(tag, value)``, so that two flags can write one
+    setting and still say which of them was given last."""
     def parse(text):
         value = cast(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
-        return value
+        return value if tag is None else (tag, value)
     parse.__name__ = cast.__name__.lstrip("_")
     return parse
 
@@ -120,16 +118,19 @@ def _decimal(text) -> Fraction:
 
 _NON_NEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0,
                          "finite and non-negative")
-_RATIO = _checked(_decimal, lambda r: 0 <= r <= 1, "in [0, 1]")
 _SCALE = _checked(float, lambda m: 0 < m <= 1, "in (0, 1]")
 _THETA = _checked(int, lambda t: 1 <= t <= MAX_THETA, f"in [1, {MAX_THETA}]")
 _COUNT = _checked(int, lambda n: n >= 0, "non-negative")
 _POSITIVE = _checked(int, lambda n: n >= 1, "at least 1")
 _SOLVER = _checked(str, lambda s: s in SOLVER_LABELS, "one of " + ", ".join(SOLVER_LABELS))
 _CHARACTER = _checked(str, lambda s: len(s) == 1, "one character")
-# Only the sign is checked here: ``to_cents`` rejects an amount that is not a
-# finite whole number of cents as a data error, as it does in a price table.
-_AMOUNT = _checked(str, lambda s: not s.lstrip().startswith("-"), "non-negative")
+# The budget is a ``("ratio", Fraction)`` of the catalog total or an
+# ``("amount", text)``. Only the amount's sign is checked here: ``to_cents``
+# rejects one that is not a finite whole number of cents as a data error, as
+# it does in a price table.
+_RATIO = _checked(_decimal, lambda r: 0 <= r <= 1, "in [0, 1]", tag="ratio")
+_AMOUNT = _checked(str, lambda s: not s.lstrip().startswith("-"), "non-negative",
+                   tag="amount")
 
 _FLAGS = {
     "datasets": dict(type=_POSITIVE, default=100),
@@ -143,18 +144,15 @@ _FLAGS = {
     "delimiter": dict(type=_CHARACTER, default=","),
     "delta": dict(type=_NON_NEGATIVE, default=DEFAULT_DELTA,
                   help="connectivity threshold (cells)"),
-    "budget": dict(type=_AMOUNT, help="absolute budget"),
-    "budget-ratio": dict(type=_RATIO, help="budget as a fraction of the total catalog "
-                                           "price, floored to cents (overrides --budget)"),
+    "budget": dict(type=_AMOUNT, default=DEFAULT_BUDGET, metavar="AMOUNT",
+                   help="absolute budget"),
+    "budget-ratio": dict(type=_RATIO, dest="budget", default=DEFAULT_BUDGET, metavar="RATIO",
+                         help="budget as a fraction of the total catalog price, floored "
+                              "to cents; the last of --budget/--budget-ratio wins"),
     "solvers": dict(type=_comma_list(_SOLVER), default=DEFAULT_SOLVERS,
                     help="comma list: " + ",".join(SOLVER_LABELS)),
     "oracle-cap": dict(type=_COUNT, default=15),
-    "budgets": dict(type=_comma_list(_AMOUNT), default=()),
-    "budget-ratios": dict(type=_comma_list(_RATIO), default=()),
-    "deltas": dict(type=_comma_list(_NON_NEGATIVE), default=()),
-    "thetas": dict(type=_comma_list(_THETA), default=()),
-    "scales": dict(type=_comma_list(_SCALE), default=()),
-    "naive": dict(action="store_true", help="all-pairs construction"),
+    "scales": dict(type=_comma_list(_SCALE), default=(1.0,)),
     "adjacency-out": {},
     "json-out": {},
     "out": dict(help="TSV output path (default stdout)"),
@@ -174,16 +172,18 @@ def _config_args(path) -> list[str]:
             if "=" not in line:
                 raise MarketplaceError(f"{path}:{line_no}: expected key=value")
             key, value = line.split("=", 1)
-            args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            key = key.strip().replace("_", "-")
+            if key == "config":
+                raise _UsageError(f"{path}:{line_no}: key 'config' cannot nest a file")
+            args.append(f"--{key}={value.strip()}")
     return args
 
 
-def _budget_cents(ratio, budget, total_cents) -> int:
-    """The budget in cents: ``ratio`` of the catalog total, floored exactly,
-    else the absolute ``budget``, else the default ratio."""
-    if ratio is None and budget is not None:
-        return to_cents(budget)
-    return math.floor((DEFAULT_BUDGET_RATIO if ratio is None else ratio) * total_cents)
+def _budget_cents(budget, total_cents) -> int:
+    """The budget in cents: an absolute amount, or a ratio of the catalog
+    total floored exactly."""
+    kind, value = budget
+    return to_cents(value) if kind == "amount" else math.floor(value * total_cents)
 
 
 def _read_price_table(path) -> dict:
@@ -196,6 +196,8 @@ def _read_price_table(path) -> dict:
             parts = line.split()
             if len(parts) != 2:
                 raise MarketplaceError(f"{path}:{line_no}: expected '<id> <price>'")
+            if parts[0] in table:
+                raise MarketplaceError(f"{path}:{line_no}: repeated id {parts[0]!r}")
             table[parts[0]] = parts[1]
     return table
 
@@ -257,18 +259,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _build_graph(market, delta, naive=False):
+def _build_graph(market, delta):
     t0 = time.perf_counter()
-    if naive:
-        graph = build_graph_naive(market, delta)
-    else:
-        graph = build_graph_indexed(market, delta)
+    graph = build_graph_indexed(market, delta)
     return graph, (time.perf_counter() - t0) * 1000.0
 
 
 def cmd_build_graph(args) -> int:
     market = load_catalog(args.catalog)
-    graph, build_ms = _build_graph(market, args.delta, naive=args.naive)
+    graph, build_ms = _build_graph(market, args.delta)
     stats = graph.stats()
     print(f"catalog: {args.catalog}")
     print(f"delta: {graph.delta!r}")
@@ -327,9 +326,8 @@ def _run_solvers(labels, graph, budget, oracle_cap):
 
 def cmd_solve(args) -> int:
     market = load_catalog(args.catalog)
-    budget = cents_to_decimal(_budget_cents(args.budget_ratio, args.budget,
-                                            market.total_price_cents))
-    graph, build_ms = _build_graph(market, args.delta, naive=args.naive)
+    budget = cents_to_decimal(_budget_cents(args.budget, market.total_price_cents))
+    graph, build_ms = _build_graph(market, args.delta)
     stats = graph.stats()
     print(f"catalog: {args.catalog}")
     print(f"datasets: {len(market)}")
@@ -361,20 +359,18 @@ _BENCH_COLUMNS = (
 
 def _bench_point(args, datasets_by_id, ordered_ids, pricing, budget_spec, delta, theta,
                  scale):
-    """Run every solver at one parameter point; returns one row per solver.
-    ``budget_spec`` is ``(ratio, None)`` or ``(None, absolute budget)``."""
+    """Run every solver at one parameter point; returns one row per solver."""
     take = math.ceil(scale * len(ordered_ids))
     chosen = sorted(ordered_ids[:take])
     subset = [datasets_by_id[did] for did in chosen]
     grid = GridConfig.from_envelope(subset, theta=theta)
     market = Marketplace.build(grid, [rasterize(d, grid) for d in subset], pricing)
-    ratio, absolute = budget_spec
-    budget = cents_to_decimal(_budget_cents(ratio, absolute, market.total_price_cents))
+    budget = cents_to_decimal(_budget_cents(budget_spec, market.total_price_cents))
     graph, build_ms = _build_graph(market, delta)
     stats = graph.stats()
     return [{
         "solver": sol.algorithm,
-        "budget_ratio": "-" if ratio is None else repr(float(ratio)),
+        "budget_ratio": repr(float(budget_spec[1])) if budget_spec[0] == "ratio" else "-",
         "budget": str(budget),
         "delta": repr(float(delta)),
         "theta": theta,
@@ -400,18 +396,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     all_ids = sorted(datasets_by_id)
     ordered_ids = [all_ids[i] for i in rng.permutation(len(all_ids))]
-
-    if args.budget_ratios:
-        budget_axis = [(r, None) for r in args.budget_ratios]
-    elif args.budgets:
-        budget_axis = [(None, b) for b in args.budgets]
-    elif args.budget_ratio is None and args.budget is not None:
-        budget_axis = [(None, args.budget)]
-    else:
-        budget_axis = [(DEFAULT_BUDGET_RATIO if args.budget_ratio is None
-                        else args.budget_ratio, None)]
-    points = itertools.product(budget_axis, args.deltas or [args.delta],
-                               args.thetas or [args.theta], args.scales or [1.0])
+    points = itertools.product(args.budget, args.delta, args.theta, args.scales)
     rows = [row for p in points
             for row in _bench_point(args, datasets_by_id, ordered_ids, pricing, *p)]
 
@@ -478,8 +463,7 @@ def _load_report(path) -> list[Solution]:
 def cmd_verify(args) -> int:
     market = load_catalog(args.catalog)
     solutions = _load_report(args.report)
-    budget = cents_to_decimal(_budget_cents(args.budget_ratio, args.budget,
-                                            market.total_price_cents))
+    budget = cents_to_decimal(_budget_cents(args.budget, market.total_price_cents))
     graph, _ = _build_graph(market, args.delta)
     all_ok = True
     for sol in solutions:
@@ -495,12 +479,17 @@ def cmd_verify(args) -> int:
 # Parser
 
 
-def _add_command(sub, name, func, summary, positionals, flags):
+def _add_command(sub, name, func, summary, positionals, flags, axes=()):
+    """Register a subcommand and its flags; each flag in ``axes`` takes a
+    comma list, and its default becomes a one-value list."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     for positional in positionals:
         p.add_argument(positional)
     for flag in flags:
-        p.add_argument("--" + flag, **_FLAGS[flag])
+        spec = _FLAGS[flag]
+        if flag in axes:
+            spec = dict(spec, type=_comma_list(spec["type"]), default=(spec["default"],))
+        p.add_argument("--" + flag, **spec)
     p.set_defaults(func=func)
 
 
@@ -514,15 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
                  ("datasets", "points-per", "spread", "seed"))
     _add_command(sub, "build-graph", cmd_build_graph,
                  "build the dataset graph and report stats", ("catalog",),
-                 ("delta", "naive", "adjacency-out", "config"))
+                 ("delta", "adjacency-out", "config"))
     _add_command(sub, "solve", cmd_solve, "run solvers at one parameter point",
                  ("catalog",),
-                 ("delta", "budget", "budget-ratio", "solvers", "oracle-cap", "naive",
-                  "json-out", "config"))
+                 ("delta", "budget", "budget-ratio", "solvers", "oracle-cap", "json-out",
+                  "config"))
     _add_command(sub, "bench", cmd_bench, "parameter sweep over a point file", ("points",),
                  ("theta", "delta", "budget", "budget-ratio", "pricing", "price-table",
-                  "solvers", "seed", "oracle-cap", "budgets", "budget-ratios", "deltas",
-                  "thetas", "scales", "delimiter", "out", "json-out", "config"))
+                  "solvers", "seed", "oracle-cap", "scales", "delimiter", "out",
+                  "json-out", "config"),
+                 axes=("theta", "delta", "budget", "budget-ratio"))
     _add_command(sub, "verify", cmd_verify, "re-verify a solve report against a catalog",
                  ("catalog", "report"), ("delta", "budget", "budget-ratio", "config"))
     return parser

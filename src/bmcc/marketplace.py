@@ -239,6 +239,11 @@ def load_catalog(path) -> Marketplace:
     cw, ch = expect(3, "cell", _finite_float, 2)
     kind, = expect(4, "pricing", str)
     count, = expect(5, "datasets", int)
+    if count < 0:
+        raise CatalogFormatError(f"negative dataset count {count} at line 6")
+    extra = next((i for i in range(6 + count, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise CatalogFormatError(f"line {extra + 1} is past the {count} dataset lines")
     grid = GridConfig(theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
 
     datasets = []

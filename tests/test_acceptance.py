@@ -237,7 +237,7 @@ def test_criterion_10_bench_determinism(tmp_path, capsys):
         code = cli_main([
             "bench", str(DATA_DIR / "synth1000.csv"),
             "--solvers", "dsa,dpsa-ba,cmc-mg",
-            "--theta", "9", "--deltas", "5,10", "--scales", "0.05",
+            "--theta", "9", "--delta", "5,10", "--scales", "0.05",
             "--budget-ratio", "0.1", "--seed", "17", "--out", str(out),
         ])
         capsys.readouterr()

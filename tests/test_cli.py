@@ -82,6 +82,18 @@ class TestIngest:
         market = load_catalog(cat)
         assert str(market.price("a")) == "3.50"
 
+    def test_repeated_price_table_id_is_data_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+        table = tmp_path / "prices.txt"
+        table.write_text("a 3.50\nb 1.25\na 7\n")
+        cat = tmp_path / "out.cat"
+        code, _, err = run(capsys, "ingest", str(pts), str(cat), "--theta", "3",
+                           "--pricing", "table", "--price-table", str(table))
+        assert code == 2
+        assert err.splitlines() == [f"error: {table}:3: repeated id 'a'"]
+        assert not cat.exists()
+
 
 class TestGen:
     def test_same_seed_byte_identical(self, tmp_path, capsys):
@@ -184,6 +196,21 @@ class TestSolve:
         payload = json.loads(out_json.read_text())
         assert payload["budget"] == "21.00"
 
+    def test_last_budget_flag_wins_over_config(self, tmp_path, capsys, example2_catalog):
+        """Both budget flags write one setting, and the file's lines come
+        first, so a flag on the command line wins in either spelling."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solvers = dsa\nbudget_ratio = 0.29\n")
+        code, out, _ = run(capsys, "solve", example2_catalog, "--config", str(cfg),
+                           "--budget", "5")
+        assert code == 0
+        assert "budget: 5.00\n" in out
+        cfg.write_text("solvers = dsa\nbudget = 5\n")
+        code, out, _ = run(capsys, "solve", example2_catalog, "--config", str(cfg),
+                           "--budget-ratio", "0.29")
+        assert code == 0
+        assert "budget: 6.09\n" in out  # 0.29 of 21.00, floored to cents
+
     def test_dpsa_variants_agree_on_tree_shaped_graph(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         rows = [f"p{i},{3 * i}.5,0.5" for i in range(5)]
@@ -220,7 +247,9 @@ class TestSolve:
     @pytest.mark.parametrize("line, key", [
         ("delta = abc", "delta"),   # a bad value
         ("detla = 5", "detla"),     # a misspelt key
-        ("thetas = 7", "thetas"),   # a flag of bench, not of solve
+        ("thetas = 7", "thetas"),   # a flag of no subcommand
+        ("scales = 0.5", "scales"),  # a flag of bench, not of solve
+        ("config = other.cfg", "config"),  # a config file naming another
     ])
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, example2_catalog,
                                            line, key):
@@ -295,13 +324,12 @@ class TestBuildGraph:
         back = read_adjacency(adj)
         assert back.adjacency["d2"] == ("d1", "d4")
 
-    def test_naive_flag_matches_indexed(self, tmp_path, capsys, example2_catalog):
-        a1, a2 = tmp_path / "g1.txt", tmp_path / "g2.txt"
-        run(capsys, "build-graph", example2_catalog, "--delta", "2",
-            "--adjacency-out", str(a1))
-        run(capsys, "build-graph", example2_catalog, "--delta", "2", "--naive",
-            "--adjacency-out", str(a2))
-        assert a1.read_bytes() == a2.read_bytes()
+    @pytest.mark.parametrize("command", ["build-graph", "solve"])
+    def test_naive_flag_is_unknown(self, capsys, example2_catalog, command):
+        code, out, err = run(capsys, command, example2_catalog, "--naive")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--naive" in err
 
     @pytest.mark.parametrize("keep, bad, where", [
         (3, None, "line 4"),            # catalog cut after its third line
@@ -365,9 +393,13 @@ class TestBench:
         assert int(row["coverage"]) == payload["solutions"][0]["coverage"]
 
     @pytest.mark.parametrize("flag,value", [
+        ("--delta", "2,nan"), ("--delta", "-3"), ("--theta", "7,32"),
+        ("--budget-ratio", "0.1,inf"), ("--budget-ratio", "-0.2"),
+        ("--budget", "-1"),
+        # the plural spellings are gone: unknown flags, refused the same way
         ("--deltas", "2,nan"), ("--deltas", "-3"),
         ("--budget-ratios", "0.1,inf"), ("--budget-ratios", "-0.2"),
-        ("--budgets", "-1"),
+        ("--budgets", "-1"), ("--thetas", "7,8"),
     ])
     def test_bad_sweep_axis_is_usage_error(self, tmp_path, capsys, small_points, flag, value):
         code, _, err = run(capsys, "bench", small_points, "--solvers", "dsa", flag, value,
@@ -390,7 +422,7 @@ class TestBench:
     def test_delta_sweep_degree_monotone(self, tmp_path, capsys, small_points):
         out = tmp_path / "bench.tsv"
         code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",
-                         "--theta", "7", "--deltas", "0,5,10,15,20",
+                         "--theta", "7", "--delta", "0,5,10,15,20",
                          "--out", str(out))
         assert code == 0
         rows = [r.split("\t") for r in out.read_text().splitlines()]
@@ -401,7 +433,7 @@ class TestBench:
     def test_theta_sweep_components_monotone(self, tmp_path, capsys, small_points):
         out = tmp_path / "bench.tsv"
         code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",
-                         "--delta", "10", "--thetas", "7,8,9,10",
+                         "--delta", "10", "--theta", "7,8,9,10",
                          "--out", str(out))
         assert code == 0
         rows = [r.split("\t") for r in out.read_text().splitlines()]
@@ -415,11 +447,27 @@ class TestBench:
         for name in ("b1.tsv", "b2.tsv"):
             out = tmp_path / name
             code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa,cmc-mg",
-                             "--theta", "7", "--deltas", "5,10", "--scales", "0.5,1.0",
+                             "--theta", "7", "--delta", "5,10", "--scales", "0.5,1.0",
                              "--seed", "4", "--out", str(out))
             assert code == 0
             outs.append(mask_timing(out.read_text()))
         assert outs[0] == outs[1]
+
+    def test_command_line_axis_replaces_config_axis(self, tmp_path, capsys,
+                                                    small_points):
+        """A config file's ``delta = 5`` is one value of the delta axis; a
+        ``--delta`` flag replaces it, and ``--budget`` replaces a file's ratio."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 5\nbudget_ratio = 0.29\n")
+        out = tmp_path / "bench.tsv"
+        code, _, _ = run(capsys, "bench", small_points, "--config", str(cfg),
+                         "--solvers", "dsa", "--theta", "7", "--delta", "10",
+                         "--budget", "5,10", "--out", str(out))
+        assert code == 0
+        rows = [r.split("\t") for r in out.read_text().splitlines()]
+        cols = [rows[0].index(c) for c in ("delta", "budget_ratio", "budget")]
+        assert [[r[i] for i in cols] for r in rows[1:]] == [
+            ["10.0", "-", "5.00"], ["10.0", "-", "10.00"]]
 
     def test_table_pricing_changes_budget(self, tmp_path, capsys, small_points):
         table = tmp_path / "prices.txt"

@@ -183,8 +183,12 @@ class TestCatalogFiles:
         (lambda lines: lines[:2] + ["origin 0.0 -inf"] + lines[3:], "line 3"),
         (lambda lines: lines[:3] + ["cell inf 1.0"] + lines[4:], "line 4"),
         (lambda lines: lines[:3] + ["cell 1.0 nan"] + lines[4:], "line 4"),
+        (lambda lines: lines[:5] + ["datasets -1"] + lines[6:], "line 6"),
+        (lambda lines: lines[:5] + ["datasets 4"] + lines[6:], "line 11 is past"),
+        (lambda lines: lines + [lines[6].replace("d1", "d6", 1)], "line 12 is past"),
     ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
-            "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan"])
+            "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan",
+            "negative-count", "line-past-count", "extra-line"])
     def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
                                                               example2_market, edit, where):
         path = tmp_path / "cat.txt"

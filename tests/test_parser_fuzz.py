@@ -4,7 +4,8 @@ Each input is built from the header keys and line shapes of one file format,
 filled with value tokens that include non-finite, huge, empty and malformed
 values. Every input must either parse or raise one of the typed data errors
 that the CLI turns into exit code 2; any other exception is a crash. What
-does parse must hold values that the library can use: an adjacency file's
+does parse must hold values that the library can use: a catalog's dataset
+count is that of the header, with no line past it; an adjacency file's
 delta is finite and non-negative, its prices non-negative, its node count
 that of the header with every id once, and its neighbor lists strictly
 ascending without self-loops; a report's coverages are non-negative
@@ -55,10 +56,13 @@ def cell_lists(n):
 
 @st.composite
 def catalog_text(draw):
+    """A valid catalog, now and then with its last dataset line past the
+    header's count, then corrupted."""
     kind = draw(st.sampled_from(("usage_based", "explicit_table")))
     cells = draw(cell_lists(draw(st.integers(1, 3))))
+    count = len(cells) - draw(st.booleans())
     lines = ["CBCAT 1", f"theta {draw(st.sampled_from((2, 3)))}", "origin 0.0 -1.5",
-             "cell 1.0 0.5", f"pricing {kind}", f"datasets {len(cells)}"]
+             "cell 1.0 0.5", f"pricing {kind}", f"datasets {count}"]
     for i, cs in enumerate(cells):
         price = "-" if kind == "usage_based" else draw(st.sampled_from(("1", "2.50")))
         lines.append(" ".join([f"d{i}", price, str(len(cs)), *map(str, cs)]))
@@ -131,7 +135,12 @@ def parses_or_raises_typed_error(parser, path, text):
 @FUZZ
 @given(text=catalog_text())
 def test_catalog_parser(scratch_file, text):
-    parses_or_raises_typed_error(load_catalog, scratch_file, text)
+    market = parses_or_raises_typed_error(load_catalog, scratch_file, text)
+    if market is not None:
+        # one dataset per counted line; no line past the count
+        lines = text.splitlines()
+        dataset_lines = [line for line in lines[6:] if line.strip()]
+        assert len(market) == len(dataset_lines) == int(lines[5].split()[1])
 
 
 @FUZZ
