@@ -357,35 +357,28 @@ _BENCH_COLUMNS = (
 )
 
 
-def _bench_point(args, datasets_by_id, ordered_ids, pricing, budget_spec, delta, theta,
-                 scale):
-    """Run every solver at one parameter point; returns one row per solver."""
+def _bench_market(datasets_by_id, ordered_ids, pricing, theta, scale) -> Marketplace:
+    """The catalog of one (theta, scale) point: the first ``scale`` share of
+    the seeded dataset order, rasterized on a grid fitted to it."""
     take = math.ceil(scale * len(ordered_ids))
-    chosen = sorted(ordered_ids[:take])
-    subset = [datasets_by_id[did] for did in chosen]
+    subset = [datasets_by_id[did] for did in sorted(ordered_ids[:take])]
     grid = GridConfig.from_envelope(subset, theta=theta)
-    market = Marketplace.build(grid, [rasterize(d, grid) for d in subset], pricing)
-    budget = cents_to_decimal(_budget_cents(budget_spec, market.total_price_cents))
-    graph, build_ms = _build_graph(market, delta)
-    stats = graph.stats()
+    return Marketplace.build(grid, [rasterize(d, grid) for d in subset], pricing)
+
+
+def _bench_rows(args, graph, budget_spec, graph_columns):
+    """Run every solver at one budget on one graph; returns one row per solver."""
+    budget = cents_to_decimal(_budget_cents(budget_spec, graph.market.total_price_cents))
     return [{
         "solver": sol.algorithm,
         "budget_ratio": repr(float(budget_spec[1])) if budget_spec[0] == "ratio" else "-",
         "budget": str(budget),
-        "delta": repr(float(delta)),
-        "theta": theta,
-        "scale": repr(float(scale)),
-        "n_datasets": len(market),
-        "graph_nodes": stats.nodes,
-        "graph_edges": stats.edges,
-        "avg_degree": f"{stats.average_degree:.6f}",
-        "components": stats.components,
+        **graph_columns,
         "coverage": sol.coverage,
         "total_price": str(sol.total_price),
         "status": sol.status,
         "feasible": str(report.ok).lower(),
         "solve_ms": f"{ms:.3f}",
-        "graph_build_ms": f"{build_ms:.3f}",
     } for sol, report, ms in _run_solvers(args.solvers, graph, budget, args.oracle_cap)]
 
 
@@ -396,9 +389,30 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     all_ids = sorted(datasets_by_id)
     ordered_ids = [all_ids[i] for i in rng.permutation(len(all_ids))]
+    # One catalog per (theta, scale) and one graph per delta on it; the rows
+    # are then listed in (budget, delta, theta, scale) order.
+    by_point = {}
+    for theta, scale in itertools.product(dict.fromkeys(args.theta), dict.fromkeys(args.scales)):
+        market = _bench_market(datasets_by_id, ordered_ids, pricing, theta, scale)
+        for delta in dict.fromkeys(args.delta):
+            graph, build_ms = _build_graph(market, delta)
+            stats = graph.stats()
+            graph_columns = {
+                "delta": repr(float(delta)),
+                "theta": theta,
+                "scale": repr(float(scale)),
+                "n_datasets": len(market),
+                "graph_nodes": stats.nodes,
+                "graph_edges": stats.edges,
+                "avg_degree": f"{stats.average_degree:.6f}",
+                "components": stats.components,
+                "graph_build_ms": f"{build_ms:.3f}",
+            }
+            for budget_spec in dict.fromkeys(args.budget):
+                by_point[budget_spec, delta, theta, scale] = _bench_rows(
+                    args, graph, budget_spec, graph_columns)
     points = itertools.product(args.budget, args.delta, args.theta, args.scales)
-    rows = [row for p in points
-            for row in _bench_point(args, datasets_by_id, ordered_ids, pricing, *p)]
+    rows = [row for p in points for row in by_point[p]]
 
     lines = ["\t".join(_BENCH_COLUMNS)]
     for row in rows:

@@ -4,9 +4,12 @@ Two datasets are directly connected when the minimum Euclidean distance
 between their decoded cell indices is at most the threshold ``delta``; the
 dataset graph has one node per catalog entry and an edge per directly
 connected pair. Construction comes in two flavours with identical output: a
-naive all-pairs evaluation and a ball-tree-indexed walk that prunes node
-pairs whose bounding balls are provably farther apart (or provably within
-range) of the threshold.
+naive all-pairs evaluation, and a dual-tree walk over a ball tree of the
+datasets (Gray & Moore, "'N-Body' Problems in Statistical Learning", 2000).
+The walk advances a frontier of node pairs with array operations, pruning
+pairs whose balls are provably farther apart than ``delta`` and accepting
+whole those provably within it; the dataset pairs left open are decided
+together by one batched exact kernel.
 
 Distances are exact: squared distances are integer arithmetic on cell
 indices, and both construction paths share one threshold predicate, so the
@@ -31,6 +34,7 @@ from .marketplace import Marketplace, MarketplaceError, cents_to_decimal, to_cen
 _BOUND_EPS = 1e-9
 
 _CHUNK_ELEMS = 4_000_000  # cap on temporary (cells_a x cells_b) matrices
+_PAIR_CHUNK = 1 << 14  # cell pairs per batched leaf-kernel step: 128 KB of int64
 
 
 class GraphConfigError(ValueError):
@@ -173,6 +177,15 @@ def dataset_distance(a, b) -> float:
     return math.sqrt(_min_sqdist_coords(decode_cells(a.cells), decode_cells(b.cells)))
 
 
+def _catalog_cells(market: Marketplace):
+    """Every cell of the catalog as one (C, 2) int64 array, datasets in id
+    order; dataset ``j`` owns rows ``starts[j]:starts[j + 1]``."""
+    coords = [market.cell_coords(did) for did in market.ids]
+    starts = np.zeros(len(coords) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in coords], out=starts[1:])
+    return np.concatenate(coords), starts
+
+
 _matrix_cache: "weakref.WeakKeyDictionary[Marketplace, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
@@ -185,101 +198,174 @@ def min_sqdist_matrix(market: Marketplace) -> np.ndarray:
     cached = _matrix_cache.get(market)
     if cached is not None:
         return cached
-    ids = market.ids
-    coords = [market.cell_coords(did) for did in ids]
-    sizes = np.array([c.shape[0] for c in coords])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    allc = np.concatenate(coords)
-    xs, ys = allc[:, 0], allc[:, 1]
-    n = len(ids)
+    cells, starts = _catalog_cells(market)
+    xs, ys = cells[:, 0], cells[:, 1]
+    n = len(market)
     out = np.empty((n, n), dtype=np.int64)
+    rows = max(1, _CHUNK_ELEMS // len(xs))  # cells of one dataset per (rows, C) block
     for i in range(n):
-        ci = coords[i]
-        dx = xs[None, :] - ci[:, 0][:, None]
-        dy = ys[None, :] - ci[:, 1][:, None]
-        per_cell = (dx * dx + dy * dy).min(axis=0)
-        out[i] = np.minimum.reduceat(per_cell, starts)
+        per_cell = None
+        for lo in range(starts[i], starts[i + 1], rows):
+            ci = cells[lo:min(lo + rows, starts[i + 1])]
+            dx = xs[None, :] - ci[:, 0][:, None]
+            dy = ys[None, :] - ci[:, 1][:, None]
+            block = (dx * dx + dy * dy).min(axis=0)
+            per_cell = block if per_cell is None else np.minimum(per_cell, block)
+        out[i] = np.minimum.reduceat(per_cell, starts[:-1])
     _matrix_cache[market] = out
     return out
 
 
-def _graph_from_edges(market, delta, neighbor_sets) -> DatasetGraph:
-    adjacency = {did: tuple(sorted(neighbor_sets[did])) for did in market.ids}
-    prices = {did: market.price_cents(did) for did in market.ids}
+def _graph_from_edges(market, delta, src, dst) -> DatasetGraph:
+    """Graph from directed index edges sorted by ``(src, dst)``, each edge
+    listed at both ends; ids are sorted, so index order is id order."""
+    ids = market.ids
+    bounds = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
+    names = np.array(ids, dtype=object)[dst].tolist()
+    adjacency = {did: tuple(names[bounds[i]:bounds[i + 1]]) for i, did in enumerate(ids)}
+    prices = {did: market.price_cents(did) for did in ids}
     return DatasetGraph(delta=float(delta), prices=prices, adjacency=adjacency, market=market)
 
 
 def build_graph_naive(market: Marketplace, delta: float) -> DatasetGraph:
     """Reference construction: evaluate every dataset pair exactly."""
     thr = _sq_threshold(delta)
-    matrix = min_sqdist_matrix(market)
-    ids = market.ids
-    neighbor_sets = {did: set() for did in ids}
-    ii, jj = np.nonzero(matrix <= thr)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i != j:
-            neighbor_sets[ids[i]].add(ids[j])
-    return _graph_from_edges(market, delta, neighbor_sets)
+    src, dst = np.nonzero(min_sqdist_matrix(market) <= thr)
+    loop = src == dst
+    return _graph_from_edges(market, delta, src[~loop], dst[~loop])
+
+
+def _ranges(lo, hi):
+    """Concatenation of ``arange(lo[k], hi[k])`` over k; every range non-empty."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
 
 
 def build_ball_tree(market: Marketplace) -> BallTree:
-    """Top-down ball tree: median split on the dataset-centroid axis of
-    maximum spread; leaves hold exactly one dataset."""
-    ids = market.ids
-    coords = [market.cell_coords(did) for did in ids]
-    dcent = np.array([c.mean(axis=0) for c in coords])
-    order = np.arange(len(ids), dtype=np.int64)
+    """Top-down ball tree with one dataset per leaf, built a level at a time.
 
-    centroids, radii, left, right, start, end = [], [], [], [], [], []
-
-    def node_stats(lo, hi):
-        members = order[lo:hi]
-        allc = np.concatenate([coords[j] for j in members])
-        centroid = allc.mean(axis=0)
-        diff = allc - centroid
-        radius = float(np.sqrt((diff * diff).sum(axis=1).max()))
-        return centroid, radius
-
-    def build(lo, hi):
-        idx = len(radii)
-        centroid, radius = node_stats(lo, hi)
-        centroids.append(centroid)
-        radii.append(radius)
-        left.append(-1)
-        right.append(-1)
-        start.append(lo)
-        end.append(hi)
-        count = hi - lo
-        if count == 1:
-            return idx
-        members = order[lo:hi]
+    Each internal node splits its datasets at the median of the dataset
+    centroids along the axis where they spread widest, ties going to the
+    smaller id; one ``lexsort`` over (node, coordinate, id) orders every node
+    of a level. Nodes are numbered level by level. A node's centroid is the
+    mean of all its cells, from per-dataset cell sums; its radius is the
+    largest distance from that stored centroid to one of its cells, one
+    ``maximum.reduceat`` per level.
+    """
+    cells, starts = _catalog_cells(market)
+    xs, ys = cells[:, 0].astype(np.float64), cells[:, 1].astype(np.float64)
+    sizes = np.diff(starts)
+    sums = np.add.reduceat(cells, starts[:-1], axis=0)
+    dcent = sums / sizes[:, None]
+    order = np.arange(len(sizes))
+    levels = []
+    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(sizes), dtype=np.int64)
+    first = 0
+    while lo.size:
+        pos = _ranges(lo, hi)
+        members = order[pos]
+        counts = hi - lo
+        heads = np.cumsum(counts) - counts
+        ncells = np.add.reduceat(sizes[members], heads)
+        centroid = np.add.reduceat(sums[members], heads) / ncells[:, None]
+        rows = _ranges(starts[members], starts[members + 1])
+        dx = xs[rows] - np.repeat(centroid[:, 0], ncells)
+        dy = ys[rows] - np.repeat(centroid[:, 1], ncells)
+        radius = np.sqrt(np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(ncells) - ncells))
         cent = dcent[members]
-        axis = int(np.argmax(cent.max(axis=0) - cent.min(axis=0)))
-        # sort by (split coordinate, id) so equal coordinates split stably
-        keys = sorted(range(count), key=lambda k: (cent[k, axis], ids[members[k]]))
-        order[lo:hi] = members[keys]
-        mid = lo + (count + 1) // 2
-        left[idx] = build(lo, mid)
-        right[idx] = build(mid, hi)
-        return idx
+        spread = np.maximum.reduceat(cent, heads) - np.minimum.reduceat(cent, heads)
+        axis = np.repeat(spread[:, 1] > spread[:, 0], counts).astype(np.int64)
+        seg = np.repeat(np.arange(lo.size), counts)
+        order[pos] = members[np.lexsort((members, cent[np.arange(pos.size), axis], seg))]
+        split = counts > 1
+        left = np.full(lo.size, -1)
+        left[split] = first + lo.size + 2 * np.arange(np.count_nonzero(split))
+        levels.append((lo, hi, centroid, radius, left))
+        first += lo.size
+        lo, hi = lo[split], hi[split]
+        mid = lo + (hi - lo + 1) // 2
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+    start, end, centroids, radii, left = (np.concatenate(col) for col in zip(*levels))
+    return BallTree(market=market, ids=market.ids, order=order, centroids=centroids,
+                    radii=radii, left=left.astype(np.int32),
+                    right=np.where(left < 0, -1, left + 1).astype(np.int32),
+                    start=start.astype(np.int32), end=end.astype(np.int32))
 
-    build(0, len(ids))
-    return BallTree(
-        market=market, ids=ids, order=order,
-        centroids=np.array(centroids), radii=np.array(radii),
-        left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
-        start=np.array(start, dtype=np.int32), end=np.array(end, dtype=np.int32),
-    )
+
+def _padded(starts, sizes, datasets, width):
+    """(len(datasets), width) cell rows, each padded with its first cell."""
+    t = np.arange(width)
+    return starts[datasets][:, None] + np.where(t < sizes[datasets][:, None], t, 0)
+
+
+def _min_sqdist_pairs(cells, starts, ii, jj) -> np.ndarray:
+    """Exact minimum squared distance of every dataset pair ``(ii[k], jj[k])``.
+
+    Datasets fall into power-of-two size classes and are padded to their
+    class's largest size with copies of their own first cell, which cannot
+    change a minimum. Pairs of one class pair are evaluated together, at most
+    ``_PAIR_CHUNK`` cell pairs at a time; a pair larger than that goes to
+    :func:`_min_sqdist_coords`.
+    """
+    xs, ys = cells[:, 0].copy(), cells[:, 1].copy()
+    sizes = np.diff(starts)
+    size_class = np.frexp(sizes - 1)[1]
+    class_max = np.zeros(size_class.max() + 1, dtype=np.int64)
+    np.maximum.at(class_max, size_class, sizes)
+    swap = size_class[ii] > size_class[jj]
+    a, b = np.where(swap, jj, ii), np.where(swap, ii, jj)
+    group = size_class[a] * 64 + size_class[b]
+    by_group = np.argsort(group, kind="stable")
+    out = np.empty(len(a), dtype=np.int64)
+    for sel in np.split(by_group, np.flatnonzero(np.diff(group[by_group])) + 1):
+        if not sel.size:
+            continue
+        wa, wb = class_max[size_class[a[sel[0]]]], class_max[size_class[b[sel[0]]]]
+        if wa * wb > _PAIR_CHUNK:
+            for k in sel.tolist():
+                out[k] = _min_sqdist_coords(cells[starts[a[k]]:starts[a[k] + 1]],
+                                            cells[starts[b[k]]:starts[b[k] + 1]])
+            continue
+        step = _PAIR_CHUNK // (wa * wb)
+        for lo in range(0, sel.size, step):
+            ks = sel[lo:lo + step]
+            ra, rb = _padded(starts, sizes, a[ks], wa), _padded(starts, sizes, b[ks], wb)
+            dx = xs[ra][:, :, None] - xs[rb][:, None, :]
+            dy = ys[ra][:, :, None] - ys[rb][:, None, :]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            out[ks] = dx.reshape(ks.size, -1).min(axis=1)
+    return out
+
+
+def _datasets_under(tree: BallTree, a, b):
+    """Every dataset pair beneath the node pairs ``(a[k], b[k])``; a self
+    pair ``(a, a)`` yields each unordered pair of its datasets once."""
+    na, nb = tree.end[a] - tree.start[a], tree.end[b] - tree.start[b]
+    counts = na.astype(np.int64) * nb
+    pair = np.repeat(np.arange(a.size), counts)
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    p = tree.start[a][pair] + t // nb[pair]
+    q = tree.start[b][pair] + t % nb[pair]
+    keep = (a != b)[pair] | (p < q)
+    return tree.order[p[keep]], tree.order[q[keep]]
 
 
 def build_graph_indexed(market: Marketplace, delta: float,
                         tree: BallTree | None = None) -> DatasetGraph:
-    """Ball-tree-accelerated construction; edge set identical to the naive path.
+    """Dual-tree construction over a ball tree; edge set identical to the
+    naive path.
 
-    For each dataset the tree is walked from the root: a node is pruned when
-    the centroid distance minus both radii exceeds ``delta``, fully accepted
-    when the centroid distance plus both radii stays within ``delta``, and
-    otherwise recursed until an exact leaf check decides.
+    A frontier of node pairs starts at (root, root) and advances as array
+    operations. A self pair becomes its (left, left), (left, right) and
+    (right, right) pairs, so every unordered dataset pair is reached once. A
+    pair is pruned when its centroid distance minus both radii exceeds
+    ``delta``, accepted whole when the centroid distance plus both radii
+    stays within ``delta``, both with a guard margin, and otherwise its
+    larger non-leaf side is split. The leaf pairs left open are decided
+    together by one exact integer kernel.
     """
     if tree is None:
         tree = build_ball_tree(market)
@@ -287,64 +373,42 @@ def build_graph_indexed(market: Marketplace, delta: float,
         raise GraphConfigError("ball tree was built over a different marketplace")
     thr = _sq_threshold(delta)
     delta = float(delta)
-    ids = market.ids
-    n = len(ids)
-    coords = [market.cell_coords(did) for did in ids]
-
-    # leaf balls double as the per-dataset query balls
-    dcx = [0.0] * n
-    dcy = [0.0] * n
-    drad = [0.0] * n
-    for node in range(tree.n_nodes):
-        if tree.left[node] < 0:
-            j = int(tree.order[tree.start[node]])
-            dcx[j] = float(tree.centroids[node, 0])
-            dcy[j] = float(tree.centroids[node, 1])
-            drad[j] = float(tree.radii[node])
-
-    ncx = tree.centroids[:, 0].tolist()
-    ncy = tree.centroids[:, 1].tolist()
-    nrad = tree.radii.tolist()
-    nleft = tree.left.tolist()
-    nright = tree.right.tolist()
-    nstart = tree.start.tolist()
-    nend = tree.end.tolist()
-    order = tree.order.tolist()
-
-    neighbor_sets = {did: set() for did in ids}
     eps = _BOUND_EPS * market.grid.side
-    lo_guard = delta + eps
-    hi_guard = delta - eps
-    for i in range(n):
-        ci_x, ci_y, ri = dcx[i], dcy[i], drad[i]
-        found = []
-        stack = [0]
-        while stack:
-            b = stack.pop()
-            dx = ncx[b] - ci_x
-            dy = ncy[b] - ci_y
-            center_dist = math.sqrt(dx * dx + dy * dy)
-            rb = nrad[b]
-            if center_dist - ri - rb > lo_guard:
-                continue
-            if center_dist + ri + rb <= hi_guard:
-                found.extend(order[nstart[b]:nend[b]])
-                continue
-            if nleft[b] < 0:
-                j = order[nstart[b]]
-                if j != i and _min_sqdist_coords(coords[i], coords[j]) <= thr:
-                    found.append(j)
-            else:
-                stack.append(nleft[b])
-                stack.append(nright[b])
-        me = ids[i]
-        mine = neighbor_sets[me]
-        for j in found:
-            if j != i:
-                other = ids[j]
-                mine.add(other)
-                neighbor_sets[other].add(me)
-    return _graph_from_edges(market, delta, neighbor_sets)
+    cx, cy, radius = tree.centroids[:, 0], tree.centroids[:, 1], tree.radii
+    left, right = tree.left.astype(np.int64), tree.right.astype(np.int64)
+    is_leaf = left < 0
+    a = b = np.zeros(1, dtype=np.int64)
+    whole, open_leaves = [], []
+    while a.size:
+        reach = radius[a] + radius[b]
+        dist = np.sqrt((cx[a] - cx[b]) ** 2 + (cy[a] - cy[b]) ** 2)
+        near = dist - reach <= delta + eps
+        inside = near & (dist + reach <= delta - eps)
+        whole.append((a[inside], b[inside]))
+        same = a == b
+        undecided = near & ~inside & ~(same & is_leaf[a])
+        a, b, same = a[undecided], b[undecided], same[undecided]
+        leaves = is_leaf[a] & is_leaf[b]
+        open_leaves.append((a[leaves], b[leaves]))
+        cross = ~same & ~leaves
+        split_a = cross & ~is_leaf[a] & (is_leaf[b] | (radius[a] >= radius[b]))
+        split_b = cross & ~split_a
+        s, sa, sb = a[same], a[split_a], b[split_b]
+        a = np.concatenate([left[s], left[s], right[s],
+                            left[sa], right[sa], a[split_b], a[split_b]])
+        b = np.concatenate([left[s], right[s], right[s],
+                            b[split_a], b[split_a], left[sb], right[sb]])
+
+    cells, starts = _catalog_cells(market)
+    la, lb = (np.concatenate(side) for side in zip(*open_leaves))
+    li, lj = tree.order[tree.start[la]], tree.order[tree.start[lb]]
+    close = _min_sqdist_pairs(cells, starts, li, lj) <= thr
+    wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
+    ii = np.concatenate([li[close], wi])
+    jj = np.concatenate([lj[close], wj])
+    n = len(market)
+    key = np.sort(np.concatenate([ii * n + jj, jj * n + ii]))
+    return _graph_from_edges(market, delta, key // n, key % n)
 
 
 def bfs(adjacency, root):

@@ -469,6 +469,44 @@ class TestBench:
         assert [[r[i] for i in cols] for r in rows[1:]] == [
             ["10.0", "-", "5.00"], ["10.0", "-", "10.00"]]
 
+    def test_sweep_builds_each_catalog_and_graph_once(self, tmp_path, capsys, monkeypatch,
+                                                      small_points):
+        """The budget axis changes neither catalog nor graph, and delta only
+        the graph: 2 budgets x 2 deltas is one catalog and two graphs."""
+        import bmcc.cli
+        from bmcc.marketplace import Marketplace
+
+        calls = {"market": 0, "graph": []}
+        market_build = Marketplace.build.__func__
+        graph_build = bmcc.cli.build_graph_indexed
+
+        def counting_market(cls, *args, **kwargs):
+            calls["market"] += 1
+            return market_build(cls, *args, **kwargs)
+
+        def counting_graph(market, delta, *args, **kwargs):
+            calls["graph"].append(delta)
+            return graph_build(market, delta, *args, **kwargs)
+
+        monkeypatch.setattr(Marketplace, "build", classmethod(counting_market))
+        monkeypatch.setattr(bmcc.cli, "build_graph_indexed", counting_graph)
+        out = tmp_path / "bench.tsv"
+        code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa,cmc-mg",
+                         "--theta", "7", "--delta", "5,10", "--budget-ratio", "0.1,0.3",
+                         "--out", str(out))
+        assert code == 0
+        assert calls == {"market": 1, "graph": [5.0, 10.0]}
+        rows = [r.split("\t") for r in out.read_text().splitlines()]
+        cols = [rows[0].index(c) for c in ("solver", "budget_ratio", "delta")]
+        assert [[r[i] for i in cols] for r in rows[1:]] == [
+            [solver, ratio, delta] for ratio in ("0.1", "0.3") for delta in ("5.0", "10.0")
+            for solver in ("dsa", "cmc-mg")]
+        build_ms = rows[0].index("graph_build_ms")
+        by_delta = {}
+        for r in rows[1:]:
+            by_delta.setdefault(r[cols[2]], set()).add(r[build_ms])
+        assert all(len(times) == 1 for times in by_delta.values())
+
     def test_table_pricing_changes_budget(self, tmp_path, capsys, small_points):
         table = tmp_path / "prices.txt"
         ids = sorted({line.split(",")[0]

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bmcc import graph as graph_module
 from bmcc.grid import GridConfig
 from bmcc.graph import (
+    _PAIR_CHUNK,
     GraphConfigError,
+    _min_sqdist_coords,
+    _min_sqdist_pairs,
     build_ball_tree,
     build_graph_indexed,
     build_graph_naive,
@@ -18,6 +22,7 @@ from bmcc.graph import (
     write_adjacency,
 )
 from bmcc.marketplace import Marketplace, PricingFunction
+from bmcc.solvers import complete_graph_delta
 
 from conftest import (
     brute_force_min_distance,
@@ -206,6 +211,115 @@ class TestIndexedGraph:
         tree = build_ball_tree(m1)
         with pytest.raises(GraphConfigError):
             build_graph_indexed(m2, 1.0, tree)
+
+
+SKEWED_SIZES = (1, 2, 3, 7, 40, 300, 5000)
+
+
+def blob(rng, size, side):
+    """``size`` distinct cells drawn from a square window at a random spot."""
+    width = min(side, 2 * math.isqrt(size - 1) + 2)
+    x0, y0 = (int(v) for v in rng.integers(0, side - width + 1, size=2))
+    picks = rng.choice(width * width, size=size, replace=False)
+    return np.column_stack([x0 + picks % width, y0 + picks // width]).astype(np.int64)
+
+
+def kernel_inputs(coords):
+    starts = np.zeros(len(coords) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in coords], out=starts[1:])
+    return np.concatenate(coords), starts
+
+
+def skewed_market(seed, n=60, theta=8):
+    """One dataset of 5000 cells, two of 300, the rest of 1 to 40 cells."""
+    rng = np.random.default_rng(seed)
+    grid = GridConfig(theta=theta)
+    sizes = [5000, 300, 300] + [SKEWED_SIZES[i % 5] for i in range(n - 3)]
+    datasets = [make_dataset(f"d{i:02d}", [tuple(c) for c in blob(rng, size, grid.side)], grid)
+                for i, size in enumerate(sizes)]
+    return Marketplace.build(grid, datasets, PricingFunction.usage_based())
+
+
+class TestBatchedLeafKernel:
+    """The padded, size-classed kernel against the per-pair reference."""
+
+    def check_all_pairs(self, coords):
+        cells, starts = kernel_inputs(coords)
+        ii, jj = (a.ravel() for a in np.meshgrid(np.arange(len(coords)),
+                                                 np.arange(len(coords))))
+        got = _min_sqdist_pairs(cells, starts, ii, jj)
+        assert got.dtype == np.int64
+        for i, j, d2 in zip(ii.tolist(), jj.tolist(), got.tolist()):
+            assert d2 == _min_sqdist_coords(coords[i], coords[j]), (i, j)
+        return got
+
+    def test_mixed_size_classes_match_reference(self):
+        rng = np.random.default_rng(31)
+        # two sizes inside one power-of-two class (3/4, 5/7, 33/40, 260/300)
+        # pad the smaller one; pairs with 300 or 5000 cells exceed one chunk
+        sizes = (1, 2, 3, 4, 5, 7, 33, 40, 260, 300, 5000)
+        coords = [blob(rng, size, 1 << 9) for size in sizes]
+        products = [a * b for a in sizes for b in sizes]
+        assert min(products) < _PAIR_CHUNK < max(products)
+        got = self.check_all_pairs(coords)
+        assert (got == 0).any() and (got > 0).any()
+
+    def test_many_pairs_per_chunk(self):
+        rng = np.random.default_rng(32)
+        coords = [blob(rng, int(size), 64) for size in rng.choice(SKEWED_SIZES[:4], size=40)]
+        self.check_all_pairs(coords)
+
+    def test_theta31_corners_exact(self):
+        corners = [(0, 0), (THETA31_MAX, THETA31_MAX), (0, THETA31_MAX), (THETA31_MAX, 0),
+                   (1, 0), (THETA31_MAX - 1, THETA31_MAX)]
+        rng = np.random.default_rng(33)
+        coords = [np.array([corner], dtype=np.int64) for corner in corners]
+        for size in (2, 3, 7, 40):
+            far = rng.integers(0, THETA31_MAX + 1, size=(size - 1, 2))
+            coords.append(np.vstack([[corners[size % 4]], far]).astype(np.int64))
+        got = self.check_all_pairs(coords)
+        # the two opposite corners: d2 = 2 (2**31 - 1)**2, within 2**33 of 2**63
+        assert int(got.max()) == 2 * THETA31_MAX ** 2 > (1 << 63) - (1 << 33)
+        for k, (i, j) in enumerate(zip(*(a.ravel() for a in np.meshgrid(
+                np.arange(len(coords)), np.arange(len(coords)))))):
+            exact = min((int(ax) - int(bx)) ** 2 + (int(ay) - int(by)) ** 2
+                        for ax, ay in coords[i].tolist() for bx, by in coords[j].tolist())
+            assert int(got[k]) == exact
+
+    def test_empty_pair_list(self):
+        cells, starts = kernel_inputs([np.zeros((1, 2), dtype=np.int64)])
+        none = np.zeros(0, dtype=np.int64)
+        assert _min_sqdist_pairs(cells, starts, none, none).shape == (0,)
+
+
+class TestDualTreeWalk:
+    @pytest.fixture(scope="class")
+    def market(self):
+        return skewed_market(34)
+
+    @pytest.mark.parametrize("delta", [0, 3, 10, 40, 200, "complete"])
+    def test_skewed_sizes_match_naive(self, market, delta):
+        if delta == "complete":
+            delta = complete_graph_delta(market.grid)
+        assert build_graph_indexed(market, delta).adjacency == \
+            build_graph_naive(market, delta).adjacency
+
+    def test_no_pair_reaches_kernel_twice(self, market, monkeypatch):
+        seen = []
+
+        def recording(cells, starts, ii, jj):
+            seen.append(list(zip(ii.tolist(), jj.tolist())))
+            return _min_sqdist_pairs(cells, starts, ii, jj)
+
+        monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
+        tree = build_ball_tree(market)
+        for delta in (0, 3, 10, 40, 200):
+            seen.clear()
+            build_graph_indexed(market, delta, tree)
+            pairs = [pair for call in seen for pair in call]
+            assert pairs, delta
+            assert all(i != j for i, j in pairs)
+            assert len({frozenset(pair) for pair in pairs}) == len(pairs), delta
 
 
 THETA31_MAX = (1 << 31) - 1  # largest cell index at theta=31
