@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Dataset graphs: exact minimum distances, threshold edges, and the
-ball-tree-accelerated construction matching the naive one bit for bit."""
+indexed construction matching the naive one bit for bit. The index is a tree
+of integer bounding boxes (``build_ball_tree``); the walk prunes and accepts
+node pairs by exact box-gap and far-corner tests, with no rounding margin."""
 
 import time
 

@@ -118,6 +118,7 @@ def _decimal(text) -> Fraction:
 
 _NON_NEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0,
                          "finite and non-negative")
+_FINITE = _checked(float, math.isfinite, "finite")
 _SCALE = _checked(float, lambda m: 0 < m <= 1, "in (0, 1]")
 _THETA = _checked(int, lambda t: 1 <= t <= MAX_THETA, f"in [1, {MAX_THETA}]")
 _COUNT = _checked(int, lambda n: n >= 0, "non-negative")
@@ -138,7 +139,7 @@ _FLAGS = {
     "spread": dict(type=_NON_NEGATIVE, default=DEFAULT_SPREAD),
     "seed": dict(type=_COUNT, default=0),
     "theta": dict(type=_THETA, default=DEFAULT_THETA, help="grid resolution exponent"),
-    "bounds": dict(type=float, nargs=4, metavar=("X0", "Y0", "X1", "Y1")),
+    "bounds": dict(type=_FINITE, nargs=4, metavar=("X0", "Y0", "X1", "Y1")),
     "pricing": dict(choices=("usage", "table"), default="usage"),
     "price-table": dict(help="price file for --pricing table (one '<id> <price>' per line)"),
     "delimiter": dict(type=_CHARACTER, default=","),

@@ -4,16 +4,16 @@ Two datasets are directly connected when the minimum Euclidean distance
 between their decoded cell indices is at most the threshold ``delta``; the
 dataset graph has one node per catalog entry and an edge per directly
 connected pair. Construction comes in two flavours with identical output: a
-naive all-pairs evaluation, and a dual-tree walk over a ball tree of the
-datasets (Gray & Moore, "'N-Body' Problems in Statistical Learning", 2000).
-The walk advances a frontier of node pairs with array operations, pruning
-pairs whose balls are provably farther apart than ``delta`` and accepting
-whole those provably within it; the dataset pairs left open are decided
-together by one batched exact kernel.
+naive all-pairs evaluation, and a dual-tree walk over a tree of integer
+bounding boxes of the datasets (Gray & Moore, "'N-Body' Problems in
+Statistical Learning", 2000). The walk advances a frontier of node pairs with
+array operations, pruning pairs whose boxes are farther apart than ``delta``
+and accepting whole those whose farthest corners are within it; the dataset
+pairs left open are decided together by one batched exact kernel.
 
-Distances are exact: squared distances are integer arithmetic on cell
-indices, and both construction paths share one threshold predicate, so the
-edge sets are bit-identical by construction.
+Distances are exact: squared distances, box bounds included, are int64
+arithmetic on cell indices (below 2**63 even at theta=31), and both paths
+share one integer threshold, so the edge sets are bit-identical.
 """
 
 import math
@@ -26,12 +26,6 @@ import numpy as np
 
 from .grid import decode_cells, open_text
 from .marketplace import Marketplace, MarketplaceError, cents_to_decimal, to_cents
-
-# Ball-bound guard, relative to the grid side: prune/accept only with a clear
-# margin so float rounding in centroid arithmetic can never flip a borderline
-# pair; everything inside the margin falls through to the exact integer check
-# at the leaves.
-_BOUND_EPS = 1e-9
 
 _CHUNK_ELEMS = 4_000_000  # cap on temporary (cells_a x cells_b) matrices
 _PAIR_CHUNK = 1 << 14  # cell pairs per batched leaf-kernel step: 128 KB of int64
@@ -114,19 +108,19 @@ class Subgraph:
 
 @dataclass(eq=False)
 class BallTree:
-    """Binary ball tree over the catalog; one dataset per leaf.
+    """Binary bounding-box tree over the catalog; one dataset per leaf.
 
     Nodes are stored as flat arrays; ``order[start[i]:end[i]]`` lists the
-    dataset indices (into ``ids``) beneath node ``i``. ``centroids[i]`` is the
-    mean of every cell coordinate under the node and ``radii[i]`` the maximum
-    distance from that mean to any covered cell.
+    dataset indices (into ``ids``) beneath node ``i``. ``lo[i]`` and ``hi[i]``
+    are the smallest and largest cell index on each axis over every cell under
+    the node, so a leaf's box is its dataset's box.
     """
 
     market: Marketplace
     ids: tuple[str, ...]
     order: np.ndarray        # (n,) permutation of dataset indices
-    centroids: np.ndarray    # (m, 2) float64
-    radii: np.ndarray        # (m,) float64
+    lo: np.ndarray           # (m, 2) int64 box corner
+    hi: np.ndarray           # (m, 2) int64 opposite box corner
     left: np.ndarray         # (m,) int32, -1 for leaves
     right: np.ndarray        # (m,) int32
     start: np.ndarray        # (m,) int32 range into order
@@ -134,7 +128,7 @@ class BallTree:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.radii)
+        return len(self.lo)
 
     def is_leaf(self, node: int) -> bool:
         return self.left[node] < 0
@@ -146,8 +140,8 @@ class BallTree:
 def _sq_threshold(delta: float) -> int:
     """Integer threshold T with (int) d2 <= delta**2  <=>  d2 <= T, exact
     even where the float square of ``delta`` would round."""
-    if delta < 0:
-        raise GraphConfigError("delta must be non-negative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise GraphConfigError("delta must be finite and non-negative")
     return math.floor(Fraction(float(delta)) ** 2)
 
 
@@ -179,11 +173,11 @@ def dataset_distance(a, b) -> float:
 
 def _catalog_cells(market: Marketplace):
     """Every cell of the catalog as one (C, 2) int64 array, datasets in id
-    order; dataset ``j`` owns rows ``starts[j]:starts[j + 1]``."""
-    coords = [market.cell_coords(did) for did in market.ids]
-    starts = np.zeros(len(coords) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in coords], out=starts[1:])
-    return np.concatenate(coords), starts
+    order, from one decode; dataset ``j`` owns rows ``starts[j]:starts[j + 1]``."""
+    morton = [ds.cells for ds in market.datasets.values()]
+    starts = np.zeros(len(morton) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in morton], out=starts[1:])
+    return decode_cells(np.concatenate(morton)), starts
 
 
 _matrix_cache: "weakref.WeakKeyDictionary[Marketplace, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -243,54 +237,46 @@ def _ranges(lo, hi):
 
 
 def build_ball_tree(market: Marketplace) -> BallTree:
-    """Top-down ball tree with one dataset per leaf, built a level at a time.
+    """Top-down box tree with one dataset per leaf, built a level at a time.
 
-    Each internal node splits its datasets at the median of the dataset
-    centroids along the axis where they spread widest, ties going to the
-    smaller id; one ``lexsort`` over (node, coordinate, id) orders every node
-    of a level. Nodes are numbered level by level. A node's centroid is the
-    mean of all its cells, from per-dataset cell sums; its radius is the
-    largest distance from that stored centroid to one of its cells, one
-    ``maximum.reduceat`` per level.
+    A node's box is one ``minimum``/``maximum.reduceat`` over the boxes of
+    its datasets. Each internal node splits its datasets at the median of
+    their box centres, kept integer as ``lo + hi``, along the wider axis of
+    the node's box, ties going to the smaller id; one ``lexsort`` over (node,
+    centre, id) orders every node of a level. Nodes are numbered level by
+    level.
     """
     cells, starts = _catalog_cells(market)
-    xs, ys = cells[:, 0].astype(np.float64), cells[:, 1].astype(np.float64)
-    sizes = np.diff(starts)
-    sums = np.add.reduceat(cells, starts[:-1], axis=0)
-    dcent = sums / sizes[:, None]
-    order = np.arange(len(sizes))
+    box_lo = np.minimum.reduceat(cells, starts[:-1], axis=0)
+    box_hi = np.maximum.reduceat(cells, starts[:-1], axis=0)
+    centre = box_lo + box_hi
+    order = np.arange(len(centre))
     levels = []
-    lo, hi = np.zeros(1, dtype=np.int64), np.full(1, len(sizes), dtype=np.int64)
+    begin, stop = np.zeros(1, dtype=np.int64), np.full(1, len(order), dtype=np.int64)
     first = 0
-    while lo.size:
-        pos = _ranges(lo, hi)
+    while begin.size:
+        pos = _ranges(begin, stop)
         members = order[pos]
-        counts = hi - lo
+        counts = stop - begin
         heads = np.cumsum(counts) - counts
-        ncells = np.add.reduceat(sizes[members], heads)
-        centroid = np.add.reduceat(sums[members], heads) / ncells[:, None]
-        rows = _ranges(starts[members], starts[members + 1])
-        dx = xs[rows] - np.repeat(centroid[:, 0], ncells)
-        dy = ys[rows] - np.repeat(centroid[:, 1], ncells)
-        radius = np.sqrt(np.maximum.reduceat(dx * dx + dy * dy, np.cumsum(ncells) - ncells))
-        cent = dcent[members]
-        spread = np.maximum.reduceat(cent, heads) - np.minimum.reduceat(cent, heads)
-        axis = np.repeat(spread[:, 1] > spread[:, 0], counts).astype(np.int64)
-        seg = np.repeat(np.arange(lo.size), counts)
-        order[pos] = members[np.lexsort((members, cent[np.arange(pos.size), axis], seg))]
+        lo = np.minimum.reduceat(box_lo[members], heads)
+        hi = np.maximum.reduceat(box_hi[members], heads)
+        axis = np.repeat(np.argmax(hi - lo, axis=1), counts)  # wider axis, x on ties
+        seg = np.repeat(np.arange(begin.size), counts)
+        order[pos] = members[np.lexsort((members, centre[members, axis], seg))]
         split = counts > 1
-        left = np.full(lo.size, -1)
-        left[split] = first + lo.size + 2 * np.arange(np.count_nonzero(split))
-        levels.append((lo, hi, centroid, radius, left))
-        first += lo.size
-        lo, hi = lo[split], hi[split]
-        mid = lo + (hi - lo + 1) // 2
-        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-    start, end, centroids, radii, left = (np.concatenate(col) for col in zip(*levels))
-    return BallTree(market=market, ids=market.ids, order=order, centroids=centroids,
-                    radii=radii, left=left.astype(np.int32),
+        left = np.full(begin.size, -1)
+        left[split] = first + begin.size + 2 * np.arange(np.count_nonzero(split))
+        levels.append((begin, stop, lo, hi, left))
+        first += begin.size
+        begin, stop = begin[split], stop[split]
+        mid = begin + (stop - begin + 1) // 2
+        begin, stop = np.column_stack([begin, mid]).ravel(), np.column_stack([mid, stop]).ravel()
+    begin, stop, lo, hi, left = (np.concatenate(col) for col in zip(*levels))
+    return BallTree(market=market, ids=market.ids, order=order, lo=lo, hi=hi,
+                    left=left.astype(np.int32),
                     right=np.where(left < 0, -1, left + 1).astype(np.int32),
-                    start=start.astype(np.int32), end=end.astype(np.int32))
+                    start=begin.astype(np.int32), end=stop.astype(np.int32))
 
 
 def _padded(starts, sizes, datasets, width):
@@ -355,35 +341,38 @@ def _datasets_under(tree: BallTree, a, b):
 
 def build_graph_indexed(market: Marketplace, delta: float,
                         tree: BallTree | None = None) -> DatasetGraph:
-    """Dual-tree construction over a ball tree; edge set identical to the
+    """Dual-tree construction over a box tree; edge set identical to the
     naive path.
 
     A frontier of node pairs starts at (root, root) and advances as array
     operations. A self pair becomes its (left, left), (left, right) and
     (right, right) pairs, so every unordered dataset pair is reached once. A
-    pair is pruned when its centroid distance minus both radii exceeds
-    ``delta``, accepted whole when the centroid distance plus both radii
-    stays within ``delta``, both with a guard margin, and otherwise its
-    larger non-leaf side is split. The leaf pairs left open are decided
-    together by one exact integer kernel.
+    pair is pruned when the squared gap between its boxes exceeds the integer
+    threshold, accepted whole when the squared distance between their
+    farthest corners is within it, and otherwise the side with the larger
+    half-perimeter is split, leaves never. Both tests are exact int64, so no
+    margin is needed. Leaf boxes are dataset boxes: the leaf pairs left open
+    are box-near, and one exact integer kernel decides them together.
     """
     if tree is None:
         tree = build_ball_tree(market)
     if tree.market is not market:
         raise GraphConfigError("ball tree was built over a different marketplace")
     thr = _sq_threshold(delta)
-    delta = float(delta)
-    eps = _BOUND_EPS * market.grid.side
-    cx, cy, radius = tree.centroids[:, 0], tree.centroids[:, 1], tree.radii
+    (lx, ly), (hx, hy) = tree.lo.T, tree.hi.T
+    size = hx - lx + hy - ly  # half-perimeter
     left, right = tree.left.astype(np.int64), tree.right.astype(np.int64)
     is_leaf = left < 0
     a = b = np.zeros(1, dtype=np.int64)
     whole, open_leaves = [], []
     while a.size:
-        reach = radius[a] + radius[b]
-        dist = np.sqrt((cx[a] - cx[b]) ** 2 + (cy[a] - cy[b]) ** 2)
-        near = dist - reach <= delta + eps
-        inside = near & (dist + reach <= delta - eps)
+        # per axis, the larger offset between facing box faces is the gap if
+        # positive, and the smaller one is minus the span of the far corners
+        ex, fx, ey, fy = lx[a] - hx[b], lx[b] - hx[a], ly[a] - hy[b], ly[b] - hy[a]
+        gx, gy = np.maximum(np.maximum(ex, fx), 0), np.maximum(np.maximum(ey, fy), 0)
+        cx, cy = np.minimum(ex, fx), np.minimum(ey, fy)
+        near = gx * gx + gy * gy <= thr
+        inside = near & (cx * cx + cy * cy <= thr)
         whole.append((a[inside], b[inside]))
         same = a == b
         undecided = near & ~inside & ~(same & is_leaf[a])
@@ -391,7 +380,7 @@ def build_graph_indexed(market: Marketplace, delta: float,
         leaves = is_leaf[a] & is_leaf[b]
         open_leaves.append((a[leaves], b[leaves]))
         cross = ~same & ~leaves
-        split_a = cross & ~is_leaf[a] & (is_leaf[b] | (radius[a] >= radius[b]))
+        split_a = cross & ~is_leaf[a] & (is_leaf[b] | (size[a] >= size[b]))
         split_b = cross & ~split_a
         s, sa, sb = a[same], a[split_a], b[split_b]
         a = np.concatenate([left[s], left[s], right[s],

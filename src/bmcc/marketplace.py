@@ -93,13 +93,13 @@ class PricingFunction:
 
 @dataclass(eq=False)
 class Marketplace:
-    """Immutable catalog of cell-based datasets under one grid, with prices."""
+    """Immutable catalog of cell-based datasets under one grid, with prices;
+    ids are non-empty and whitespace-free, so catalog lines split back into them."""
 
     grid: GridConfig
     datasets: dict[str, CellBasedDataset]
     pricing: PricingFunction
     _price_cents: dict[str, int] = field(init=False, repr=False)
-    _coords: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.datasets:
@@ -107,6 +107,9 @@ class Marketplace:
         self.datasets = {did: self.datasets[did] for did in sorted(self.datasets)}
         prices = {}
         for did, ds in self.datasets.items():
+            if not isinstance(did, str) or did.split() != [did]:
+                raise MarketplaceError(
+                    f"dataset id {did!r} must be a non-empty string without whitespace")
             if ds.id != did:
                 raise MarketplaceError(f"dataset keyed {did!r} carries id {ds.id!r}")
             if ds.grid is not None and ds.grid != self.grid:
@@ -171,15 +174,6 @@ class Marketplace:
         """Ids of all datasets individually priced within ``budget``."""
         b = to_cents(budget)
         return {did for did, c in self._price_cents.items() if c <= b}
-
-    def cell_coords(self, dataset_id: str) -> np.ndarray:
-        """Decoded (n, 2) integer cell indices of one dataset, cached."""
-        coords = self._coords.get(dataset_id)
-        if coords is None:
-            from .grid import decode_cells
-            coords = decode_cells(self.dataset(dataset_id).cells)
-            self._coords[dataset_id] = coords
-        return coords
 
 
 def save_catalog(market: Marketplace, path) -> None:

@@ -50,6 +50,17 @@ class TestIngest:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("bounds", [("nan", "0", "1", "1"), ("0", "0", "inf", "1")],
+                             ids=["nan", "inf"])
+    def test_non_finite_bounds_is_usage_error(self, tmp_path, capsys, bounds):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.5,0.5"])
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "x.cat"),
+                           "--bounds", *bounds)
+        assert code == 1
+        bad = next(b for b in bounds if b in ("nan", "inf"))
+        assert err.splitlines() == [f"error: argument --bounds: must be finite, got {bad!r}"]
+
     def test_overflowing_cell_index_is_one_data_error(self, tmp_path, capsys, recwarn):
         """Bounds so tight that the cell index overflows to inf: the point is
         outside, reported with plain floats, and numpy stays quiet."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmcc import graph as graph_module
-from bmcc.grid import GridConfig
+from bmcc.grid import GridConfig, decode_cells
 from bmcc.graph import (
     _PAIR_CHUNK,
     GraphConfigError,
@@ -22,7 +22,7 @@ from bmcc.graph import (
     write_adjacency,
 )
 from bmcc.marketplace import Marketplace, PricingFunction
-from bmcc.solvers import complete_graph_delta
+from bmcc.solvers import complete_graph_delta, solve
 
 from conftest import (
     brute_force_min_distance,
@@ -114,18 +114,42 @@ class TestNaiveGraph:
                 assert math.sqrt(matrix[i, j]) == pytest.approx(expected, abs=1e-12)
 
 
+def scattered_market(seed, n=64, theta=6):
+    """``n`` datasets of up to five cells clustered around random spots."""
+    rng = np.random.default_rng(seed)
+    grid = GridConfig(theta=theta)
+    side = grid.side
+    datasets = []
+    for i in range(n):
+        cx, cy = int(rng.integers(0, side)), int(rng.integers(0, side))
+        pairs = sorted({(int(np.clip(cx + dx, 0, side - 1)),
+                         int(np.clip(cy + dy, 0, side - 1)))
+                        for dx, dy in rng.integers(-2, 3, size=(5, 2))})
+        datasets.append(make_dataset(f"d{i:02d}", pairs, grid))
+    return Marketplace.build(grid, datasets, PricingFunction.usage_based())
+
+
+def cells_under(tree, node):
+    """Decoded (n, 2) cell indices of every dataset beneath ``node``."""
+    return np.concatenate([decode_cells(tree.market.dataset(did).cells)
+                           for did in tree.datasets_under(node)])
+
+
 class TestBallTree:
     def test_single_dataset_single_leaf(self):
         m = make_market({"a": [(0, 0), (2, 2)]}, theta=3)
         tree = build_ball_tree(m)
         assert tree.n_nodes == 1
         assert tree.is_leaf(0)
-        assert tree.radii[0] == pytest.approx(math.hypot(1, 1))
+        assert tree.lo.tolist() == [[0, 0]] and tree.hi.tolist() == [[2, 2]]
 
-    def test_one_cell_dataset_zero_radius(self):
-        m = make_market({"a": [(5, 5)]}, theta=3)
+    def test_one_cell_dataset_point_box(self):
+        m = make_market({"a": [(5, 5)], "b": [(1, 6), (3, 2)]}, theta=3)
         tree = build_ball_tree(m)
-        assert tree.radii[0] == 0.0
+        leaf, = (n for n in range(tree.n_nodes) if tree.datasets_under(n) == ("a",))
+        assert tree.is_leaf(leaf)
+        assert tree.lo[leaf].tolist() == tree.hi[leaf].tolist() == [5, 5]
+        assert tree.lo.dtype == tree.hi.dtype == np.int64
 
     def test_leaves_partition_catalog(self):
         rng = np.random.default_rng(13)
@@ -139,28 +163,19 @@ class TestBallTree:
             seen.extend(under)
         assert sorted(seen) == sorted(m.ids)
 
-    def test_every_cell_inside_ancestor_balls(self):
-        rng = np.random.default_rng(14)
-        side = 64
-        grid = GridConfig(theta=6)
-        datasets = []
-        for i in range(64):
-            cx, cy = int(rng.integers(0, side)), int(rng.integers(0, side))
-            pairs = sorted({(int(np.clip(cx + dx, 0, side - 1)),
-                             int(np.clip(cy + dy, 0, side - 1)))
-                            for dx, dy in rng.integers(-2, 3, size=(5, 2))})
-            datasets.append(make_dataset(f"d{i:02d}", pairs, grid))
-        m = Marketplace.build(grid, datasets, PricingFunction.usage_based())
-        tree = build_ball_tree(m)
-        index = {did: k for k, did in enumerate(m.ids)}
+    def test_every_cell_inside_ancestor_boxes(self):
+        tree = build_ball_tree(scattered_market(14))
+        assert tree.n_nodes == 2 * 64 - 1
         for node in range(tree.n_nodes):
-            centroid = tree.centroids[node]
-            radius = tree.radii[node]
-            for did in tree.datasets_under(node):
-                coords = m.cell_coords(did)
-                dist = np.sqrt(((coords - centroid) ** 2).sum(axis=1)).max()
-                assert dist <= radius + 1e-9
-        assert index  # catalog non-trivial
+            cells = cells_under(tree, node)
+            assert (tree.lo[node] <= cells).all() and (cells <= tree.hi[node]).all(), node
+
+    def test_each_box_face_touches_a_cell(self):
+        tree = build_ball_tree(scattered_market(15))
+        for node in range(tree.n_nodes):
+            cells = cells_under(tree, node)
+            assert cells.min(axis=0).tolist() == tree.lo[node].tolist(), node
+            assert cells.max(axis=0).tolist() == tree.hi[node].tolist(), node
 
 
 class TestIndexedGraph:
@@ -211,6 +226,16 @@ class TestIndexedGraph:
         tree = build_ball_tree(m1)
         with pytest.raises(GraphConfigError):
             build_graph_indexed(m2, 1.0, tree)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("build", [build_graph_naive, build_graph_indexed,
+                                   lambda m, delta: solve("dsa", m, 1, delta)],
+                         ids=["naive", "indexed", "solve"])
+def test_bad_delta_is_graph_config_error(build, delta):
+    m = make_market({"a": [(0, 0)], "b": [(1, 1)]}, theta=3)
+    with pytest.raises(GraphConfigError, match="delta must be finite and non-negative"):
+        build(m, delta)
 
 
 SKEWED_SIZES = (1, 2, 3, 7, 40, 300, 5000)
@@ -321,13 +346,45 @@ class TestDualTreeWalk:
             assert all(i != j for i, j in pairs)
             assert len({frozenset(pair) for pair in pairs}) == len(pairs), delta
 
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The ``(ii, jj)`` dataset pairs of every call to the exact kernel."""
+        calls = []
+
+        def recording(cells, starts, ii, jj):
+            calls.append((ii.copy(), jj.copy()))
+            return _min_sqdist_pairs(cells, starts, ii, jj)
+
+        monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
+        return calls
+
+    def test_far_corners_exactly_delta_apart_accepted_whole(self, kernel_calls):
+        # 3-4-5: both datasets' cells fit in one box whose diagonal is delta
+        m = make_market({"a": [(0, 0)], "b": [(3, 4)]}, theta=3)
+        assert build_graph_indexed(m, 5).adjacency == {"a": ("b",), "b": ("a",)}
+        assert all(ii.size == 0 for ii, _ in kernel_calls)
+
+    def test_kernel_sees_no_box_separated_pair(self, market, kernel_calls):
+        """A dataset pair whose bounding boxes are more than delta apart is
+        settled before the exact kernel."""
+        coords = [decode_cells(market.dataset(did).cells) for did in market.ids]
+        lo = np.array([c.min(axis=0) for c in coords])
+        hi = np.array([c.max(axis=0) for c in coords])
+        tree = build_ball_tree(market)
+        for delta in (0, 3, 10, 40, 200):
+            kernel_calls.clear()
+            build_graph_indexed(market, delta, tree)
+            ii, jj = (np.concatenate(side) for side in zip(*kernel_calls))
+            gap = np.maximum(np.maximum(lo[ii] - hi[jj], lo[jj] - hi[ii]), 0)
+            assert ((gap * gap).sum(axis=1) <= delta * delta).all(), delta
+
 
 THETA31_MAX = (1 << 31) - 1  # largest cell index at theta=31
 
 
 class TestTheta31Exactness:
     """At theta=31 a squared distance needs 62 bits, past a float's 53: the
-    threshold and the ball-bound guard must stay exact there."""
+    threshold and the box gap and far-corner bounds must stay exact there."""
 
     @pytest.mark.parametrize("far, edge", [((THETA31_MAX, 0), True),
                                            ((THETA31_MAX, 1), False)],

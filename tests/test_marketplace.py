@@ -122,6 +122,15 @@ class TestCatalogStructure:
         with pytest.raises(MarketplaceError):
             Marketplace.build(grid, [d, d])
 
+    @pytest.mark.parametrize("did", ["", "a b", 7], ids=["empty", "whitespace", "not-a-string"])
+    def test_id_that_cannot_round_trip_rejected(self, did):
+        # a catalog line splits on whitespace: '' would load as another
+        # dataset, 'a b' would not load at all and 7 would load as '7'
+        grid = GridConfig(theta=2)
+        d = CellBasedDataset(id=did, cells=np.array([1, 2]), grid=grid)
+        with pytest.raises(MarketplaceError, match=repr(did)):
+            Marketplace.build(grid, [d])
+
     def test_ids_sorted(self):
         m = make_market({"b": [(0, 0)], "a": [(1, 1)]}, theta=2)
         assert m.ids == ("a", "b")
