@@ -137,11 +137,21 @@ class BallTree:
         return tuple(self.ids[j] for j in self.order[self.start[node]:self.end[node]])
 
 
+def check_delta(delta: float) -> None:
+    """Raise :class:`GraphConfigError` unless ``delta`` is finite and
+    non-negative; a Python int beyond float range counts as infinite."""
+    try:
+        valid = math.isfinite(delta) and delta >= 0
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise GraphConfigError("delta must be finite and non-negative")
+
+
 def _sq_threshold(delta: float) -> int:
     """Integer threshold T with (int) d2 <= delta**2  <=>  d2 <= T, exact
     even where the float square of ``delta`` would round."""
-    if not (math.isfinite(delta) and delta >= 0):
-        raise GraphConfigError("delta must be finite and non-negative")
+    check_delta(delta)
     return math.floor(Fraction(float(delta)) ** 2)
 
 

@@ -21,6 +21,17 @@ Available strategies:
 Every tie among equal-scoring candidates breaks toward the smallest id, so
 all solvers are deterministic functions of their inputs.
 
+Each solve works on a candidate graph, the datasets priced within the budget.
+When every dataset fits, it shares the query graph's adjacency and prices
+rather than copying them, but it is a new object, so the cell sets it builds
+die with the solve. A component of one or two members has a closed form
+in :func:`budgeted_greedy` and ``cmc``, with no path set-up: every path
+greedy grown from its root takes the other member exactly when the two
+prices fit together. Its double-BFS center and BFS tree take no BFS. In ``dsa`` and ``cmc`` a candidate's coverage and
+price come from the state that grew it; ``dpsa`` counts them on the set that
+:func:`budgeted_greedy` returns. A candidate's ids are sorted only if it can
+win (:func:`_offer`).
+
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
 
@@ -57,6 +68,7 @@ from .graph import (
     Subgraph,
     bfs,
     build_graph_indexed,
+    check_delta,
     connected_components,
 )
 from .grid import CellRangeError, GridConfig, CellBasedDataset
@@ -173,7 +185,13 @@ class VerificationReport:
 
 def _prepare(market, budget, delta, graph):
     """Common front matter: the budget in cents and the candidate graph, the
-    graph induced by the datasets priced within the budget."""
+    graph induced by the datasets priced within the budget.
+
+    When every dataset fits, the candidate graph shares the query graph's
+    adjacency and prices instead of copying them. It is still a new graph
+    object, so the ``cells`` it builds are dropped with the solve and never
+    cached on the caller's long-lived graph.
+    """
     b = to_cents(budget)
     if b < 0:
         raise ValueError("budget must be non-negative")
@@ -182,9 +200,12 @@ def _prepare(market, budget, delta, graph):
     else:
         if graph.market is not market:
             raise GraphConfigError("graph was built over a different marketplace")
+        check_delta(delta)
         if graph.delta != float(delta):
             raise GraphConfigError(
                 f"graph was built at delta={graph.delta}, solve requested {delta}")
+    if max(graph.prices.values(), default=0) <= b:
+        return b, DatasetGraph(graph.delta, graph.prices, graph.adjacency, graph.market)
     return b, graph.restricted(did for did, price in graph.prices.items() if price <= b)
 
 
@@ -193,17 +214,38 @@ def _empty_solution(algorithm, status=STATUS_BELOW_MINIMUM, rounds=None):
                     coverage=0, status=status, round_coverages=rounds)
 
 
-def _candidate_order_key(graph, ids):
-    """Summary of a candidate node set, ``(-coverage, price, sorted ids)``:
-    the smallest key is the best candidate."""
-    sel = tuple(sorted(ids))
-    covered = frozenset().union(*(graph.cells[d] for d in sel))
-    return (-len(covered), sum(graph.prices[d] for d in sel), sel)
+# Sorts after the key of every candidate: no candidate has negative coverage.
+_NO_CANDIDATE = (1, 0, ())
+
+
+def _offer(best, selected, coverage, price):
+    """The better of ``best`` and the candidate node set ``selected``, as keys
+    ``(-coverage, price, sorted ids)``: the smallest key is the best
+    candidate. The ids are sorted only for a candidate that ties or beats
+    ``best`` on coverage and price."""
+    if (-coverage, price) <= best[:2]:
+        return min(best, (-coverage, price, tuple(sorted(selected))))
+    return best
 
 
 def _solution(algorithm, key, rounds=None):
     """The :class:`Solution` of a candidate summarized by ``key``."""
     return Solution(algorithm, key[2], key[1], -key[0], round_coverages=rounds)
+
+
+def _measure(selected, cells_map, prices):
+    """``(selected, coverage, price)`` of the node set ``selected``."""
+    covered = frozenset().union(*map(cells_map.get, selected))
+    return selected, len(covered), sum(map(prices.get, selected))
+
+
+def _small_growth(members, root, prices, b):
+    """What every path greedy grown from ``root`` selects on a component of
+    one or two members, whose root fits ``b``: the root, and the other
+    member, the one leaf, if the two prices fit ``b`` together."""
+    if len(members) == 2 and prices[members[0]] + prices[members[1]] <= b:
+        return members
+    return (root,)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +441,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
         return _empty_solution("dsa", rounds=(0, 0))
     adjacency, cells_map, prices = candidate.adjacency, candidate.cells, candidate.prices
 
-    def one_round(ratio_based: bool) -> set[str]:
+    def one_round(ratio_based: bool) -> tuple[set[str], int, int]:
         covered: set[int] = set()
         selected: set[str] = set()
         frontier: set[str] = set()
@@ -418,12 +460,14 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             spent += prices[did]
             covered.update(cells_map[did])
             frontier.update(adjacency[did])
-        return selected
+        return selected, len(covered), spent
 
-    k1 = _candidate_order_key(candidate, one_round(ratio_based=True))
-    k2 = _candidate_order_key(candidate, one_round(ratio_based=False))
+    first = one_round(ratio_based=True)
+    second = one_round(ratio_based=False)
     # the raw-gain pass wins only on strictly higher coverage
-    return _solution("dsa", k2 if k2[0] < k1[0] else k1, rounds=(-k1[0], -k2[0]))
+    selected, coverage, price = second if second[1] > first[1] else first
+    return Solution("dsa", tuple(sorted(selected)), price, coverage,
+                    round_coverages=(first[1], second[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +525,15 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
 
     BFS from the smallest id finds a farthest node, BFS from there finds the
     opposite end; the midpoint of that path is returned as center with half
-    the path length (rounded up) as radius.
+    the path length (rounded up) as radius. A component of one or two
+    members needs no BFS: the walk ends on its last member.
     """
+    members = sub.members
+    if len(members) <= 2:
+        return TwoBfsResult(center=members[-1], radius=len(members) - 1,
+                            diameter=len(members) - 1)
     adjacency = sub.graph.adjacency
-    vj = min(bfs(adjacency, sub.members[0])[1][-1])  # farthest, smallest id
+    vj = min(bfs(adjacency, members[0])[1][-1])  # farthest, smallest id
     parent, layers = bfs(adjacency, vj)
     vk = min(layers[-1])
     diameter = len(layers) - 1
@@ -497,6 +546,11 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     """Layerwise BFS tree from ``root`` with the path of every leaf; the root
     is never a leaf, so a one-node component has none."""
+    if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
+        leaves = tuple(u for u in sub.members if u != root)
+        return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
+                       leaves=leaves, paths={leaf: (leaf,) for leaf in leaves},
+                       tree_depth=len(leaves), component=sub)
     parent, layers = bfs(sub.graph.adjacency, root)
     inner = set(parent.values())
     leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
@@ -558,8 +612,9 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     of every path sharing its nodes, which can raise their ratios. It scans
     the exact scores that :class:`_PathGrowth` keeps up to date instead.
     Both flags start from a copy of the tree's path set-up, which is built
-    from ``tree.component`` (the ``sub`` it was built on) once per tree; a
-    tree without leaves returns its root alone.
+    from ``tree.component`` (the ``sub`` it was built on) once per tree. A
+    tree of one or two nodes needs none: it returns its root, plus the other
+    node if the two prices fit together (:func:`_small_growth`).
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
@@ -567,8 +622,8 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     prices = sub.graph.prices
     if prices[tree.root] > b:
         return set()
-    if not tree.leaves:
-        return {tree.root}
+    if len(tree.parent) <= 2:
+        return set(_small_growth(tuple(tree.parent), tree.root, prices, b))
     growth = tree._growth.copy()
     gain, dp = growth.gain, growth.dp
     if flag == "coverage":
@@ -602,21 +657,22 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution(label, rounds=(0, 0))
-    # one _candidate_order_key per component and flag: every member of the
-    # candidate graph fits the budget, so no greedy result is empty
-    keys = {"ratio": [], "coverage": []}
+    cells_map, prices = candidate.cells, candidate.prices
+    # every member of the candidate graph fits the budget, so no greedy
+    # result is empty; rounds holds the best coverage of each flag
+    best, rounds = _NO_CANDIDATE, [0, 0]
     for sub in connected_components(candidate):
         if center_mode == "exact":
             center = find_center_exact(sub).center
         else:
             center = find_center_two_bfs(sub).center
         tree = build_bfs_tree(sub, center)
-        for flag, found in keys.items():
-            chosen = budgeted_greedy(sub, tree, budget, flag)
-            found.append(_candidate_order_key(candidate, chosen))
-    # keys sort as (-coverage, price, ids), so each flag's best gives its coverage
-    rounds = tuple(-min(found)[0] for found in keys.values())
-    return _solution(label, min(keys["ratio"] + keys["coverage"]), rounds=rounds)
+        for i, flag in enumerate(("ratio", "coverage")):
+            grown = budgeted_greedy(sub, tree, budget, flag)
+            selected, coverage, price = _measure(grown, cells_map, prices)
+            rounds[i] = max(rounds[i], coverage)
+            best = _offer(best, selected, coverage, price)
+    return _solution(label, best, rounds=tuple(rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +695,14 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     if not candidate.nodes:
         return _empty_solution(label)
     prices, cells_map = candidate.prices, candidate.cells
-    results = []
+    best = _NO_CANDIDATE
     for sub in connected_components(candidate):
-        root = sub.members[0]
+        members = sub.members
+        root = members[0]
+        if len(members) <= 2:
+            selected = _small_growth(members, root, prices, b)
+            best = _offer(best, *_measure(selected, cells_map, prices))
+            continue
         parent, _ = bfs(candidate.adjacency, root)
         paths = _root_paths(parent)
         growth = _PathGrowth(parent, cells_map, prices, paths)
@@ -656,19 +717,19 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         pool = dict.fromkeys(sorted(paths))
         while pool:
             room = b - growth.spent
-            best, best_num, best_n = None, 0, 1
+            pick, best_num, best_n = None, 0, 1
             for u in pool:
                 if dp[u] > room:
                     continue
                 num, n_nodes = nums[u], len(paths[u])
-                if best is None or num * best_n > best_num * n_nodes:
-                    best, best_num, best_n = u, num, n_nodes
-            if best is None:
+                if pick is None or num * best_n > best_num * n_nodes:
+                    pick, best_num, best_n = u, num, n_nodes
+            if pick is None:
                 break
-            growth.take(best)
-            del pool[best]
-        results.append(growth.selected)
-    return _solution(label, min(_candidate_order_key(candidate, c) for c in results))
+            growth.take(pick)
+            del pool[pick]
+        best = _offer(best, growth.selected, len(growth.covered), growth.spent)
+    return _solution(label, best)
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +774,9 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution("exact")
-    best = (0, 0, ())  # _candidate_order_key of the empty set
+    best = (0, 0, ())  # the key of the empty set
     for members, covered, price in _connected_sets(candidate, b):
-        if (-len(covered), price) <= best[:2]:
-            best = min(best, (-len(covered), price, tuple(sorted(members))))
+        best = _offer(best, members, len(covered), price)
     return _solution("exact", best)
 
 

@@ -238,6 +238,20 @@ def test_bad_delta_is_graph_config_error(build, delta):
         build(m, delta)
 
 
+@pytest.mark.parametrize("delta", [10**400, -10**400], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("build", [
+    build_graph_naive, build_graph_indexed,
+    lambda m, delta: solve("dsa", m, 1, delta),
+    lambda m, delta: solve("dsa", m, 1, delta, graph=build_graph_naive(m, 1)),
+], ids=["naive", "indexed", "solve", "solve-on-graph"])
+def test_delta_beyond_float_range_is_graph_config_error(build, delta):
+    """A Python int too large for a float is rejected as a bad delta, not
+    left to escape as the ``OverflowError`` of its float conversion."""
+    m = make_market({"a": [(0, 0)], "b": [(1, 1)]}, theta=3)
+    with pytest.raises(GraphConfigError, match="delta must be finite and non-negative"):
+        build(m, delta)
+
+
 SKEWED_SIZES = (1, 2, 3, 7, 40, 300, 5000)
 
 

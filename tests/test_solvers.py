@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bmcc.solvers as solvers
+import reference_solvers as ref
 from bmcc.graph import build_graph_naive, connected_components
 from bmcc.grid import CellRangeError
 from bmcc.marketplace import cents_to_decimal
@@ -227,10 +228,14 @@ def _count_path_setups(monkeypatch):
 
 
 # Path set-ups solve_dpsa builds on the synth1000 catalog at delta=10 and a
-# tenth of the total price: one per tree with a leaf (every root of the
-# affordable graph is within budget), shared by the ratio and coverage passes.
-# A one-node tree needs none: its root is the whole answer.
-SYNTH_DPSA_PATH_SETUPS = 12
+# tenth of the total price: one per component of three or more members of the
+# affordable graph (every root of it is within budget), shared by the ratio
+# and coverage passes. A component of one or two members needs none: its
+# answer has a closed form.
+SYNTH_DPSA_PATH_SETUPS = 9
+# solve_cmc grows one set-up per component of three or more members too, from
+# its smallest id, so each variant builds as many on the same query.
+SYNTH_CMC_PATH_SETUPS = 9
 
 
 class TestPathSetup:
@@ -265,8 +270,20 @@ class TestPathSetup:
         solve_dpsa(graph.market, budget, 10, graph=graph)
         affordable = graph.restricted(
             d for d, p in graph.prices.items() if p <= graph.market.total_price_cents // 10)
-        with_leaves = [sub for sub in connected_components(affordable) if len(sub) > 1]
-        assert len(built) == len(set(built)) == len(with_leaves) == SYNTH_DPSA_PATH_SETUPS
+        with_trees = [sub for sub in connected_components(affordable) if len(sub) >= 3]
+        assert len(built) == len(set(built)) == len(with_trees) == SYNTH_DPSA_PATH_SETUPS
+
+    def test_cmc_builds_one_setup_per_component_of_three_or_more(self, synth_giant,
+                                                                monkeypatch):
+        graph = synth_giant.graph
+        cents = graph.market.total_price_cents // 10
+        built = _count_path_setups(monkeypatch)
+        for variant in ("mc", "mg"):
+            solve_cmc(graph.market, cents_to_decimal(cents), 10, variant=variant, graph=graph)
+        affordable = graph.restricted(d for d, p in graph.prices.items() if p <= cents)
+        roots = [sub.members[0] for sub in connected_components(affordable) if len(sub) >= 3]
+        assert len(roots) == SYNTH_CMC_PATH_SETUPS
+        assert built == roots + roots
 
 
 class TestDpsa:
@@ -321,6 +338,107 @@ class TestDpsa:
             assert got >= ratio * opt - 1e-9
             checked += 1
         assert checked >= 10
+
+
+# Components of one or two members at delta=1 on a 16x16 grid, one row band
+# each: the lone "a"; the pair b0-b1 (1 and 5 cells, 12 together); the pair
+# c0-c1 (3 and 4 cells, 10 together); and the cheap pair d0-d1 (4 cells, 3).
+TINY_SETS = {
+    "a": [(0, 0), (1, 0)],
+    "b0": [(0, 4)],
+    "b1": [(x, 4) for x in range(1, 6)],
+    "c0": [(x, 8) for x in range(3)],
+    "c1": [(x, 8) for x in range(3, 7)],
+    "d0": [(0, 12), (1, 12)],
+    "d1": [(2, 12), (3, 12)],
+}
+TINY_PRICES = {"a": 2, "b0": 6, "b1": 6, "c0": 5, "c1": 5, "d0": 1, "d1": 2}
+
+
+@pytest.fixture(scope="module")
+def tiny_market():
+    return make_market(TINY_SETS, theta=4, prices=TINY_PRICES)
+
+
+class TestTinyComponents:
+    """Components of one or two members take a closed form in
+    ``budgeted_greedy`` and ``cmc``; it must give what the general path
+    greedy of the full-scan reference gives. At a budget of 9 every node fits
+    but no pair above ``d``; at 10 the c pair fits exactly, at 12 the b pair
+    does."""
+
+    REFERENCE = {
+        "dpsa": (ref.solve_dpsa, {"center_mode": "exact"}),
+        "dpsa-ba": (ref.solve_dpsa, {"center_mode": "two_bfs"}),
+        "cmc-mc": (ref.solve_cmc, {"variant": "mc"}),
+        "cmc-mg": (ref.solve_cmc, {"variant": "mg"}),
+    }
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 9, 10, 12, 30])
+    @pytest.mark.parametrize("label", ["dpsa", "dpsa-ba", "cmc-mc", "cmc-mg"])
+    def test_closed_form_matches_reference(self, tiny_market, label, budget):
+        graph = _graph_of(tiny_market, 1)
+        assert max(len(sub) for sub in connected_components(graph)) == 2
+        got = solve(label, tiny_market, budget, 1, graph=graph)
+        reference, kwargs = self.REFERENCE[label]
+        want = reference(tiny_market, budget, 1, graph=graph, **kwargs)
+        assert (got.selected, got.coverage, got.total_price_cents, got.round_coverages,
+                got.status) == (want.selected, want.coverage, want.total_price_cents,
+                                want.round_coverages, want.status)
+
+    def test_pair_roots_and_exact_fit(self, tiny_market):
+        graph = _graph_of(tiny_market, 1)
+        # the double-BFS center of a pair is its larger id: only dpsa-ba keeps b1
+        assert solve("dpsa-ba", tiny_market, 9, 1, graph=graph).selected == ("b1",)
+        for label in ("dpsa", "cmc-mc", "cmc-mg"):
+            assert solve(label, tiny_market, 9, 1, graph=graph).selected == ("d0", "d1")
+        # a pair priced exactly at the budget is taken
+        for label in ("dpsa", "dpsa-ba", "cmc-mc", "cmc-mg"):
+            sol = solve(label, tiny_market, 10, 1, graph=graph)
+            assert (sol.selected, sol.coverage, sol.total_price_cents) == \
+                (("c0", "c1"), 7, 1000)
+
+    @pytest.mark.parametrize("label", ["dpsa", "dpsa-ba"])
+    def test_dpsa_grows_every_component_under_both_flags(self, tiny_market, label,
+                                                         monkeypatch):
+        """The closed form lives inside ``budgeted_greedy``: ``dpsa`` still
+        runs one center search and both flags on every component, so the
+        benchmark's traced call counts stay one and two per component."""
+        calls = []
+        for name in ("find_center_exact", "find_center_two_bfs", "budgeted_greedy"):
+            original = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        graph = _graph_of(tiny_market, 1)
+        solve(label, tiny_market, 12, 1, graph=graph)
+        center = "find_center_exact" if label == "dpsa" else "find_center_two_bfs"
+        n = len(connected_components(graph))
+        assert sorted(calls) == sorted([center] * n + ["budgeted_greedy"] * 2 * n)
+
+    def test_centers_and_trees_match_reference(self, tiny_market):
+        """The double-BFS center and the BFS tree of a component of one or
+        two members take no BFS; they must be what the BFS gives."""
+        graph = _graph_of(tiny_market, 1)
+        for sub, ref_sub in zip(connected_components(graph), ref.connected_components(graph)):
+            got, want = find_center_two_bfs(sub), ref.find_center_two_bfs(ref_sub)
+            assert (got.center, got.radius, got.diameter) == \
+                (want.center, want.radius, want.diameter)
+            for root in sub.members:
+                tree, ref_tree = build_bfs_tree(sub, root), ref.build_bfs_tree(ref_sub, root)
+                assert (tree.root, list(tree.parent.items()), tree.leaves, tree.paths,
+                        tree.tree_depth) == (ref_tree.root, list(ref_tree.parent.items()),
+                                             ref_tree.leaves, ref_tree.paths,
+                                             ref_tree.tree_depth)
+
+    @pytest.mark.parametrize("budget", [30, 5], ids=["every-node-fits", "some-nodes-fit"])
+    @pytest.mark.parametrize("label", SOLVER_LABELS)
+    def test_solve_caches_no_cells_on_the_callers_graph(self, tiny_market, label, budget):
+        """The candidate graph may share the query graph's adjacency and
+        prices, but it is its own object: the cell sets a solve builds must
+        not stay behind on a graph the caller keeps."""
+        graph = _graph_of(tiny_market, 1)
+        solve(label, tiny_market, budget, 1, graph=graph)
+        assert "cells" not in vars(graph)
 
 
 class TestCmc:
