@@ -12,7 +12,6 @@ from bmcc import (
     GridConfig,
     Marketplace,
     PricingFunction,
-    build_ball_tree,
     build_graph_indexed,
     build_graph_naive,
     connected_components,
@@ -45,9 +44,8 @@ def main():
     naive = build_graph_naive(market, delta)
     t_naive = time.perf_counter() - t0
 
-    tree = build_ball_tree(market)
     t0 = time.perf_counter()
-    indexed = build_graph_indexed(market, delta, tree)
+    indexed = build_graph_indexed(market, delta)
     t_indexed = time.perf_counter() - t0
 
     assert naive.adjacency == indexed.adjacency
@@ -63,7 +61,7 @@ def main():
 
     print("\nedges grow with the threshold:")
     for d in (0, 4, 8, 12, 16):
-        s = build_graph_indexed(market, d, tree).stats()
+        s = build_graph_indexed(market, d).stats()
         print(f"  delta={d:2d}: avg degree {s.average_degree:6.2f}, "
               f"{s.components:3d} components")
 

@@ -349,8 +349,7 @@ def _datasets_under(tree: BallTree, a, b):
     return tree.order[p[keep]], tree.order[q[keep]]
 
 
-def build_graph_indexed(market: Marketplace, delta: float,
-                        tree: BallTree | None = None) -> DatasetGraph:
+def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     """Dual-tree construction over a box tree; edge set identical to the
     naive path.
 
@@ -364,11 +363,8 @@ def build_graph_indexed(market: Marketplace, delta: float,
     margin is needed. Leaf boxes are dataset boxes: the leaf pairs left open
     are box-near, and one exact integer kernel decides them together.
     """
-    if tree is None:
-        tree = build_ball_tree(market)
-    if tree.market is not market:
-        raise GraphConfigError("ball tree was built over a different marketplace")
     thr = _sq_threshold(delta)
+    tree = build_ball_tree(market)
     (lx, ly), (hx, hy) = tree.lo.T, tree.hi.T
     size = hx - lx + hy - ly  # half-perimeter
     left, right = tree.left.astype(np.int64), tree.right.astype(np.int64)

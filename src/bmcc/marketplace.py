@@ -228,17 +228,26 @@ def load_catalog(path) -> Marketplace:
             pass
         raise CatalogFormatError(f"missing or malformed '{key}' line at line {idx + 1}")
 
+    def grid_at(idx, **fields):
+        try:
+            return GridConfig(**fields)
+        except GridError as exc:
+            raise CatalogFormatError(f"{exc} at line {idx + 1}") from None
+
     theta, = expect(1, "theta", int)
+    grid_at(1, theta=theta)
     ox, oy = expect(2, "origin", _finite_float, 2)
     cw, ch = expect(3, "cell", _finite_float, 2)
+    grid = grid_at(3, theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
     kind, = expect(4, "pricing", str)
+    if kind not in (EXPLICIT_TABLE, USAGE_BASED):
+        raise CatalogFormatError(f"unknown pricing kind {kind!r} at line 5")
     count, = expect(5, "datasets", int)
     if count < 0:
         raise CatalogFormatError(f"negative dataset count {count} at line 6")
     extra = next((i for i in range(6 + count, len(lines)) if lines[i].strip()), None)
     if extra is not None:
         raise CatalogFormatError(f"line {extra + 1} is past the {count} dataset lines")
-    grid = GridConfig(theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
 
     datasets = []
     table = {}
@@ -267,8 +276,6 @@ def load_catalog(path) -> Marketplace:
             table[did] = price
     if kind == EXPLICIT_TABLE:
         pricing = PricingFunction.from_table(table)
-    elif kind == USAGE_BASED:
-        pricing = PricingFunction.usage_based()
     else:
-        raise CatalogFormatError(f"unknown pricing kind {kind!r}")
+        pricing = PricingFunction.usage_based()
     return Marketplace.build(grid, datasets, pricing)

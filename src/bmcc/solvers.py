@@ -53,6 +53,7 @@ return exactly what a full rescan would:
   grow a copy of it.
 """
 
+import collections
 import heapq
 import itertools
 import math
@@ -319,9 +320,10 @@ class _PathGrowth:
       holds. Along one path they partition its cells outside the root, so a
       path's initial gain is the running sum of new-cell counts down to its
       end node, and its initial ``dp`` the running sum of prices: one pass in
-      parent order for all candidates;
+      parent order for all candidates. It also carries the shared cells (of
+      two or more nodes) at or above each node, so it never walks up the tree;
     * node -> candidates through it is built once, and so is cell -> nodes
-      for the few cells new at more than one node; taking a path lowers the
+      for the shared cells new below the root; taking a path lowers the
       count of each node whose new cells it covers, and the gain and price of
       every candidate below that node.
 
@@ -342,29 +344,29 @@ class _PathGrowth:
         for v in parent:
             shared |= seen & cells_map[v]
             seen |= cells_map[v]
-        holders = {c: set() for c in shared}
-        for v in parent:
-            for c in cells_map[v] & shared:
-                holders[c].add(v)
-        self._holders = {}
-        tops = {}
-        for c, hs in holders.items():
-            top = [h for h in hs if not any(a in hs for a in _ancestors(parent, h))]
-            self._holders[c] = top
-            for h in top:
-                tops.setdefault(h, set()).add(c)
         self._shared = shared
+        self._holders = holders = {}
         self._new_cells = new_cells = {}
-        gain_to, dp_to = {root: 0}, {root: 0}
+        # (node, shared cells held at or above it, gain and dp down to it),
+        # dropped once the node's children are done: parents come in BFS order
+        above = collections.deque([(root, cells_map[root] & shared, 0, 0)])
+        self.gain, self.dp = {}, {}
         for v, u in itertools.islice(parent.items(), 1, None):
+            while above[0][0] != u:
+                above.popleft()
+            _, held, gain, dp = above[0]
             cells = cells_map[v]
-            if not cells.isdisjoint(shared):
-                cells = (cells - shared) | tops.get(v, set())
+            mine = cells & shared
+            if mine:
+                for c in mine - held:
+                    holders.setdefault(c, []).append(v)
+                cells = cells - held
+                held = held | mine
             new_cells[v] = cells
-            gain_to[v] = gain_to[u] + len(cells)
-            dp_to[v] = dp_to[u] + prices[v]
-        self.gain = {k: gain_to[k] for k in paths}
-        self.dp = {k: dp_to[k] for k in paths}
+            gain, dp = gain + len(cells), dp + prices[v]
+            above.append((v, held, gain, dp))
+            if v in paths:
+                self.gain[v], self.dp[v] = gain, dp
         self._below = below = {}
         for k, nodes in paths.items():
             for u in nodes:
@@ -413,14 +415,6 @@ def _root_paths(parent):
         paths[v] = paths[u] + (v,)
     del paths[root]
     return paths
-
-
-def _ancestors(parent, node):
-    """Proper ancestors of ``node`` in a parent map, nearest first."""
-    node = parent[node]
-    while node is not None:
-        yield node
-        node = parent[node]
 
 
 # ---------------------------------------------------------------------------
@@ -564,38 +558,19 @@ def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
 # DPSA: budgeted greedy over BFS-tree paths
 
 
-def _pick_leaf_ratio(candidates):
-    """Max marginal-gain / incremental-price; zero-cost paths rank first by
-    marginal gain; all remaining ties break to the smallest leaf id."""
-    best = None
-    for leaf, gain, dp in candidates:
-        if best is None:
-            best = (leaf, gain, dp)
-            continue
-        b_leaf, b_gain, b_dp = best
-        if dp == 0 or b_dp == 0:
-            if dp == 0 and b_dp != 0:
-                better = True
-            elif dp != 0:
-                better = False
-            else:
-                better = gain > b_gain or (gain == b_gain and leaf < b_leaf)
-        else:
-            lhs, rhs = gain * b_dp, b_gain * dp
-            better = lhs > rhs or (lhs == rhs and leaf < b_leaf)
-        if better:
-            best = (leaf, gain, dp)
-    return best
-
-
 def _ratio_order(leaves, gain, dp):
-    """Yield leaves by :func:`_pick_leaf_ratio` over the live scores, each
-    chosen only after the caller has acted on the previous one."""
-    pool = dict.fromkeys(leaves)
+    """Yield leaves by exact marginal gain per incremental price over the live
+    scores, zero-price paths first by gain, each chosen only after the caller
+    has acted on the previous one. Each step scans the pool in ascending id
+    and keeps the first of equal leaves, so ties break to the smallest id."""
+    pool = sorted(leaves)
     while pool:
-        leaf = _pick_leaf_ratio((k, gain[k], dp[k]) for k in pool)[0]
-        del pool[leaf]
-        yield leaf
+        at, bg, bd = 0, gain[pool[0]], dp[pool[0]]
+        for i, k in enumerate(pool):
+            g, d = gain[k], dp[k]
+            if (g * bd > bg * d) if d and bd else (d == 0 and (bd != 0 or g > bg)):
+                at, bg, bd = i, g, d
+        yield pool.pop(at)
 
 
 def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]:

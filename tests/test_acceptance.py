@@ -13,7 +13,6 @@ import pytest
 
 from bmcc.cli import main as cli_main
 from bmcc.graph import (
-    build_ball_tree,
     build_graph_indexed,
     build_graph_naive,
     connected_components,
@@ -175,10 +174,9 @@ def test_criterion_7_index_equivalence():
                             for dx, dy in rng.integers(-4, 5, size=(k, 2))})
             datasets.append(make_dataset(f"d{i:03d}", pairs, grid))
         market = Marketplace.build(grid, datasets, PricingFunction.usage_based())
-        tree = build_ball_tree(market)
         for delta in deltas:
             naive = build_graph_naive(market, delta)
-            indexed = build_graph_indexed(market, delta, tree)
+            indexed = build_graph_indexed(market, delta)
             assert naive.adjacency == indexed.adjacency, (market_idx, delta)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

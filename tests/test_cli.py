@@ -520,8 +520,8 @@ class TestBench:
 
     def test_table_pricing_changes_budget(self, tmp_path, capsys, small_points):
         table = tmp_path / "prices.txt"
-        ids = sorted({line.split(",")[0]
-                      for line in open(small_points).read().splitlines()[1:]})
+        with open(small_points) as fh:
+            ids = sorted({line.split(",")[0] for line in fh.read().splitlines()[1:]})
         table.write_text("".join(f"{did} 2.00\n" for did in ids))
         out = tmp_path / "bench.tsv"
         code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",

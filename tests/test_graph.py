@@ -203,9 +203,8 @@ class TestIndexedGraph:
                             for dx, dy in rng.integers(-3, 4, size=(6, 2))})
             datasets.append(make_dataset(f"d{i:03d}", pairs, grid))
         m = Marketplace.build(grid, datasets, PricingFunction.usage_based())
-        tree = build_ball_tree(m)
         gn = build_graph_naive(m, delta)
-        gi = build_graph_indexed(m, delta, tree)
+        gi = build_graph_indexed(m, delta)
         assert gn.adjacency == gi.adjacency
 
     def test_distance_exactly_delta_is_an_edge_in_both_paths(self):
@@ -218,14 +217,6 @@ class TestIndexedGraph:
             assert gn.adjacency == gi.adjacency
         # just below the boundary there is no edge
         assert build_graph_indexed(m, 4.999).n_edges == 0
-
-    def test_tree_market_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
-        m1 = random_market(rng, n_max=5)
-        m2 = random_market(rng, n_max=5)
-        tree = build_ball_tree(m1)
-        with pytest.raises(GraphConfigError):
-            build_graph_indexed(m2, 1.0, tree)
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
@@ -351,10 +342,9 @@ class TestDualTreeWalk:
             return _min_sqdist_pairs(cells, starts, ii, jj)
 
         monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
-        tree = build_ball_tree(market)
         for delta in (0, 3, 10, 40, 200):
             seen.clear()
-            build_graph_indexed(market, delta, tree)
+            build_graph_indexed(market, delta)
             pairs = [pair for call in seen for pair in call]
             assert pairs, delta
             assert all(i != j for i, j in pairs)
@@ -384,10 +374,9 @@ class TestDualTreeWalk:
         coords = [decode_cells(market.dataset(did).cells) for did in market.ids]
         lo = np.array([c.min(axis=0) for c in coords])
         hi = np.array([c.max(axis=0) for c in coords])
-        tree = build_ball_tree(market)
         for delta in (0, 3, 10, 40, 200):
             kernel_calls.clear()
-            build_graph_indexed(market, delta, tree)
+            build_graph_indexed(market, delta)
             ii, jj = (np.concatenate(side) for side in zip(*kernel_calls))
             gap = np.maximum(np.maximum(lo[ii] - hi[jj], lo[jj] - hi[ii]), 0)
             assert ((gap * gap).sum(axis=1) <= delta * delta).all(), delta

@@ -195,9 +195,16 @@ class TestCatalogFiles:
         (lambda lines: lines[:5] + ["datasets -1"] + lines[6:], "line 6"),
         (lambda lines: lines[:5] + ["datasets 4"] + lines[6:], "line 11 is past"),
         (lambda lines: lines + [lines[6].replace("d1", "d6", 1)], "line 12 is past"),
+        (lambda lines: lines[:1] + ["theta 0"] + lines[2:], "line 2"),
+        (lambda lines: lines[:1] + ["theta 40"] + lines[2:], "line 2"),
+        (lambda lines: lines[:3] + ["cell 0.0 1.0"] + lines[4:], "line 4"),
+        (lambda lines: lines[:3] + ["cell -1.0 1.0"] + lines[4:], "line 4"),
+        (lambda lines: lines[:4] + ["pricing bogus"] + lines[5:], "line 5"),
     ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
             "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan",
-            "negative-count", "line-past-count", "extra-line"])
+            "negative-count", "line-past-count", "extra-line", "theta-zero",
+            "theta-too-large", "cell-zero-width", "cell-negative-width",
+            "unknown-pricing"])
     def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
                                                               example2_market, edit, where):
         path = tmp_path / "cat.txt"

@@ -6,7 +6,7 @@ import pytest
 
 import bmcc.solvers as solvers
 import reference_solvers as ref
-from bmcc.graph import build_graph_naive, connected_components
+from bmcc.graph import bfs, build_graph_naive, connected_components
 from bmcc.grid import CellRangeError
 from bmcc.marketplace import cents_to_decimal
 from bmcc.solvers import (
@@ -25,8 +25,10 @@ from bmcc.solvers import (
     solve_exact,
     verify_solution,
     _RatioKey,
+    _PathGrowth,
     _lazy_argmax,
-    _pick_leaf_ratio,
+    _ratio_order,
+    _root_paths,
 )
 
 from conftest import (
@@ -172,9 +174,21 @@ class TestBudgetedGreedy:
     def test_zero_cost_paths_rank_first(self):
         # zero incremental price outranks any finite ratio; within the zero
         # class higher gain wins, then the smaller leaf id
-        assert _pick_leaf_ratio([("a", 5, 0), ("b", 9, 0), ("c", 100, 1)])[0] == "b"
-        assert _pick_leaf_ratio([("a", 5, 0), ("b", 5, 0)])[0] == "a"
-        assert _pick_leaf_ratio([("c", 100, 1), ("d", 1, 0)])[0] == "d"
+        def first(scored):
+            gain = {leaf: g for leaf, g, _ in scored}
+            dp = {leaf: d for leaf, _, d in scored}
+            return next(_ratio_order(list(gain), gain, dp))
+
+        assert first([("a", 5, 0), ("b", 9, 0), ("c", 100, 1)]) == "b"
+        assert first([("a", 5, 0), ("b", 5, 0)]) == "a"
+        assert first([("c", 100, 1), ("d", 1, 0)]) == "d"
+
+    def test_ratio_order_ties_break_to_smallest_id(self):
+        # equal exact ratios, listed in descending id: the pool is scanned in
+        # ascending id, whatever order the leaves come in
+        gain = {"c": 3, "b": 2, "a": 1, "z": 5}
+        dp = {"c": 3, "b": 2, "a": 1, "z": 4}
+        assert list(_ratio_order(("z", "c", "b", "a"), gain, dp)) == ["z", "a", "b", "c"]
 
     def test_invalid_flag(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
@@ -284,6 +298,63 @@ class TestPathSetup:
         roots = [sub.members[0] for sub in connected_components(affordable) if len(sub) >= 3]
         assert len(roots) == SYNTH_CMC_PATH_SETUPS
         assert built == roots + roots
+
+
+def _hand_tree():
+    """A hand-built tree in BFS order over integer cells. Shared cells: 1 and
+    2 are held by the root (and by e and a); 3 by the siblings a and b (and
+    by b's child d); 4 and 5 by a node and its descendant (a and c, b and
+    d)."""
+    parent = {"r": None, "a": "r", "b": "r", "c": "a", "f": "a", "d": "b", "e": "c"}
+    cells = {"r": {1, 2}, "a": {2, 3, 4}, "b": {3, 5}, "c": {4, 6},
+             "f": {9}, "d": {3, 5, 7}, "e": {1, 8}}
+    prices = {"r": 4, "a": 3, "b": 0, "c": 2, "f": 5, "d": 1, "e": 6}
+    return parent, {v: frozenset(c) for v, c in cells.items()}, prices
+
+
+def _random_tree(rng, n, universe):
+    """A random tree's BFS parent map, each node holding a few cells of a
+    small universe, so most cells are shared."""
+    sub = random_tree_subgraph(rng, n)
+    parent, _ = bfs(sub.graph.adjacency, sub.members[0])
+    cells = {v: frozenset(rng.integers(0, universe, size=int(rng.integers(1, 5))).tolist())
+             for v in parent}
+    prices = {v: int(rng.integers(0, 4)) for v in parent}
+    return parent, cells, prices
+
+
+class TestPathGrowthInvariants:
+    """Every candidate's gain and dp, checked by brute force after set-up and
+    after every take."""
+
+    @staticmethod
+    def check(growth, cells_map, prices, paths):
+        covered = set().union(*(cells_map[u] for u in growth.selected))
+        assert growth.covered == covered
+        assert growth.spent == sum(prices[u] for u in growth.selected)
+        for k, nodes in paths.items():
+            path_cells = set().union(*(cells_map[u] for u in nodes))
+            assert growth.gain[k] == len(path_cells - covered), k
+            assert growth.dp[k] == sum(prices[u] for u in nodes
+                                       if u not in growth.selected), k
+
+    def grow(self, parent, cells_map, prices, rng):
+        paths = _root_paths(parent)
+        growth = _PathGrowth(parent, cells_map, prices, paths)
+        self.check(growth, cells_map, prices, paths)
+        for k in rng.permutation(sorted(paths)).tolist():
+            growth.take(k)
+            self.check(growth, cells_map, prices, paths)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hand_built_tree(self, seed):
+        self.grow(*_hand_tree(), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_trees(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        tree = _random_tree(rng, int(rng.integers(2, 25)), int(rng.integers(3, 20)))
+        self.grow(*tree, rng)
 
 
 class TestDpsa:
