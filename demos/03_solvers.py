@@ -61,10 +61,13 @@ def main():
     tree = build_bfs_tree(comp, exact_center.center)
     print(f"BFS-tree leaves and their root paths:")
     for leaf in tree.leaves:
-        price = sum(market.price_cents(u) for u in tree.paths[leaf]) // 100
-        cells = set().union(*(market.dataset(u).cells.tolist() for u in tree.paths[leaf]))
-        print(f"  {leaf}: path {'->'.join(tree.paths[leaf])}, "
-              f"{len(cells)} cells, price {price}")
+        path = [leaf]  # walk up the tree to just below the root
+        while tree.parent[path[-1]] != tree.root:
+            path.append(tree.parent[path[-1]])
+        path.reverse()
+        price = sum(market.price_cents(u) for u in path) // 100
+        cells = set().union(*(market.dataset(u).cells.tolist() for u in path))
+        print(f"  {leaf}: path {'->'.join(path)}, {len(cells)} cells, price {price}")
 
     print(f"\n{'solver':8s} {'coverage':>8s} {'price':>6s}  selected")
     for label in SOLVER_LABELS:

@@ -94,10 +94,12 @@ class GraphStats:
 
 @dataclass(eq=False)
 class Subgraph:
-    """A maximal connected component; members are sorted ascending."""
+    """A maximal connected component, members sorted ascending; ``parent`` is
+    the BFS parent map from ``members[0]`` that found it, if any."""
 
     members: tuple[str, ...]
     graph: DatasetGraph
+    parent: dict[str, str | None] | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.members)
@@ -430,15 +432,15 @@ def bfs(adjacency, root):
 
 
 def connected_components(graph: DatasetGraph) -> list[Subgraph]:
-    """Maximal components via :func:`bfs`; components ordered by smallest
-    member id."""
+    """Maximal components via :func:`bfs`, each keeping the parent map of the
+    search from its smallest member; components ordered by that member."""
     seen = set()
     components = []
     for root in graph.nodes:
         if root not in seen:
             reached, _ = bfs(graph.adjacency, root)
             seen.update(reached)
-            components.append(Subgraph(members=tuple(sorted(reached)), graph=graph))
+            components.append(Subgraph(tuple(sorted(reached)), graph, reached))
     return components
 
 

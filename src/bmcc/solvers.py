@@ -27,10 +27,10 @@ rather than copying them, but it is a new object, so the cell sets it builds
 die with the solve. A component of one or two members has a closed form
 in :func:`budgeted_greedy` and ``cmc``, with no path set-up: every path
 greedy grown from its root takes the other member exactly when the two
-prices fit together. Its double-BFS center and BFS tree take no BFS. In ``dsa`` and ``cmc`` a candidate's coverage and
-price come from the state that grew it; ``dpsa`` counts them on the set that
-:func:`budgeted_greedy` returns. A candidate's ids are sorted only if it can
-win (:func:`_offer`).
+prices fit together. Its double-BFS center and BFS tree take no BFS. In
+``dsa`` and ``cmc`` a candidate's coverage and price come from the state that
+grew it; ``dpsa`` counts them on the set that :func:`budgeted_greedy`
+returns. A candidate's ids are sorted only if it can win (:func:`_offer`).
 
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
@@ -46,11 +46,12 @@ return exactly what a full rescan would:
   :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
   valid, since a taken path makes every path sharing its nodes cheaper and
   its ratio can rise. There each candidate's gain and ``dp`` are kept exact
-  by inverted indexes (cell -> nodes, node -> paths through it), so taking a
-  path touches only what it newly covers or pays for. Initial gains and
-  prices are running sums in parent order, O(n) per tree, and the set-up is
-  built once per :class:`BfsTree`: both flags of :func:`budgeted_greedy`
-  grow a copy of it.
+  by an inverted index (cell -> nodes) and a DFS preorder of the candidates,
+  in which those below a node are one contiguous range; taking a path walks
+  up the tree and touches only what it newly covers or pays for. Initial
+  gains and prices are running sums in parent order, O(n) per tree, and the
+  set-up is built once per :class:`BfsTree`: both flags of
+  :func:`budgeted_greedy` grow a copy of it.
 """
 
 import collections
@@ -112,26 +113,25 @@ class Solution:
 
 @dataclass(frozen=True)
 class BfsTree:
-    """BFS tree of one component, with the root-to-leaf path of every leaf.
+    """BFS tree of one component and its leaves.
 
-    ``parent`` lists the nodes in visit order; ``paths[leaf]`` lists the path
-    nodes root excluded, ending at the leaf. ``tree_depth`` equals the root's
-    eccentricity within the component. The path set-up that both flags of
-    :func:`budgeted_greedy` start from is built from ``component`` once, on
-    first use; a tree without leaves needs none.
+    ``parent`` lists the nodes in visit order; a leaf's root path is found by
+    walking it up. ``tree_depth`` equals the root's eccentricity within the
+    component. The path set-up that both flags of :func:`budgeted_greedy`
+    start from is built from ``component`` once, on first use; a tree without
+    leaves needs none.
     """
 
     root: str
     parent: dict[str, str | None]
     leaves: tuple[str, ...]
-    paths: dict[str, tuple[str, ...]]
     tree_depth: int
     component: Subgraph = field(repr=False, compare=False)
 
     @cached_property
     def _growth(self) -> "_PathGrowth":
         graph = self.component.graph
-        return _PathGrowth(self.parent, graph.cells, graph.prices, self.paths)
+        return _PathGrowth(self.parent, graph.cells, graph.prices, set(self.leaves))
 
 
 @dataclass(frozen=True)
@@ -310,51 +310,61 @@ class _PathGrowth:
     """A connected set grown from a BFS-tree root by whole candidate paths.
 
     ``parent`` maps every tree node to its parent (the root to ``None``) in
-    BFS order; ``paths[k]`` lists the nodes of candidate ``k`` from below the
-    root down to node ``k`` itself. The exact marginal gain ``gain[k]`` (cells
-    not yet covered) and incremental price ``dp[k]`` (price of nodes not yet
-    selected) of every candidate are kept up to date, so a step costs only
-    what it touches:
+    BFS order; candidate ``k``, for each ``k`` in the set ``ends``, is the
+    path from below the root down to ``k``. The exact marginal gain
+    ``gain[k]`` (cells not yet covered) and incremental price ``dp[k]``
+    (price of nodes not yet selected) of every candidate are kept up to date,
+    so a step costs only what it touches:
 
-    * a node's *new cells* are those that neither the root nor any ancestor
-      holds. Along one path they partition its cells outside the root, so a
-      path's initial gain is the running sum of new-cell counts down to its
-      end node, and its initial ``dp`` the running sum of prices: one pass in
-      parent order for all candidates. It also carries the shared cells (of
-      two or more nodes) at or above each node, so it never walks up the tree;
-    * node -> candidates through it is built once, and so is cell -> nodes
-      for the shared cells new below the root; taking a path lowers the
-      count of each node whose new cells it covers, and the gain and price of
-      every candidate below that node.
+    * a node's *new cells* are those that no ancestor below the root holds.
+      Along a path they partition its cells, so ``reach[k]`` (the distinct
+      cells of path ``k``), its initial gain (``reach[k]`` less the root's
+      cells) and its initial ``dp`` are running sums down the path: one pass
+      in parent order, which carries the shared cells (of two or more nodes)
+      above each node, so it never walks up the tree;
+    * the candidates are numbered in DFS preorder, so those below node ``v``
+      are the slice ``_order[_span[v]]``, and cell -> nodes is built for the
+      shared cells. Taking a path walks up from its end to the selection, and
+      lowers the gain and price of every candidate below each node it pays
+      for or whose new cells it covers.
 
     The indexes are read-only after set-up, so :meth:`copy` starts another
     growth from the same state without rebuilding them.
     """
 
-    def __init__(self, parent, cells_map, prices, paths):
+    def __init__(self, parent, cells_map, prices, ends):
         root = next(iter(parent))
-        self.prices = prices
-        self.paths = paths
+        self.parent, self.prices = parent, prices
         self.selected = {root}
         self.spent = prices[root]
         self.covered = set(cells_map[root])
         # Cells held by one node are new there; a shared cell is new at each
-        # holder with no holder above it, and at none if the root holds it.
+        # holder with no holder above it below the root. The candidates in
+        # each subtree are counted in the same pass, up from the leaves.
+        size = dict.fromkeys(parent, 0)
+        size.update(dict.fromkeys(ends, 1))
         seen, shared = set(), set()
-        for v in parent:
+        for v, u in itertools.islice(reversed(parent.items()), len(parent) - 1):
             shared |= seen & cells_map[v]
             seen |= cells_map[v]
+            size[u] += size[v]
+        rooted = cells_map[root] & seen
+        shared |= rooted
         self._shared = shared
         self._holders = holders = {}
         self._new_cells = new_cells = {}
-        # (node, shared cells held at or above it, gain and dp down to it),
+        # each node's slice of the preorder, and the next free slot below it
+        self._order = order = [None] * len(ends)
+        self._span = span = {}
+        slot = {root: 0}
+        # (node, shared cells held above it, reach, gain and dp down to it),
         # dropped once the node's children are done: parents come in BFS order
-        above = collections.deque([(root, cells_map[root] & shared, 0, 0)])
-        self.gain, self.dp = {}, {}
+        above = collections.deque([(root, frozenset(), 0, 0, 0)])
+        self.gain, self.dp, self.reach = {}, {}, {}
         for v, u in itertools.islice(parent.items(), 1, None):
             while above[0][0] != u:
                 above.popleft()
-            _, held, gain, dp = above[0]
+            _, held, reach, gain, dp = above[0]
             cells = cells_map[v]
             mine = cells & shared
             if mine:
@@ -362,15 +372,18 @@ class _PathGrowth:
                     holders.setdefault(c, []).append(v)
                 cells = cells - held
                 held = held | mine
+                gain -= len(cells & rooted)
             new_cells[v] = cells
-            gain, dp = gain + len(cells), dp + prices[v]
-            above.append((v, held, gain, dp))
-            if v in paths:
-                self.gain[v], self.dp[v] = gain, dp
-        self._below = below = {}
-        for k, nodes in paths.items():
-            for u in nodes:
-                below.setdefault(u, []).append(k)
+            reach, gain, dp = reach + len(cells), gain + len(cells), dp + prices[v]
+            above.append((v, held, reach, gain, dp))
+            lo = slot[u]
+            slot[u] = hi = lo + size[v]
+            span[v] = slice(lo, hi)
+            if v in ends:
+                order[lo] = v
+                lo += 1
+                self.reach[v], self.gain[v], self.dp[v] = reach, gain, dp
+            slot[v] = lo
 
     def copy(self):
         """A growth in this one's state, sharing its read-only indexes."""
@@ -381,40 +394,31 @@ class _PathGrowth:
         return other
 
     def take(self, k):
-        """Add path ``k`` to the set and pay its incremental price."""
-        gain, dp, covered, below = self.gain, self.dp, self.covered, self._below
+        """Add path ``k`` to the set and pay its incremental price. The set
+        holds every ancestor of its nodes, so the path's unselected nodes are
+        those from ``k`` up to the first selected one."""
+        gain, dp, covered, selected = self.gain, self.dp, self.covered, self.selected
+        order, span = self._order, self._span
         self.spent += dp[k]
         lost = {}
-        for u in self.paths[k]:
-            if u in self.selected:
-                continue
-            self.selected.add(u)
+        u = k
+        while u not in selected:
+            selected.add(u)
             price = self.prices[u]
-            for j in below[u]:
+            for j in order[span[u]]:
                 dp[j] -= price
             fresh = self._new_cells[u] - covered
-            if not fresh:
-                continue
-            covered |= fresh
-            lost[u] = lost.get(u, 0) + len(fresh)
-            for c in fresh & self._shared:
-                for h in self._holders[c]:
-                    if h != u:
-                        lost[h] = lost.get(h, 0) + 1
+            if fresh:
+                covered |= fresh
+                lost[u] = lost.get(u, 0) + len(fresh)
+                for c in fresh & self._shared:
+                    for h in self._holders[c]:
+                        if h != u:
+                            lost[h] = lost.get(h, 0) + 1
+            u = self.parent[u]
         for h, n in lost.items():
-            for j in below[h]:
+            for j in order[span[h]]:
                 gain[j] -= n
-
-
-def _root_paths(parent):
-    """Path of every non-root node of a BFS parent map (root first, in visit
-    order): its nodes from below the root down to it."""
-    root = next(iter(parent))
-    paths = {root: ()}
-    for v, u in itertools.islice(parent.items(), 1, None):
-        paths[v] = paths[u] + (v,)
-    del paths[root]
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -538,19 +542,16 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
-    """Layerwise BFS tree from ``root`` with the path of every leaf; the root
-    is never a leaf, so a one-node component has none."""
+    """Layerwise BFS tree from ``root``; the root is never a leaf, so a
+    one-node component has none."""
     if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
         leaves = tuple(u for u in sub.members if u != root)
         return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
-                       leaves=leaves, paths={leaf: (leaf,) for leaf in leaves},
-                       tree_depth=len(leaves), component=sub)
+                       leaves=leaves, tree_depth=len(leaves), component=sub)
     parent, layers = bfs(sub.graph.adjacency, root)
     inner = set(parent.values())
     leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
-    to_node = _root_paths(parent)
     return BfsTree(root=root, parent=parent, leaves=leaves,
-                   paths={leaf: to_node[leaf] for leaf in leaves},
                    tree_depth=len(layers) - 1, component=sub)
 
 
@@ -658,10 +659,11 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
               graph: DatasetGraph | None = None) -> Solution:
     """Connected-maximum-coverage baselines.
 
-    Per component the BFS tree is rooted at the smallest id and every
-    root-to-node path is a candidate; each step selects, among the paths
-    whose incremental price still fits, the one maximizing average coverage
-    per path node (``mc``) or average marginal gain per path node (``mg``).
+    Per component the BFS tree is the search from the smallest id that found
+    the component (``Subgraph.parent``), and every root-to-node path is a
+    candidate; each step selects, among the paths whose incremental price
+    still fits, the one maximizing average coverage per path node (``mc``) or
+    average marginal gain per path node (``mg``).
     """
     if variant not in ("mc", "mg"):
         raise ValueError(f"unknown cmc variant {variant!r}")
@@ -678,25 +680,20 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
             selected = _small_growth(members, root, prices, b)
             best = _offer(best, *_measure(selected, cells_map, prices))
             continue
-        parent, _ = bfs(candidate.adjacency, root)
-        paths = _root_paths(parent)
-        growth = _PathGrowth(parent, cells_map, prices, paths)
+        pool = dict.fromkeys(members[1:])
+        growth = _PathGrowth(sub.parent, cells_map, prices, pool)
         dp = growth.dp
-        if variant == "mg":
-            nums = growth.gain
-        else:
-            path_cells = {root: frozenset()}
-            for v, u in itertools.islice(parent.items(), 1, None):
-                path_cells[v] = path_cells[u] | cells_map[v]
-            nums = {u: len(path_cells[u]) for u in paths}
-        pool = dict.fromkeys(sorted(paths))
+        nums = growth.gain if variant == "mg" else growth.reach
+        depth = {root: 0}
+        for v, u in itertools.islice(sub.parent.items(), 1, None):
+            depth[v] = depth[u] + 1
         while pool:
             room = b - growth.spent
             pick, best_num, best_n = None, 0, 1
             for u in pool:
                 if dp[u] > room:
                     continue
-                num, n_nodes = nums[u], len(paths[u])
+                num, n_nodes = nums[u], depth[u]
                 if pick is None or num * best_n > best_num * n_nodes:
                     pick, best_num, best_n = u, num, n_nodes
             if pick is None:

@@ -345,6 +345,7 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
+    tree = build_bfs_tree(sub, tree.root)  # this module's paths, not the caller's
     market = sub.graph.market
     b = to_cents(budget)
     root_price = sub.graph.prices[tree.root]

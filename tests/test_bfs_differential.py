@@ -7,12 +7,12 @@ test, both on the whole graph and on the graph of affordable datasets.
 import pytest
 
 import reference_solvers as ref
-from bmcc.graph import build_graph_indexed, connected_components
+from bmcc.graph import bfs, build_graph_indexed, connected_components
 from bmcc.solvers import build_bfs_tree, find_center_exact, find_center_two_bfs
 
 from test_solvers_differential import DELTAS, SEEDS, differential_market
 
-TREE_FIELDS = ("root", "parent", "leaves", "paths", "tree_depth")
+TREE_FIELDS = ("root", "parent", "leaves", "tree_depth")
 
 
 def _graphs(market, delta):
@@ -26,6 +26,11 @@ def _graphs(market, delta):
 
 def _compare_component(sub, ref_sub):
     assert sub.members == ref_sub.members
+    # the search that found the component, kept in visit order for solve_cmc
+    root = sub.members[0]
+    want = list(bfs(sub.graph.adjacency, root)[0].items())
+    assert list(sub.parent.items()) == want
+    assert list(ref.build_bfs_tree(ref_sub, root).parent.items()) == want
     got, want = find_center_exact(sub), ref.find_center_exact(ref_sub)
     assert (got.center, got.radius, got.eccentricities) == \
         (want.center, want.radius, want.eccentricities)

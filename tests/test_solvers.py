@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import bmcc.solvers as solvers
 import reference_solvers as ref
-from bmcc.graph import bfs, build_graph_naive, connected_components
+from bmcc.graph import bfs, build_graph_indexed, build_graph_naive, connected_components
 from bmcc.grid import CellRangeError
 from bmcc.marketplace import cents_to_decimal
 from bmcc.solvers import (
@@ -28,7 +29,6 @@ from bmcc.solvers import (
     _PathGrowth,
     _lazy_argmax,
     _ratio_order,
-    _root_paths,
 )
 
 from conftest import (
@@ -167,8 +167,8 @@ class TestBudgetedGreedy:
         assert (res.center, res.radius) == ("d2", 2)
         tree = build_bfs_tree(sub, res.center)
         assert tree.leaves == ("d3", "d5", "d6", "d7", "d8")
-        assert tree.paths["d5"] == ("d1", "d5")
-        assert tree.paths["d6"] == ("d6",)
+        assert (tree.parent["d5"], tree.parent["d1"]) == ("d1", "d2")
+        assert tree.parent["d6"] == "d2"
         assert tree.tree_depth == res.radius
 
     def test_zero_cost_paths_rank_first(self):
@@ -323,28 +323,43 @@ def _random_tree(rng, n, universe):
     return parent, cells, prices
 
 
+def _path_below_root(parent, k):
+    """The nodes of the tree path from below the root down to ``k``."""
+    nodes = []
+    while parent[k] is not None:
+        nodes.append(k)
+        k = parent[k]
+    return nodes
+
+
 class TestPathGrowthInvariants:
-    """Every candidate's gain and dp, checked by brute force after set-up and
-    after every take."""
+    """Every candidate's gain, dp and reach, checked by brute force after
+    set-up and after every take, with two candidate sets: the leaves only,
+    as in ``dpsa``, and every non-root node, as in ``cmc``."""
 
     @staticmethod
     def check(growth, cells_map, prices, paths):
         covered = set().union(*(cells_map[u] for u in growth.selected))
         assert growth.covered == covered
         assert growth.spent == sum(prices[u] for u in growth.selected)
+        assert growth.gain.keys() == growth.dp.keys() == growth.reach.keys() == paths.keys()
         for k, nodes in paths.items():
             path_cells = set().union(*(cells_map[u] for u in nodes))
+            assert growth.reach[k] == len(path_cells), k
             assert growth.gain[k] == len(path_cells - covered), k
             assert growth.dp[k] == sum(prices[u] for u in nodes
                                        if u not in growth.selected), k
 
     def grow(self, parent, cells_map, prices, rng):
-        paths = _root_paths(parent)
-        growth = _PathGrowth(parent, cells_map, prices, paths)
-        self.check(growth, cells_map, prices, paths)
-        for k in rng.permutation(sorted(paths)).tolist():
-            growth.take(k)
+        inner = set(parent.values())
+        below_root = list(parent)[1:]
+        for ends in ({v for v in below_root if v not in inner}, set(below_root)):
+            paths = {k: _path_below_root(parent, k) for k in ends}
+            growth = _PathGrowth(parent, cells_map, prices, ends)
             self.check(growth, cells_map, prices, paths)
+            for k in rng.permutation(sorted(ends)).tolist():
+                growth.take(k)
+                self.check(growth, cells_map, prices, paths)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_tree(self, seed):
@@ -496,10 +511,9 @@ class TestTinyComponents:
                 (want.center, want.radius, want.diameter)
             for root in sub.members:
                 tree, ref_tree = build_bfs_tree(sub, root), ref.build_bfs_tree(ref_sub, root)
-                assert (tree.root, list(tree.parent.items()), tree.leaves, tree.paths,
+                assert (tree.root, list(tree.parent.items()), tree.leaves,
                         tree.tree_depth) == (ref_tree.root, list(ref_tree.parent.items()),
-                                             ref_tree.leaves, ref_tree.paths,
-                                             ref_tree.tree_depth)
+                                             ref_tree.leaves, ref_tree.tree_depth)
 
     @pytest.mark.parametrize("budget", [30, 5], ids=["every-node-fits", "some-nodes-fit"])
     @pytest.mark.parametrize("label", SOLVER_LABELS)
@@ -545,6 +559,36 @@ class TestCmc:
     def test_unaffordable_catalog(self, dsa_market):
         sol = solve_cmc(dsa_market, "0.50", 1)
         assert sol.status == "budget_below_minimum"
+
+    def test_grows_from_the_component_search(self, synth_giant, monkeypatch):
+        """Each component's tree is the BFS that found it: no second search."""
+        graph = synth_giant.graph
+        calls = []
+        monkeypatch.setattr(solvers, "bfs", lambda *a: calls.append(a) or bfs(*a))
+        budget = cents_to_decimal(graph.market.total_price_cents // 10)
+        for variant in ("mc", "mg"):
+            solve_cmc(graph.market, budget, 10, variant=variant, graph=graph)
+        assert calls == []
+
+    @pytest.mark.parametrize("variant", ("mc", "mg"))
+    def test_memory_grows_linearly_on_a_chain(self, variant):
+        """On a chain whose datasets each share 5 cells with the next, a
+        candidate path is as long as its depth, so anything kept per path
+        node grows as n^2: 4x the datasets must cost at most 5x the peak."""
+        def peak(n):
+            market = make_reduction_instance(
+                5 * n + 5, [range(5 * i, 5 * i + 10) for i in range(n)])
+            graph = build_graph_indexed(market, 0)
+            assert graph.n_edges == n - 1
+            budget = cents_to_decimal(market.total_price_cents * 3 // 10)
+            tracemalloc.start()
+            try:
+                solve_cmc(market, budget, 0, variant=variant, graph=graph)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(800) <= 5 * peak(200)
 
 
 class TestExact:
