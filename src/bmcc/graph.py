@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import decode_cells, open_text
+from .grid import decode_cells, read_counted_file
 from .marketplace import Marketplace, MarketplaceError, cents_to_decimal, to_cents
 
 _CHUNK_ELEMS = 4_000_000  # cap on temporary (cells_a x cells_b) matrices
@@ -95,7 +95,8 @@ class GraphStats:
 @dataclass(eq=False)
 class Subgraph:
     """A maximal connected component, members sorted ascending; ``parent`` is
-    the BFS parent map from ``members[0]`` that found it, if any."""
+    the BFS parent map from ``members[0]`` that found it, kept only for
+    components of three or more members and ``None`` otherwise."""
 
     members: tuple[str, ...]
     graph: DatasetGraph
@@ -115,11 +116,14 @@ class BallTree:
     Nodes are stored as flat arrays; ``order[start[i]:end[i]]`` lists the
     dataset indices (into ``ids``) beneath node ``i``. ``lo[i]`` and ``hi[i]``
     are the smallest and largest cell index on each axis over every cell under
-    the node, so a leaf's box is its dataset's box.
+    the node, so a leaf's box is its dataset's box. ``cells`` and ``starts``
+    are the decoded catalog the tree was built from (:func:`_catalog_cells`).
     """
 
     market: Marketplace
     ids: tuple[str, ...]
+    cells: np.ndarray        # (C, 2) int64 cell indices, datasets in id order
+    starts: np.ndarray       # (n + 1,) dataset j owns cells[starts[j]:starts[j + 1]]
     order: np.ndarray        # (n,) permutation of dataset indices
     lo: np.ndarray           # (m, 2) int64 box corner
     hi: np.ndarray           # (m, 2) int64 opposite box corner
@@ -285,8 +289,8 @@ def build_ball_tree(market: Marketplace) -> BallTree:
         mid = begin + (stop - begin + 1) // 2
         begin, stop = np.column_stack([begin, mid]).ravel(), np.column_stack([mid, stop]).ravel()
     begin, stop, lo, hi, left = (np.concatenate(col) for col in zip(*levels))
-    return BallTree(market=market, ids=market.ids, order=order, lo=lo, hi=hi,
-                    left=left.astype(np.int32),
+    return BallTree(market=market, ids=market.ids, cells=cells, starts=starts,
+                    order=order, lo=lo, hi=hi, left=left.astype(np.int32),
                     right=np.where(left < 0, -1, left + 1).astype(np.int32),
                     start=begin.astype(np.int32), end=stop.astype(np.int32))
 
@@ -396,10 +400,9 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
         b = np.concatenate([left[s], right[s], right[s],
                             b[split_a], b[split_a], left[sb], right[sb]])
 
-    cells, starts = _catalog_cells(market)
     la, lb = (np.concatenate(side) for side in zip(*open_leaves))
     li, lj = tree.order[tree.start[la]], tree.order[tree.start[lb]]
-    close = _min_sqdist_pairs(cells, starts, li, lj) <= thr
+    close = _min_sqdist_pairs(tree.cells, tree.starts, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
     ii = np.concatenate([li[close], wi])
     jj = np.concatenate([lj[close], wj])
@@ -432,15 +435,17 @@ def bfs(adjacency, root):
 
 
 def connected_components(graph: DatasetGraph) -> list[Subgraph]:
-    """Maximal components via :func:`bfs`, each keeping the parent map of the
-    search from its smallest member; components ordered by that member."""
+    """Maximal components via :func:`bfs`, ordered by their smallest member;
+    a component of three or more members keeps the parent map of the search
+    from that member (``solve_cmc`` grows its paths from it)."""
     seen = set()
     components = []
     for root in graph.nodes:
         if root not in seen:
             reached, _ = bfs(graph.adjacency, root)
             seen.update(reached)
-            components.append(Subgraph(tuple(sorted(reached)), graph, reached))
+            components.append(Subgraph(tuple(sorted(reached)), graph,
+                                       reached if len(reached) > 2 else None))
     return components
 
 
@@ -468,60 +473,39 @@ def read_adjacency(path) -> DatasetGraph:
     itself, and every edge must be listed at both ends. Anything else raises
     :class:`GraphConfigError` naming the offending line.
     """
-    with open_text(path, GraphConfigError) as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split() if lines else []
-    if len(head) != 2 or head[0] != GRAPH_MAGIC or head[1] != str(GRAPH_VERSION):
-        raise GraphConfigError("not a graph adjacency file")
-
-    def header(idx, key, cast):
-        parts = lines[idx].split() if idx < len(lines) else []
-        try:
-            if len(parts) == 2 and parts[0] == key:
-                return cast(parts[1])
-        except ValueError:
-            pass
-        raise GraphConfigError(f"expected '{key} <value>' at line {idx + 1}")
-
-    delta = header(1, "delta", float)
-    if not (math.isfinite(delta) and delta >= 0):
-        raise GraphConfigError(f"delta must be finite and non-negative at line 2, got {delta}")
-    count = header(2, "nodes", int)
-    if count < 0:
-        raise GraphConfigError(f"negative node count {count} at line 3")
-    extra = next((i for i in range(3 + count, len(lines)) if lines[i].strip()), None)
-    if extra is not None:
-        raise GraphConfigError(f"line {extra + 1} is past the {count} node lines")
+    [(delta,)], rows = read_counted_file(path, GRAPH_MAGIC, GRAPH_VERSION,
+                                         [("delta", float, 1)], "nodes", GraphConfigError)
+    try:
+        check_delta(delta)
+    except GraphConfigError as exc:
+        raise GraphConfigError(f"{exc} at line 2, got {delta}") from None
     adjacency = {}
     prices = {}
     line_of = {}
-    for idx in range(3, 3 + count):
-        if idx >= len(lines):
-            raise GraphConfigError(f"expected {count} node lines, found {idx - 3}")
-        parts = lines[idx].split()
+    for line, parts in rows:
         try:
             did, price, k = parts[0], parts[1], int(parts[2])
         except (IndexError, ValueError):
-            raise GraphConfigError(f"malformed node line at line {idx + 1}") from None
+            raise GraphConfigError(f"malformed node line at line {line}") from None
         nbrs = parts[3:]
         if len(nbrs) != k:
-            raise GraphConfigError(f"neighbor count mismatch for {did!r} at line {idx + 1}")
+            raise GraphConfigError(f"neighbor count mismatch for {did!r} at line {line}")
         if did in adjacency:
-            raise GraphConfigError(f"repeated node id {did!r} at line {idx + 1}")
+            raise GraphConfigError(f"repeated node id {did!r} at line {line}")
         if did in nbrs:
-            raise GraphConfigError(f"self-loop at {did!r} at line {idx + 1}")
+            raise GraphConfigError(f"self-loop at {did!r} at line {line}")
         if any(v >= w for v, w in zip(nbrs, nbrs[1:])):
             raise GraphConfigError(
-                f"neighbors of {did!r} are not strictly ascending at line {idx + 1}")
+                f"neighbors of {did!r} are not strictly ascending at line {line}")
         try:
             cents = to_cents(price)
         except MarketplaceError as exc:
-            raise GraphConfigError(f"{exc} at line {idx + 1}") from None
+            raise GraphConfigError(f"{exc} at line {line}") from None
         if cents < 0:
-            raise GraphConfigError(f"negative price {price!r} at line {idx + 1}")
+            raise GraphConfigError(f"negative price {price!r} at line {line}")
         adjacency[did] = tuple(nbrs)
         prices[did] = cents
-        line_of[did] = idx + 1
+        line_of[did] = line
     for u, nbrs in adjacency.items():
         for v in nbrs:
             if v not in adjacency or u not in adjacency[v]:

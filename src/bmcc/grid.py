@@ -256,6 +256,47 @@ def open_text(path, error, newline=None):
             raise error(f"{path}: not a UTF-8 text file") from None
 
 
+def read_counted_file(path, magic, version, keys, records, error):
+    """Read a versioned text file of counted record lines.
+
+    The layout is a ``<magic> <version>`` line, one ``<key> <values...>``
+    line per ``(key, cast, n_values)`` of ``keys``, a ``<records> <count>``
+    line, then ``count`` record lines; only blank lines may follow them.
+    Returns the list of cast values of each key, in order, and an iterator
+    of one ``(line number, tokens)`` pair per record line. Anything else, a
+    file that is not UTF-8 included, raises ``error`` naming the line.
+    """
+    with open_text(path, error) as fh:
+        lines = fh.read().splitlines()
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != magic:
+        raise error(f"bad magic at line 1: expected '{magic} {version}'")
+    if head[1] != str(version):
+        raise error(f"unsupported {magic} version {head[1]!r} at line 1")
+    values = []
+    for number, (key, cast, n_values) in enumerate([*keys, (records, int, 1)], start=2):
+        parts = lines[number - 1].split() if number <= len(lines) else []
+        try:
+            if len(parts) == n_values + 1 and parts[0] == key:
+                values.append([cast(p) for p in parts[1:]])
+                continue
+        except ValueError:
+            pass
+        raise error(f"missing or malformed '{key}' line at line {number}")
+    (count,) = values.pop()
+    first = len(keys) + 2  # index of the first record line
+    if count < 0:
+        raise error(f"negative '{records}' count {count} at line {first}")
+    end = first + count
+    if len(lines) < end:
+        raise error(f"expected {count} lines after '{records} {count}', found "
+                    f"{len(lines) - first}: line {len(lines) + 1} is missing")
+    extra = next((i for i in range(end, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise error(f"line {extra + 1} is past the {count} lines counted by '{records}'")
+    return values, ((i + 1, lines[i].split()) for i in range(first, end))
+
+
 def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     """Parse a delimited point file into datasets, in first-appearance order.
 

@@ -12,7 +12,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from .grid import CellBasedDataset, GridConfig, GridError, open_text
+from .grid import CellBasedDataset, GridConfig, GridError, read_counted_file
 
 USAGE_BASED = "usage_based"
 EXPLICIT_TABLE = "explicit_table"
@@ -209,68 +209,42 @@ def _finite_float(text) -> float:
 
 def load_catalog(path) -> Marketplace:
     """Parse a catalog file written by :func:`save_catalog`."""
-    with open_text(path, CatalogFormatError) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CatalogFormatError("empty catalog file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != CATALOG_MAGIC:
-        raise CatalogFormatError("not a catalog file (bad magic)")
-    if head[1] != str(CATALOG_VERSION):
-        raise CatalogFormatError(f"unsupported catalog version {head[1]!r}")
+    header, rows = read_counted_file(
+        path, CATALOG_MAGIC, CATALOG_VERSION,
+        [("theta", int, 1), ("origin", _finite_float, 2), ("cell", _finite_float, 2),
+         ("pricing", str, 1)],
+        "datasets", CatalogFormatError)
+    (theta,), (ox, oy), (cw, ch), (kind,) = header
 
-    def expect(idx, key, cast, n_values=1):
-        parts = lines[idx].split() if idx < len(lines) else []
-        try:
-            if len(parts) == n_values + 1 and parts[0] == key:
-                return [cast(p) for p in parts[1:]]
-        except ValueError:
-            pass
-        raise CatalogFormatError(f"missing or malformed '{key}' line at line {idx + 1}")
-
-    def grid_at(idx, **fields):
+    def grid_at(line, **fields):
         try:
             return GridConfig(**fields)
         except GridError as exc:
-            raise CatalogFormatError(f"{exc} at line {idx + 1}") from None
+            raise CatalogFormatError(f"{exc} at line {line}") from None
 
-    theta, = expect(1, "theta", int)
-    grid_at(1, theta=theta)
-    ox, oy = expect(2, "origin", _finite_float, 2)
-    cw, ch = expect(3, "cell", _finite_float, 2)
-    grid = grid_at(3, theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
-    kind, = expect(4, "pricing", str)
+    grid_at(2, theta=theta)
+    grid = grid_at(4, theta=theta, origin_x=ox, origin_y=oy, cell_width=cw, cell_height=ch)
     if kind not in (EXPLICIT_TABLE, USAGE_BASED):
         raise CatalogFormatError(f"unknown pricing kind {kind!r} at line 5")
-    count, = expect(5, "datasets", int)
-    if count < 0:
-        raise CatalogFormatError(f"negative dataset count {count} at line 6")
-    extra = next((i for i in range(6 + count, len(lines)) if lines[i].strip()), None)
-    if extra is not None:
-        raise CatalogFormatError(f"line {extra + 1} is past the {count} dataset lines")
 
     datasets = []
     table = {}
-    for offset in range(count):
-        idx = 6 + offset
-        if idx >= len(lines):
-            raise CatalogFormatError(f"expected {count} dataset lines, found {offset}")
-        parts = lines[idx].split()
+    for line, parts in rows:
         if len(parts) < 4:
-            raise CatalogFormatError(f"short dataset line at line {idx + 1}")
+            raise CatalogFormatError(f"short dataset line at line {line}")
         did, price = parts[0], parts[1]
         try:
             n = int(parts[2])
             cells = [int(c) for c in parts[3:]]
         except ValueError:
             raise CatalogFormatError(
-                f"dataset {did!r}: non-integer count or cell at line {idx + 1}") from None
+                f"dataset {did!r}: non-integer count or cell at line {line}") from None
         if len(cells) != n:
-            raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {idx + 1}")
+            raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {line}")
         try:
             ds = CellBasedDataset(id=did, cells=np.array(cells, dtype=np.int64), grid=grid)
         except GridError as exc:
-            raise CatalogFormatError(f"dataset {did!r}: {exc}") from None
+            raise CatalogFormatError(f"{exc} at line {line}") from None
         datasets.append(ds)
         if price != "-":
             table[did] = price

@@ -350,6 +350,19 @@ class TestDualTreeWalk:
             assert all(i != j for i, j in pairs)
             assert len({frozenset(pair) for pair in pairs}) == len(pairs), delta
 
+    def test_catalog_decoded_once_per_build(self, market, monkeypatch):
+        calls = []
+
+        def counting(cell_ids):
+            calls.append(len(cell_ids))
+            return decode_cells(cell_ids)
+
+        monkeypatch.setattr(graph_module, "decode_cells", counting)
+        for delta in (0, 10, 200):
+            calls.clear()
+            build_graph_indexed(market, delta)
+            assert calls == [sum(market.dataset(did).coverage for did in market.ids)], delta
+
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """The ``(ii, jj)`` dataset pairs of every call to the exact kernel."""
