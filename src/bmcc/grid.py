@@ -9,17 +9,26 @@ operates on these cell-id arrays.
 
 Convention: the column index ``x`` occupies the even bit positions of the
 code and the row index ``y`` the odd ones, so ``encode_cell(0, 0) == 0`` and
-``encode_cell(1, 0) == 1``.
+``encode_cell(1, 0) == 1``. Encoding spreads each index byte through one
+256-entry table (four lookups per axis cover ``theta <= 31``); decoding
+gathers the bits back with shift-and-mask rounds.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 import csv
 import math
+import numbers
 
 import numpy as np
 
 MAX_THETA = 31  # 4**31 - 1 still fits an unsigned 64-bit cell id
+
+# _SPREAD8[b] holds the 8 bits of b on the even bits of a 16-bit value; index
+# byte k of axis a lands at bit offset 16k + a of the cell id.
+_SPREAD8 = ((np.arange(256)[:, None] >> np.arange(8) & 1) << 2 * np.arange(8)).sum(axis=1)
+_BYTE_SHIFTS = np.arange(0, 32, 8)
+_CELL_SHIFTS = np.arange(0, 64, 16) + np.arange(2)[:, None]
 
 _M1 = 0x5555555555555555
 _M2 = 0x3333333333333333
@@ -54,6 +63,11 @@ class PointFileError(GridError):
         self.line_number = line_number
 
 
+def _check_theta(theta):
+    if not isinstance(theta, numbers.Integral) or not 1 <= theta <= MAX_THETA:
+        raise GridError(f"theta must be an integer in [1, {MAX_THETA}], got {theta!r}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Geometry of the rasterization grid.
@@ -70,8 +84,7 @@ class GridConfig:
     cell_height: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.theta <= MAX_THETA:
-            raise GridError(f"theta must be in [1, {MAX_THETA}], got {self.theta}")
+        _check_theta(self.theta)
         extents = (self.origin_x, self.origin_y, self.cell_width, self.cell_height)
         if not all(math.isfinite(v) for v in extents):
             raise GridError(f"grid origin and cell extents must be finite, got {extents}")
@@ -94,6 +107,7 @@ class GridConfig:
         Cell extents are the envelope divided by ``2**theta``. A degenerate
         axis (all coordinates equal) gets extent 1.0 so the grid stays valid.
         """
+        _check_theta(theta)
         if bounds is not None:
             x0, y0, x1, y1 = map(float, bounds)
         else:
@@ -156,19 +170,13 @@ class CellBasedDataset:
         return int(self.cells.size)
 
 
-def _spread_bits(v):
-    """Spread the low 32 bits of ``v`` onto even bit positions (vectorized)."""
-    v = np.asarray(v, dtype=np.uint64)
-    v = (v | (v << np.uint64(16))) & np.uint64(_M16)
-    v = (v | (v << np.uint64(8))) & np.uint64(_M8)
-    v = (v | (v << np.uint64(4))) & np.uint64(_M4)
-    v = (v | (v << np.uint64(2))) & np.uint64(_M2)
-    v = (v | (v << np.uint64(1))) & np.uint64(_M1)
-    return v
+def _interleave(idx):
+    """Morton codes of an int64 ``(..., 2)`` array of (x, y) indices below 2**32."""
+    return (_SPREAD8[idx[..., None] >> _BYTE_SHIFTS & 255] << _CELL_SHIFTS).sum(axis=(-2, -1))
 
 
 def _compact_bits(v):
-    """Inverse of :func:`_spread_bits`: gather the even bits of ``v``."""
+    """Gather the even bits of ``v`` onto its low 32 bits (vectorized)."""
     v = np.asarray(v, dtype=np.uint64) & np.uint64(_M1)
     v = (v | (v >> np.uint64(1))) & np.uint64(_M2)
     v = (v | (v >> np.uint64(2))) & np.uint64(_M4)
@@ -185,7 +193,7 @@ def encode_cell(x: int, y: int, theta: int) -> int:
         raise CellRangeError(f"x index {x} outside [0, {side}) at theta={theta}")
     if not 0 <= y < side:
         raise CellRangeError(f"y index {y} outside [0, {side}) at theta={theta}")
-    return int(_spread_bits(x) | (_spread_bits(y) << np.uint64(1)))
+    return int(encode_cells(x, y))
 
 
 def decode_cell(cell_id: int, theta: int) -> tuple[int, int]:
@@ -197,8 +205,9 @@ def decode_cell(cell_id: int, theta: int) -> tuple[int, int]:
 
 
 def encode_cells(xs, ys) -> np.ndarray:
-    """Vectorized Morton encode of index arrays; no range checks."""
-    return (_spread_bits(xs) | (_spread_bits(ys) << np.uint64(1))).astype(np.int64)
+    """Vectorized Morton encode of index arrays below 2**32, one table lookup
+    per index byte; no range checks."""
+    return _interleave(np.stack((xs, ys), axis=-1).astype(np.int64, copy=False))
 
 
 def decode_cells(cell_ids) -> np.ndarray:
@@ -216,25 +225,23 @@ _BOUNDARY_RTOL = 1e-9
 def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     """Map every point of ``dataset`` to its cell and return the sorted id set.
 
-    Points exactly on the upper boundary clamp to the last cell; points
-    outside the bounding space, NaN coordinates included, raise
-    :class:`RasterizationError`.
+    Both indices come from one ``(n, 2)`` array expression and one range
+    test, and are Morton-encoded by table lookup. Points exactly on the upper
+    boundary clamp to the last cell; points outside the bounding space, NaN
+    coordinates included, raise :class:`RasterizationError` naming the first.
     """
     side = grid.side
+    pts = dataset.points
     with np.errstate(over="ignore"):  # an overflowed index is outside the grid
-        fx = (dataset.points[:, 0] - grid.origin_x) / grid.cell_width
-        fy = (dataset.points[:, 1] - grid.origin_y) / grid.cell_height
-    limit = side * (1.0 + _BOUNDARY_RTOL)
-    bad = ~((fx >= 0) & (fy >= 0) & (fx <= limit) & (fy <= limit))
-    if bad.any():
-        i = int(np.argmax(bad))
-        pt = tuple(dataset.points[i].tolist())
+        f = (pts - (grid.origin_x, grid.origin_y)) / (grid.cell_width, grid.cell_height)
+    ok = (f >= 0) & (f <= side * (1.0 + _BOUNDARY_RTOL))
+    if not ok.all():
+        pt = tuple(pts[np.argmin(ok.all(axis=1))].tolist())
         raise RasterizationError(
             dataset.id, pt, f"dataset {dataset.id!r}: point {pt} outside the bounding space")
-    ix = np.minimum(np.floor(fx).astype(np.int64), side - 1)
-    iy = np.minimum(np.floor(fy).astype(np.int64), side - 1)
-    cells = np.unique(encode_cells(ix, iy))
-    return CellBasedDataset(id=dataset.id, cells=cells, grid=grid)
+    idx = f.astype(np.int64)  # truncation is floor on indices >= 0
+    np.minimum(idx, side - 1, out=idx)
+    return CellBasedDataset(id=dataset.id, cells=np.unique(_interleave(idx)), grid=grid)
 
 
 def coverage_of_union(collection) -> int:
@@ -319,16 +326,20 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
         except ValueError:
             raise PointFileError(
                 1, "header must name dataset_id, x and y columns") from None
+        width = max(id_col, x_col, y_col) + 1
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) <= max(id_col, x_col, y_col):
-                raise PointFileError(line_no, f"expected at least {max(id_col, x_col, y_col) + 1} columns")
+            if len(row) < width:
+                raise PointFileError(line_no, f"expected at least {width} columns")
             did = row[id_col].strip()
-            if not did:
-                raise PointFileError(line_no, "empty dataset_id")
-            if any(ch.isspace() for ch in did):
-                raise PointFileError(line_no, f"dataset_id {did!r} contains whitespace")
+            pts = groups.get(did)
+            if pts is None:  # an id is checked once, on the line that first names it
+                if not did:
+                    raise PointFileError(line_no, "empty dataset_id")
+                if any(ch.isspace() for ch in did):
+                    raise PointFileError(line_no, f"dataset_id {did!r} contains whitespace")
+                pts = groups[did] = []
             try:
                 x = float(row[x_col])
                 y = float(row[y_col])
@@ -336,7 +347,7 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
                 raise PointFileError(line_no, f"bad coordinate in row {row!r}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise PointFileError(line_no, f"non-finite coordinate in row {row!r}")
-            groups.setdefault(did, []).append((x, y))
+            pts.append((x, y))
     if not groups:
         raise PointFileError(2, "no data rows")
     return [PointDataset(id=did, points=np.array(pts)) for did, pts in groups.items()]

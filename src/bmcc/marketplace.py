@@ -196,7 +196,7 @@ def save_catalog(market: Marketplace, path) -> None:
                 price = "-"
             else:
                 price = str(cents_to_decimal(market.price_cents(did)))
-            cells = " ".join(str(int(c)) for c in ds.cells)
+            cells = " ".join(map(str, ds.cells.tolist()))
             fh.write(f"{did} {price} {ds.coverage} {cells}\n")
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import reference_grid as ref
 from bmcc.grid import (
+    _BOUNDARY_RTOL,
+    MAX_THETA,
     CellBasedDataset,
     CellRangeError,
     GridConfig,
@@ -87,6 +90,19 @@ class TestGridConfig:
         with pytest.raises(GridError):
             GridConfig(theta=32)
 
+    @pytest.mark.parametrize("theta", [10.0, "10", None, 1.5])
+    def test_non_integral_theta_rejected(self, theta):
+        with pytest.raises(GridError, match="integer"):
+            GridConfig(theta=theta)
+
+    @pytest.mark.parametrize("theta", [-1, 0, 32, 10**6, 10.0, "10"])
+    def test_envelope_checks_theta_before_shifting(self, theta):
+        ds = [PointDataset("a", [(0.0, 0.0), (8.0, 4.0)])]
+        with pytest.raises(GridError, match="theta"):
+            GridConfig.from_envelope(ds, theta=theta)
+        with pytest.raises(GridError, match="theta"):
+            GridConfig.from_envelope([], theta=theta, bounds=(0, 0, 1, 1))
+
     def test_cell_extent_positive(self):
         with pytest.raises(GridError):
             GridConfig(theta=2, cell_width=0.0)
@@ -168,6 +184,107 @@ class TestRasterize:
         ]
         assert all(a <= b for a, b in zip(coverages, coverages[1:]))
         assert all(c <= len(pts) for c in coverages)
+
+
+THETA31_CORNERS = [0, 1, 2, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 24) - 1, 1 << 24,
+                   1 << 30, (1 << MAX_THETA) - 2, (1 << MAX_THETA) - 1]
+
+
+class TestTableEncodeAgainstShiftAndMask:
+    """The 256-entry table encode against the five-round shift-and-mask
+    spread it replaced (``reference_grid.spread_bits``)."""
+
+    def test_every_16_bit_value(self):
+        v = np.arange(1 << 16)
+        spread = ref.spread_bits(v).astype(np.int64)
+        zero = np.zeros_like(v)
+        assert np.array_equal(encode_cells(v, zero), spread)
+        assert np.array_equal(encode_cells(zero, v), spread << 1)
+        rng = np.random.default_rng(16)
+        other = rng.permutation(v)
+        assert np.array_equal(encode_cells(v, other), ref.encode_cells(v, other))
+
+    def test_theta31_corners(self):
+        xs, ys = np.meshgrid(THETA31_CORNERS, THETA31_CORNERS, indexing="ij")
+        got = encode_cells(xs.ravel(), ys.ravel())
+        assert np.array_equal(got, ref.encode_cells(xs.ravel(), ys.ravel()))
+        assert got.max() == (1 << (2 * MAX_THETA)) - 1
+        for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist()):
+            assert encode_cell(x, y, MAX_THETA) == int(ref.encode_cells(x, y))
+
+    def test_shapes_follow_the_inputs(self):
+        assert encode_cells(3, 3).shape == ()
+        assert encode_cells([[1, 2]], [[0, 1]]).tolist() == [[1, 6]]
+
+
+def raster_outcome(fn, dataset, grid):
+    """``fn``'s cells, or the error it raised with the point it names (as its
+    repr, so a NaN coordinate compares equal)."""
+    try:
+        return fn(dataset, grid).cells.tolist()
+    except RasterizationError as exc:
+        return type(exc), exc.dataset_id, repr(exc.point), str(exc)
+
+
+class TestRasterizeAgainstReference:
+    """``rasterize`` against the per-axis floor-and-spread one it replaced
+    (``reference_grid.rasterize``): the same cells, or the same error naming
+    the same point."""
+
+    @pytest.mark.parametrize("theta", [1, 8, 10, 16, 17, 31])
+    def test_random_points(self, theta):
+        rng = np.random.default_rng(theta)
+        for trial in range(40):
+            ox, oy = rng.uniform(-1e3, 1e3, size=2)
+            cw, ch = 10.0 ** rng.uniform(-6, 3, size=2)
+            grid = GridConfig(theta=theta, origin_x=ox, origin_y=oy,
+                              cell_width=cw, cell_height=ch)
+            span = np.array([cw, ch]) * grid.side
+            n = int(rng.integers(1, 40))
+            # mostly inside; now and then a few points just outside either edge
+            pts = (ox, oy) + span * rng.uniform(-0.02 * (trial % 4 == 0), 1.0, size=(n, 2))
+            pts[rng.random(n) < 0.05] = (ox, oy) + span * 1.01
+            ds = PointDataset(f"d{trial}", pts)
+            want = raster_outcome(ref.rasterize, ds, grid)
+            assert raster_outcome(rasterize, ds, grid) == want
+
+    BIG = 1e308
+    INF = float("inf")
+    NAN = float("nan")
+    # points on a 4 x 4 grid over [0, 4]^2, each case after the valid (0.5, 0.5)
+    EDGE_POINTS = {
+        "exactly-side": [(4.0, 4.0), (4.0, 0.0), (0.0, 4.0)],
+        "within-rtol-above": [(4.0 * (1 + _BOUNDARY_RTOL / 2), 1.0)],
+        "at-rtol-limit": [(4.0 * (1 + _BOUNDARY_RTOL), 4.0 * (1 + _BOUNDARY_RTOL))],
+        "just-past-rtol": [(1.0, 4.0 * (1 + 2 * _BOUNDARY_RTOL))],
+        "one-ulp-below-side": [(np.nextafter(4.0, 0.0), np.nextafter(4.0, 0.0))],
+        "negative-zero": [(-0.0, -0.0), (-0.0, 1.0)],
+        "below-origin": [(np.nextafter(0.0, -1.0), 1.0)],
+        "nan-x": [(NAN, 1.0)],
+        "nan-y": [(1.0, NAN)],
+        "inf": [(INF, 1.0)],
+        "minus-inf": [(1.0, -INF)],
+        "overflow-high": [(BIG, BIG)],
+        "overflow-low": [(-BIG, 1.0)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_POINTS))
+    @pytest.mark.parametrize("origin", [0.0, -1e308])
+    def test_edge_points(self, case, origin):
+        # from an origin of -1e308 every edge point is far outside the grid,
+        # and 1e308 - origin overflows to inf
+        grid = GridConfig(theta=2, origin_x=origin, origin_y=origin)
+        ds = PointDataset("edge", [(0.5 + origin, 0.5 + origin), *self.EDGE_POINTS[case]])
+        want = raster_outcome(ref.rasterize, ds, grid)
+        assert raster_outcome(rasterize, ds, grid) == want
+
+    def test_large_theta_boundary(self):
+        grid = GridConfig(theta=MAX_THETA)
+        side = float(grid.side)
+        pts = [(side, side), (side * (1 + _BOUNDARY_RTOL / 2), 0.0),
+               (np.nextafter(side, 0.0), 0.5), (-0.0, side - 1)]
+        ds = PointDataset("corner", pts)
+        assert raster_outcome(rasterize, ds, grid) == raster_outcome(ref.rasterize, ds, grid)
 
 
 class TestCellBasedDataset:

@@ -1,9 +1,10 @@
+import hashlib
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from bmcc.grid import CellBasedDataset, GridConfig
+from bmcc.grid import CellBasedDataset, GridConfig, rasterize, read_points_file
 from bmcc.marketplace import (
     EXPLICIT_TABLE,
     CatalogFormatError,
@@ -17,7 +18,7 @@ from bmcc.marketplace import (
     to_cents,
 )
 
-from conftest import make_market, random_market
+from conftest import DATA_DIR, make_market, random_market
 
 
 class TestMoney:
@@ -212,3 +213,35 @@ class TestCatalogFiles:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(CatalogFormatError, match=where):
             load_catalog(path)
+
+
+# sha256 of the catalog save_catalog writes for the committed synth1000 point
+# file at theta=11, under usage pricing and under synth_price_table
+SYNTH_CATALOG_SHA256 = {
+    "usage": "639f769720188c187a69b7b61d5def25f98e77b4884f7dc401336dd43d50101e",
+    "table": "a0dd67d1f8fb2920e2732a49bd1f15e20973386e81af0c27a20e5a3e4e6f64bf",
+}
+
+
+def synth_price_table(ids):
+    """Prices from 1.00 to 50.99, varied in both the units and the cents."""
+    return {did: f"{1 + i % 50}.{i * 7 % 100:02d}" for i, did in enumerate(ids)}
+
+
+@pytest.fixture(scope="module")
+def synth_rasterized():
+    datasets = read_points_file(DATA_DIR / "synth1000.csv")
+    grid = GridConfig.from_envelope(datasets, theta=11)
+    return grid, [rasterize(d, grid) for d in datasets]
+
+
+@pytest.mark.parametrize("pricing", sorted(SYNTH_CATALOG_SHA256))
+def test_synth1000_catalog_bytes_are_pinned(tmp_path, synth_rasterized, pricing):
+    grid, datasets = synth_rasterized
+    if pricing == "usage":
+        prices = PricingFunction.usage_based()
+    else:
+        prices = PricingFunction.from_table(synth_price_table([d.id for d in datasets]))
+    path = tmp_path / "synth1000.cat"
+    save_catalog(Marketplace.build(grid, datasets, prices), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_CATALOG_SHA256[pricing]

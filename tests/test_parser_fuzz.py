@@ -9,7 +9,9 @@ count is that of the header, with no line past it; an adjacency file's
 delta is finite and non-negative, its prices non-negative, its node count
 that of the header with every id once, and its neighbor lists strictly
 ascending without self-loops; a report's coverages are non-negative
-integers.
+integers. The point-file reader must also agree with the one it replaced,
+kept in ``reference_grid``: the same datasets, or the same error on the same
+line.
 """
 
 import json
@@ -18,6 +20,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_grid
 from bmcc.cli import ReportFormatError, _load_report
 from bmcc.graph import GraphConfigError, read_adjacency
 from bmcc.grid import GridError, read_points_file
@@ -92,10 +95,18 @@ def adjacency_text(draw):
 
 @st.composite
 def points_text(draw):
-    rows = draw(st.lists(st.tuples(st.sampled_from(("d0", "d1")), st.floats(-2, 2),
-                                   st.floats(-2, 2)), min_size=1, max_size=3))
-    return draw(corrupted(["dataset_id,x,y", *(f"{d},{x!r},{y!r}" for d, x, y in rows)],
-                          sep=","))
+    """Point rows over a few repeated ids, among blank, whitespace-only and
+    short rows; now and then one row, at any position, names an empty or
+    whitespace-holding id. Then corrupted."""
+    row = st.one_of(
+        st.tuples(st.sampled_from(("d0", "d1", " d1 ")), st.floats(-2, 2), st.floats(-2, 2))
+        .map(lambda r: f"{r[0]},{r[1]!r},{r[2]!r}"),
+        st.sampled_from(("", " ", "d0", "d1,0.5")))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    bad_id = draw(st.sampled_from((None, "", " ", "a b", "d\t0")))
+    if bad_id is not None:
+        rows.insert(draw(st.integers(0, len(rows))), f"{bad_id},0.5,0.5")
+    return draw(corrupted(["dataset_id,x,y", *rows], sep=","))
 
 
 # JSON cannot spell 1e400, so a placeholder string is swapped for the literal
@@ -158,10 +169,21 @@ def test_adjacency_parser(scratch_file, text):
             assert u not in nbrs and list(nbrs) == sorted(set(nbrs))
 
 
+def points_outcome(parser, path):
+    """Each dataset's id and point bytes, in order, or the typed error raised
+    with its line number and message."""
+    try:
+        return [(d.id, d.points.tobytes()) for d in parser(path)]
+    except TYPED_ERRORS as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+
+
 @FUZZ
 @given(text=points_text())
 def test_points_parser(scratch_file, text):
-    parses_or_raises_typed_error(read_points_file, scratch_file, text)
+    scratch_file.write_text(text, encoding="utf-8")
+    want = points_outcome(reference_grid.read_points_file, scratch_file)
+    assert points_outcome(read_points_file, scratch_file) == want
 
 
 @FUZZ
