@@ -8,8 +8,9 @@ naive all-pairs evaluation, and a dual-tree walk over a tree of integer
 bounding boxes of the datasets (Gray & Moore, "'N-Body' Problems in
 Statistical Learning", 2000). The walk advances a frontier of node pairs with
 array operations, pruning pairs whose boxes are farther apart than ``delta``
-and accepting whole those whose farthest corners are within it; the dataset
-pairs left open are decided together by one batched exact kernel.
+and accepting whole those whose farthest corners are within it. Both builders
+decide their open dataset pairs (all pairs, for the naive one) with one exact
+kernel and assemble edges with one helper; no distance is cached.
 
 Distances are exact: squared distances, box bounds included, are int64
 arithmetic on cell indices (below 2**63 even at theta=31), and both paths
@@ -17,7 +18,6 @@ share one integer threshold, so the edge sets are bit-identical.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -196,41 +196,13 @@ def _catalog_cells(market: Marketplace):
     return decode_cells(np.concatenate(morton)), starts
 
 
-_matrix_cache: "weakref.WeakKeyDictionary[Marketplace, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
-def min_sqdist_matrix(market: Marketplace) -> np.ndarray:
-    """All-pairs minimum squared distances as an (n, n) int64 matrix.
-
-    Cached per marketplace: a full matrix serves every threshold, so repeated
-    naive builds at different deltas reuse one evaluation.
-    """
-    cached = _matrix_cache.get(market)
-    if cached is not None:
-        return cached
-    cells, starts = _catalog_cells(market)
-    xs, ys = cells[:, 0], cells[:, 1]
-    n = len(market)
-    out = np.empty((n, n), dtype=np.int64)
-    rows = max(1, _CHUNK_ELEMS // len(xs))  # cells of one dataset per (rows, C) block
-    for i in range(n):
-        per_cell = None
-        for lo in range(starts[i], starts[i + 1], rows):
-            ci = cells[lo:min(lo + rows, starts[i + 1])]
-            dx = xs[None, :] - ci[:, 0][:, None]
-            dy = ys[None, :] - ci[:, 1][:, None]
-            block = (dx * dx + dy * dy).min(axis=0)
-            per_cell = block if per_cell is None else np.minimum(per_cell, block)
-        out[i] = np.minimum.reduceat(per_cell, starts[:-1])
-    _matrix_cache[market] = out
-    return out
-
-
-def _graph_from_edges(market, delta, src, dst) -> DatasetGraph:
-    """Graph from directed index edges sorted by ``(src, dst)``, each edge
-    listed at both ends; ids are sorted, so index order is id order."""
+def _graph_from_pairs(market, delta, ii, jj) -> DatasetGraph:
+    """Graph from the unordered index pairs ``(ii[k], jj[k])``, each edge
+    given once; ids are sorted, so index order is id order."""
     ids = market.ids
-    bounds = np.searchsorted(src, np.arange(len(ids) + 1)).tolist()
+    n = len(ids)
+    src, dst = np.divmod(np.sort(np.concatenate([ii * n + jj, jj * n + ii])), n)
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     names = np.array(ids, dtype=object)[dst].tolist()
     adjacency = {did: tuple(names[bounds[i]:bounds[i + 1]]) for i, did in enumerate(ids)}
     prices = {did: market.price_cents(did) for did in ids}
@@ -238,11 +210,13 @@ def _graph_from_edges(market, delta, src, dst) -> DatasetGraph:
 
 
 def build_graph_naive(market: Marketplace, delta: float) -> DatasetGraph:
-    """Reference construction: evaluate every dataset pair exactly."""
+    """Reference construction: every dataset pair i < j, unpruned, goes to
+    the indexed walk's exact kernel :func:`_min_sqdist_pairs`, and edges to
+    its assembler :func:`_graph_from_pairs`. Nothing is cached between calls."""
     thr = _sq_threshold(delta)
-    src, dst = np.nonzero(min_sqdist_matrix(market) <= thr)
-    loop = src == dst
-    return _graph_from_edges(market, delta, src[~loop], dst[~loop])
+    ii, jj = np.triu_indices(len(market), 1)
+    close = _min_sqdist_pairs(*_catalog_cells(market), ii, jj) <= thr
+    return _graph_from_pairs(market, delta, ii[close], jj[close])
 
 
 def _ranges(lo, hi):
@@ -404,11 +378,8 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     li, lj = tree.order[tree.start[la]], tree.order[tree.start[lb]]
     close = _min_sqdist_pairs(tree.cells, tree.starts, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
-    ii = np.concatenate([li[close], wi])
-    jj = np.concatenate([lj[close], wj])
-    n = len(market)
-    key = np.sort(np.concatenate([ii * n + jj, jj * n + ii]))
-    return _graph_from_edges(market, delta, key // n, key % n)
+    return _graph_from_pairs(market, delta, np.concatenate([li[close], wi]),
+                             np.concatenate([lj[close], wj]))
 
 
 def bfs(adjacency, root):

@@ -74,7 +74,7 @@ class GridConfig:
 
     ``(origin_x, origin_y)`` is the bottom-left corner of the bounding space
     and ``cell_width`` / ``cell_height`` are the cell extents in input
-    coordinate units; all four must be finite.
+    coordinate units; all four are stored as finite Python floats.
     """
 
     theta: int
@@ -85,9 +85,15 @@ class GridConfig:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        extents = (self.origin_x, self.origin_y, self.cell_width, self.cell_height)
+        raw = (self.origin_x, self.origin_y, self.cell_width, self.cell_height)
+        try:
+            extents = tuple(map(float, raw))
+        except (TypeError, ValueError, OverflowError):
+            extents = (math.nan,)
         if not all(math.isfinite(v) for v in extents):
-            raise GridError(f"grid origin and cell extents must be finite, got {extents}")
+            raise GridError(f"grid origin and cell extents must be finite numbers, got {raw}")
+        for name, value in zip(("origin_x", "origin_y", "cell_width", "cell_height"), extents):
+            object.__setattr__(self, name, value)
         if self.cell_width <= 0 or self.cell_height <= 0:
             raise GridError("cell extents must be positive")
 

@@ -227,12 +227,23 @@ def load_catalog(path) -> Marketplace:
     if kind not in (EXPLICIT_TABLE, USAGE_BASED):
         raise CatalogFormatError(f"unknown pricing kind {kind!r} at line 5")
 
-    datasets = []
+    datasets = {}
     table = {}
     for line, parts in rows:
         if len(parts) < 4:
             raise CatalogFormatError(f"short dataset line at line {line}")
         did, price = parts[0], parts[1]
+        if did in datasets:
+            raise CatalogFormatError(f"repeated dataset id {did!r} at line {line}")
+        try:
+            if kind == USAGE_BASED and price != "-":
+                raise MarketplaceError("price must be '-' under usage pricing")
+            if kind == EXPLICIT_TABLE:
+                table[did] = to_cents(price)
+                if table[did] <= 0:
+                    raise MarketplaceError(f"price {price!r} is not positive")
+        except MarketplaceError as exc:
+            raise CatalogFormatError(f"dataset {did!r}: {exc} at line {line}") from None
         try:
             n = int(parts[2])
             cells = [int(c) for c in parts[3:]]
@@ -245,11 +256,6 @@ def load_catalog(path) -> Marketplace:
             ds = CellBasedDataset(id=did, cells=np.array(cells, dtype=np.int64), grid=grid)
         except GridError as exc:
             raise CatalogFormatError(f"{exc} at line {line}") from None
-        datasets.append(ds)
-        if price != "-":
-            table[did] = price
-    if kind == EXPLICIT_TABLE:
-        pricing = PricingFunction.from_table(table)
-    else:
-        pricing = PricingFunction.usage_based()
-    return Marketplace.build(grid, datasets, pricing)
+        datasets[did] = ds
+    return Marketplace(grid=grid, datasets=datasets,
+                       pricing=PricingFunction(kind=kind, table=table or None))

@@ -10,6 +10,7 @@ from bmcc.grid import GridConfig, decode_cells
 from bmcc.graph import (
     _PAIR_CHUNK,
     GraphConfigError,
+    _catalog_cells,
     _min_sqdist_coords,
     _min_sqdist_pairs,
     build_ball_tree,
@@ -17,7 +18,6 @@ from bmcc.graph import (
     build_graph_naive,
     connected_components,
     dataset_distance,
-    min_sqdist_matrix,
     read_adjacency,
     write_adjacency,
 )
@@ -104,14 +104,16 @@ class TestNaiveGraph:
         comp_members = [c.members for c in connected_components(g)]
         assert ("d1", "d2", "d4") in comp_members
 
-    def test_matrix_against_pairwise_calls(self):
-        rng = np.random.default_rng(12)
-        m = random_market(rng, n_max=8)
-        matrix = min_sqdist_matrix(m)
-        for i, di in enumerate(m.ids):
-            for j, dj in enumerate(m.ids):
-                expected = dataset_distance(m.dataset(di), m.dataset(dj))
-                assert math.sqrt(matrix[i, j]) == pytest.approx(expected, abs=1e-12)
+    def test_kernel_over_all_pairs_against_pairwise_calls(self):
+        for seed in range(12, 17):
+            m = random_market(np.random.default_rng(seed), n_max=8)
+            ii, jj = np.triu_indices(len(m), 1)
+            d2 = _min_sqdist_pairs(*_catalog_cells(m), ii, jj)
+            for i, j, v in zip(ii.tolist(), jj.tolist(), d2.tolist()):
+                a, b = m.dataset(m.ids[i]), m.dataset(m.ids[j])
+                assert math.sqrt(v) == dataset_distance(a, b), (seed, i, j)
+                assert math.sqrt(v) == pytest.approx(
+                    brute_force_min_distance(a, b, m.grid.theta), abs=1e-12), (seed, i, j)
 
 
 def scattered_market(seed, n=64, theta=6):
@@ -422,8 +424,13 @@ class TestTheta31Exactness:
         m = make_market({f"d{i}": pairs for i, pairs in enumerate(sets)}, theta=31)
         exact = [[min((ax - bx) ** 2 + (ay - by) ** 2 for ax, ay in a for bx, by in b)
                   for b in sets] for a in sets]
-        # no int64 squared distance overflows: the matrix holds the exact values
-        assert min_sqdist_matrix(m).tolist() == exact
+        # no int64 squared distance overflows: the kernel gives the exact values
+        ii, jj = np.triu_indices(len(sets), 1)
+        d2 = _min_sqdist_pairs(*_catalog_cells(m), ii, jj).tolist()
+        assert d2 == [exact[i][j] for i, j in zip(ii.tolist(), jj.tolist())]
+        assert [math.sqrt(v) for v in d2] == [
+            dataset_distance(m.dataset(f"d{i}"), m.dataset(f"d{j}"))
+            for i, j in zip(ii.tolist(), jj.tolist())]
         d2 = data.draw(st.sampled_from(sorted({v for row in exact for v in row})))
         delta = data.draw(st.sampled_from([math.sqrt(d2), math.nextafter(math.sqrt(d2), 0),
                                            math.nextafter(math.sqrt(d2), math.inf)]))

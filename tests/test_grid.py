@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from bmcc.grid import (
     read_points_file,
     write_points_file,
 )
+from bmcc.marketplace import Marketplace, load_catalog, save_catalog
 
 
 class TestEncodeDecode:
@@ -108,10 +111,24 @@ class TestGridConfig:
             GridConfig(theta=2, cell_width=0.0)
 
     @pytest.mark.parametrize("field", ["origin_x", "origin_y", "cell_width", "cell_height"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       None, "x", [1.0], 10**400],
+                             ids=["nan", "inf", "-inf", "none", "text", "list", "huge-int"])
     def test_non_finite_origin_or_extent_rejected(self, field, value):
         with pytest.raises(GridError, match="finite"):
             GridConfig(theta=2, **{field: value})
+
+    @pytest.mark.parametrize("number", [np.float64, Decimal], ids=["float64", "decimal"])
+    def test_non_float_extents_stored_as_float_and_round_trip(self, tmp_path, number):
+        g = GridConfig(theta=4, origin_x=number("0.5"), origin_y=number("-1"),
+                       cell_width=number("0.25"), cell_height=number("3"))
+        assert [type(v) for v in (g.origin_x, g.origin_y, g.cell_width, g.cell_height)] == \
+            [float] * 4
+        assert (g.origin_x, g.origin_y, g.cell_width, g.cell_height) == (0.5, -1.0, 0.25, 3.0)
+        ds = CellBasedDataset(id="a", cells=np.array([1, 7], dtype=np.int64), grid=g)
+        path = tmp_path / "cat.txt"
+        save_catalog(Marketplace.build(g, [ds]), path)
+        assert load_catalog(path).grid == g
 
     def test_envelope_derivation(self):
         ds = [PointDataset("a", [(0.0, 0.0), (8.0, 4.0)])]

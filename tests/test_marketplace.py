@@ -183,6 +183,14 @@ class TestCatalogFiles:
         with pytest.raises(CatalogFormatError):
             load_catalog(path)
 
+    def test_table_priced_edit_loads(self, tmp_path, example2_market):
+        path = tmp_path / "cat.txt"
+        save_catalog(example2_market, path)
+        path.write_text("\n".join(table_priced(path.read_text().splitlines(), *PRICES)) + "\n")
+        back = load_catalog(path)
+        assert back.pricing.kind == EXPLICIT_TABLE
+        assert [back.price(did) for did in back.ids] == [Decimal(p) for p in PRICES]
+
     @pytest.mark.parametrize("edit, where", [
         (lambda lines: lines[:3], "line 4"),                   # cut after the 'origin' line
         (lambda lines: lines[:5] + ["datasets x"] + lines[6:], "line 6"),
@@ -201,11 +209,27 @@ class TestCatalogFiles:
         (lambda lines: lines[:3] + ["cell 0.0 1.0"] + lines[4:], "line 4"),
         (lambda lines: lines[:3] + ["cell -1.0 1.0"] + lines[4:], "line 4"),
         (lambda lines: lines[:4] + ["pricing bogus"] + lines[5:], "line 5"),
+        (lambda lines: lines[:7] + [lines[7].replace(" - ", " 9.99 ", 1)] + lines[8:],
+         "'d2': price must be '-' under usage pricing at line 8"),
+        (lambda lines: lines[:7] + [lines[7].replace("d2", "d1", 1)] + lines[8:],
+         "repeated dataset id 'd1' at line 8"),
+        (lambda lines: table_priced(lines, "1", "-", "2", "3", "4"),
+         "'d2': not a decimal amount: '-' at line 8"),
+        (lambda lines: table_priced(lines, "1", "2", "9.999", "3", "4"),
+         "'d3': amount '9.999' is finer than one cent at line 9"),
+        (lambda lines: table_priced(lines, "1", "2", "3", "0", "4"),
+         "'d4': price '0' is not positive at line 10"),
+        (lambda lines: table_priced(lines, *PRICES[:4], "-0.01"),
+         "'d5': price '-0.01' is not positive at line 11"),
+        (lambda lines: table_priced(lines[:7] + [lines[7].replace("d2", "d1", 1)] + lines[8:],
+                                    *PRICES), "repeated dataset id 'd1' at line 8"),
     ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
             "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan",
             "negative-count", "line-past-count", "extra-line", "theta-zero",
             "theta-too-large", "cell-zero-width", "cell-negative-width",
-            "unknown-pricing"])
+            "unknown-pricing", "usage-price-given", "usage-repeated-id", "table-price-dash",
+            "table-price-sub-cent", "table-price-zero", "table-price-negative",
+            "table-repeated-id"])
     def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
                                                               example2_market, edit, where):
         path = tmp_path / "cat.txt"
@@ -213,6 +237,17 @@ class TestCatalogFiles:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(CatalogFormatError, match=where):
             load_catalog(path)
+
+
+PRICES = ("1", "2.50", "0.01", "7", "12.34")
+
+
+def table_priced(lines, *prices):
+    """The lines of a usage-priced catalog turned to table pricing, with
+    ``prices`` as the price column of its dataset lines, in order."""
+    rows = [row.split() for row in lines[6:]]
+    return lines[:4] + ["pricing explicit_table"] + lines[5:6] + [
+        " ".join([row[0], price, *row[2:]]) for row, price in zip(rows, prices)]
 
 
 # sha256 of the catalog save_catalog writes for the committed synth1000 point
