@@ -33,6 +33,7 @@ from .grid import (
 )
 from .graph import GraphConfigError, build_graph_indexed, write_adjacency
 from .marketplace import (
+    EXPLICIT_TABLE,
     Marketplace,
     MarketplaceError,
     PricingFunction,
@@ -187,7 +188,8 @@ def _budget_cents(budget, total_cents) -> int:
     return to_cents(value) if kind == "amount" else math.floor(value * total_cents)
 
 
-def _read_price_table(path) -> dict:
+def _read_price_table(path) -> dict[str, int]:
+    """The ``<id> <price>`` lines of a price table as positive cents per id."""
     table = {}
     with open_text(path, MarketplaceError) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -199,7 +201,13 @@ def _read_price_table(path) -> dict:
                 raise MarketplaceError(f"{path}:{line_no}: expected '<id> <price>'")
             if parts[0] in table:
                 raise MarketplaceError(f"{path}:{line_no}: repeated id {parts[0]!r}")
-            table[parts[0]] = parts[1]
+            try:
+                cents = to_cents(parts[1])
+            except MarketplaceError as exc:
+                raise MarketplaceError(f"{path}:{line_no}: {exc}") from None
+            if cents <= 0:
+                raise MarketplaceError(f"{path}:{line_no}: price {parts[1]!r} is not positive")
+            table[parts[0]] = cents
     return table
 
 
@@ -208,7 +216,7 @@ def _pricing_from_args(kind, table_path) -> PricingFunction:
         return PricingFunction.usage_based()
     if not table_path:
         raise MarketplaceError("table pricing requires --price-table")
-    return PricingFunction.from_table(_read_price_table(table_path))
+    return PricingFunction(kind=EXPLICIT_TABLE, table=_read_price_table(table_path))
 
 
 # ---------------------------------------------------------------------------

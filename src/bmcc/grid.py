@@ -260,9 +260,10 @@ def coverage_of_union(collection) -> int:
 
 @contextmanager
 def open_text(path, error, newline=None):
-    """Open ``path`` for reading as UTF-8 text. Bytes that do not decode
+    """Open ``path`` for reading as UTF-8 text, dropping one leading byte
+    order mark (as spreadsheet exports write). Bytes that do not decode
     raise ``error`` with a message naming the path."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

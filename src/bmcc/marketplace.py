@@ -246,14 +246,17 @@ def load_catalog(path) -> Marketplace:
             raise CatalogFormatError(f"dataset {did!r}: {exc} at line {line}") from None
         try:
             n = int(parts[2])
-            cells = [int(c) for c in parts[3:]]
+            cells = np.array([int(c) for c in parts[3:]], dtype=np.int64)
         except ValueError:
             raise CatalogFormatError(
                 f"dataset {did!r}: non-integer count or cell at line {line}") from None
+        except OverflowError:
+            raise CatalogFormatError(
+                f"dataset {did!r}: cell id outside int64 at line {line}") from None
         if len(cells) != n:
             raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {line}")
         try:
-            ds = CellBasedDataset(id=did, cells=np.array(cells, dtype=np.int64), grid=grid)
+            ds = CellBasedDataset(id=did, cells=cells, grid=grid)
         except GridError as exc:
             raise CatalogFormatError(f"{exc} at line {line}") from None
         datasets[did] = ds

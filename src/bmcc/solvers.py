@@ -24,13 +24,13 @@ all solvers are deterministic functions of their inputs.
 Each solve works on a candidate graph, the datasets priced within the budget.
 When every dataset fits, it shares the query graph's adjacency and prices
 rather than copying them, but it is a new object, so the cell sets it builds
-die with the solve. A component of one or two members has a closed form
-in :func:`budgeted_greedy` and ``cmc``, with no path set-up: every path
-greedy grown from its root takes the other member exactly when the two
-prices fit together. Its double-BFS center and BFS tree take no BFS. In
-``dsa`` and ``cmc`` a candidate's coverage and price come from the state that
-grew it; ``dpsa`` counts them on the set that :func:`budgeted_greedy`
-returns. A candidate's ids are sorted only if it can win (:func:`_offer`).
+die with the solve. Its budget is parsed to cents once (:func:`_prepare`),
+and every heuristic reads a candidate's coverage and price from the state
+that grew it. A component of one or two members has a closed form in
+:func:`budgeted_greedy` and ``cmc`` (:func:`_small_growth`), with no path
+set-up: every path greedy grown from its root takes the other member exactly
+when the two prices fit together. Its double-BFS center and BFS tree take no
+BFS. A candidate's ids are sorted only if it can win (:func:`_offer`).
 
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
@@ -234,19 +234,14 @@ def _solution(algorithm, key, rounds=None):
     return Solution(algorithm, key[2], key[1], -key[0], round_coverages=rounds)
 
 
-def _measure(selected, cells_map, prices):
-    """``(selected, coverage, price)`` of the node set ``selected``."""
-    covered = frozenset().union(*map(cells_map.get, selected))
-    return selected, len(covered), sum(map(prices.get, selected))
-
-
-def _small_growth(members, root, prices, b):
-    """What every path greedy grown from ``root`` selects on a component of
-    one or two members, whose root fits ``b``: the root, and the other
-    member, the one leaf, if the two prices fit ``b`` together."""
+def _small_growth(members, root, cells_map, prices, b):
+    """``(selected, coverage, price)`` of what every path greedy from ``root``
+    selects on a component of one or two members, whose root fits ``b``: the
+    root, and the other member too if the two prices fit ``b`` together."""
     if len(members) == 2 and prices[members[0]] + prices[members[1]] <= b:
-        return members
-    return (root,)
+        u, v = members
+        return {u, v}, len(cells_map[u] | cells_map[v]), prices[u] + prices[v]
+    return {root}, len(cells_map[root]), prices[root]
 
 
 # ---------------------------------------------------------------------------
@@ -574,32 +569,34 @@ def _ratio_order(leaves, gain, dp):
         yield pool.pop(at)
 
 
-def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]:
-    """Grow a connected set from the tree root by whole root-to-leaf paths.
+def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[str], int, int]:
+    """Grow a connected set from the tree root by whole root-to-leaf paths
+    of ``tree.component``, within ``budget_cents``, an ``int`` of cents.
 
     ``flag`` selects the leaf scoring: ``"ratio"`` maximizes marginal gain
     per incremental path price, ``"coverage"`` maximizes raw marginal gain.
     A selected path is paid only for its nodes not already in the result; the
     examined leaf leaves the candidate pool whether or not its path fit.
-    Returns the empty set when the root itself exceeds the budget.
+    Returns ``(selected, coverage, price)``, read from the growth that ran,
+    and ``(set(), 0, 0)`` when the root itself exceeds the budget.
 
     Raw gains only fall, so the coverage pass is lazy (:func:`_lazy_argmax`).
     The ratio pass cannot be: a taken path also lowers the incremental price
     of every path sharing its nodes, which can raise their ratios. It scans
     the exact scores that :class:`_PathGrowth` keeps up to date instead.
-    Both flags start from a copy of the tree's path set-up, which is built
-    from ``tree.component`` (the ``sub`` it was built on) once per tree. A
-    tree of one or two nodes needs none: it returns its root, plus the other
-    node if the two prices fit together (:func:`_small_growth`).
+    Both flags start from a copy of the tree's path set-up, built once per
+    tree; a tree of one or two nodes needs none (:func:`_small_growth`).
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
-    b = to_cents(budget)
-    prices = sub.graph.prices
-    if prices[tree.root] > b:
-        return set()
+    if type(budget_cents) is not int:
+        raise TypeError(f"budget_cents must be int cents, got {budget_cents!r}")
+    graph = tree.component.graph
+    if graph.prices[tree.root] > budget_cents:
+        return set(), 0, 0
     if len(tree.parent) <= 2:
-        return set(_small_growth(tuple(tree.parent), tree.root, prices, b))
+        return _small_growth(tuple(tree.parent), tree.root, graph.cells, graph.prices,
+                             budget_cents)
     growth = tree._growth.copy()
     gain, dp = growth.gain, growth.dp
     if flag == "coverage":
@@ -610,20 +607,21 @@ def budgeted_greedy(sub: Subgraph, tree: BfsTree, budget, flag: str) -> set[str]
     remaining = set(tree.leaves)
     for leaf in order:
         remaining.discard(leaf)
-        if growth.spent + dp[leaf] <= b:
+        if growth.spent + dp[leaf] <= budget_cents:
             growth.take(leaf)
             # only a take lowers a price: once none fits, none ever will
-            room = b - growth.spent
+            room = budget_cents - growth.spent
             if all(dp[k] > room for k in remaining):
                 break
-    return growth.selected
+    return growth.selected, len(growth.covered), growth.spent
 
 
 def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
                graph: DatasetGraph | None = None) -> Solution:
     """Path-based dual greedy: per connected component of the affordable
     graph, run :func:`budgeted_greedy` under both flags from the component
-    center, then keep the best candidate over all components and flags.
+    center, then keep the best candidate over all components and flags,
+    with the coverage and price the greedy returned for it.
 
     ``center_mode="two_bfs"`` swaps in the double-BFS center estimate.
     """
@@ -633,7 +631,6 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution(label, rounds=(0, 0))
-    cells_map, prices = candidate.cells, candidate.prices
     # every member of the candidate graph fits the budget, so no greedy
     # result is empty; rounds holds the best coverage of each flag
     best, rounds = _NO_CANDIDATE, [0, 0]
@@ -644,8 +641,7 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
             center = find_center_two_bfs(sub).center
         tree = build_bfs_tree(sub, center)
         for i, flag in enumerate(("ratio", "coverage")):
-            grown = budgeted_greedy(sub, tree, budget, flag)
-            selected, coverage, price = _measure(grown, cells_map, prices)
+            selected, coverage, price = budgeted_greedy(tree, b, flag)
             rounds[i] = max(rounds[i], coverage)
             best = _offer(best, selected, coverage, price)
     return _solution(label, best, rounds=tuple(rounds))
@@ -677,8 +673,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         members = sub.members
         root = members[0]
         if len(members) <= 2:
-            selected = _small_growth(members, root, prices, b)
-            best = _offer(best, *_measure(selected, cells_map, prices))
+            best = _offer(best, *_small_growth(members, root, cells_map, prices, b))
             continue
         pool = dict.fromkeys(members[1:])
         growth = _PathGrowth(sub.parent, cells_map, prices, pool)

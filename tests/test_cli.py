@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 import sys
@@ -7,6 +8,8 @@ import pytest
 from bmcc.cli import main
 from bmcc.graph import read_adjacency
 from bmcc.marketplace import load_catalog, save_catalog
+
+from conftest import DATA_DIR
 
 
 def run(capsys, *argv):
@@ -92,6 +95,33 @@ class TestIngest:
         assert code == 0
         market = load_catalog(cat)
         assert str(market.price("a")) == "3.50"
+
+    @pytest.mark.parametrize("price, message", [
+        ("abc", "not a decimal amount: 'abc'"),
+        ("0", "price '0' is not positive"),
+        ("9.999", "amount '9.999' is finer than one cent"),
+        ("-1", "price '-1' is not positive"),
+    ], ids=["not-decimal", "zero", "sub-cent", "negative"])
+    def test_bad_price_table_amount_names_its_line(self, tmp_path, capsys, price, message):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+        table = tmp_path / "prices.txt"
+        table.write_text(f"# prices\na 3.50\nb {price}\n")
+        cat = tmp_path / "out.cat"
+        code, _, err = run(capsys, "ingest", str(pts), str(cat), "--theta", "3",
+                           "--pricing", "table", "--price-table", str(table))
+        assert code == 2
+        assert err.splitlines() == [f"error: {table}:3: {message}"]
+        assert not cat.exists()
+
+    def test_byte_order_mark_gives_the_same_catalog(self, tmp_path, capsys):
+        plain = DATA_DIR / "synth1000.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for src, out in ((plain, "plain.cat"), (marked, "bom.cat")):
+            code, _, _ = run(capsys, "ingest", str(src), str(tmp_path / out), "--theta", "11")
+            assert code == 0
+        assert (tmp_path / "bom.cat").read_bytes() == (tmp_path / "plain.cat").read_bytes()
 
     def test_repeated_price_table_id_is_data_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -634,7 +664,7 @@ class TestBadInputFiles:
         code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"),
                            "--pricing", "table", "--price-table", str(table))
         assert code == 2
-        assert err == "error: not a finite amount: 'inf'\n"
+        assert err == f"error: {table}:1: not a finite amount: 'inf'\n"
 
     def test_infinite_point_is_data_error(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"

@@ -419,7 +419,7 @@ class TestTheta31Exactness:
     def test_naive_indexed_and_exact_truth_agree(self, data):
         coord = st.one_of(st.sampled_from([0, 1, 2, THETA31_MAX - 1, THETA31_MAX]),
                           st.integers(0, THETA31_MAX))
-        cells = st.lists(st.tuples(coord, coord), min_size=1, max_size=3, unique=True)
+        cells = st.lists(st.tuples(coord, coord), min_size=1, max_size=6, unique=True)
         sets = data.draw(st.lists(cells, min_size=2, max_size=5))
         m = make_market({f"d{i}": pairs for i, pairs in enumerate(sets)}, theta=31)
         exact = [[min((ax - bx) ** 2 + (ay - by) ** 2 for ax, ay in a for bx, by in b)

@@ -1,3 +1,4 @@
+import codecs
 from decimal import Decimal
 
 import numpy as np
@@ -24,6 +25,8 @@ from bmcc.grid import (
     write_points_file,
 )
 from bmcc.marketplace import Marketplace, load_catalog, save_catalog
+
+from conftest import DATA_DIR
 
 
 class TestEncodeDecode:
@@ -391,3 +394,16 @@ class TestPointFiles:
         path.write_text('dataset_id,x,y\n"a b",0.1,0.2\n')
         with pytest.raises(PointFileError):
             read_points_file(path)
+
+    def test_one_leading_byte_order_mark_dropped(self, tmp_path):
+        plain = DATA_DIR / "synth1000.csv"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        want, got = read_points_file(plain), read_points_file(marked)
+        assert [d.id for d in got] == [d.id for d in want]
+        assert all(g.points.tobytes() == w.points.tobytes() for g, w in zip(got, want))
+        # only one is dropped: a second names no dataset_id column
+        marked.write_bytes(codecs.BOM_UTF8 * 2 + plain.read_bytes())
+        with pytest.raises(PointFileError, match="header must name") as info:
+            read_points_file(marked)
+        assert info.value.line_number == 1

@@ -223,13 +223,17 @@ class TestCatalogFiles:
          "'d5': price '-0.01' is not positive at line 11"),
         (lambda lines: table_priced(lines[:7] + [lines[7].replace("d2", "d1", 1)] + lines[8:],
                                     *PRICES), "repeated dataset id 'd1' at line 8"),
+        (lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " 99999999999999999999999"]
+         + lines[7:], "'d1': cell id outside int64 at line 7"),
+        (lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " -99999999999999999999999"]
+         + lines[7:], "'d1': cell id outside int64 at line 7"),
     ], ids=["truncated", "non-integer-count", "empty-value", "shifted-columns",
             "non-integer-cell", "origin-nan", "origin-inf", "cell-inf", "cell-nan",
             "negative-count", "line-past-count", "extra-line", "theta-zero",
             "theta-too-large", "cell-zero-width", "cell-negative-width",
             "unknown-pricing", "usage-price-given", "usage-repeated-id", "table-price-dash",
             "table-price-sub-cent", "table-price-zero", "table-price-negative",
-            "table-repeated-id"])
+            "table-repeated-id", "cell-past-int64", "cell-below-int64"])
     def test_malformed_header_or_line_rejected_with_line_number(self, tmp_path,
                                                               example2_market, edit, where):
         path = tmp_path / "cat.txt"

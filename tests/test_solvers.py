@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -139,27 +140,27 @@ class TestBudgetedGreedy:
         m = make_market({"a": [(0, 0)], "b": [(1, 0)], "c": [(2, 0)]}, theta=3)
         sub = connected_components(_graph_of(m, 1))[0]
         tree = build_bfs_tree(sub, "b")
-        out = budgeted_greedy(sub, tree, 10, "coverage")
-        assert out == {"a", "b", "c"}
+        out = budgeted_greedy(tree, 1000, "coverage")
+        assert out == ({"a", "b", "c"}, 3, 300)
 
     def test_root_price_above_budget_gives_empty(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
         tree = build_bfs_tree(sub, "d2")
-        assert budgeted_greedy(sub, tree, 1, "ratio") == set()
+        assert budgeted_greedy(tree, 100, "ratio") == (set(), 0, 0)
 
     def test_designed_instance_ratio_flag(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
         tree = build_bfs_tree(sub, find_center_exact(sub).center)
         # first pick is the gain-4 price-2 path to d6 (ratio 2), then d5, d3
-        out = budgeted_greedy(sub, tree, 14, "ratio")
-        assert out == {"d1", "d2", "d3", "d5", "d6", "d7"}
+        out = budgeted_greedy(tree, 1400, "ratio")
+        assert out == ({"d1", "d2", "d3", "d5", "d6", "d7"}, 20, 1400)
 
     def test_designed_instance_coverage_flag(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
         tree = build_bfs_tree(sub, find_center_exact(sub).center)
         # picks the gain-10 then the gain-8 path, exhausting the budget
-        out = budgeted_greedy(sub, tree, 14, "coverage")
-        assert out == {"d1", "d2", "d4", "d5", "d8"}
+        out = budgeted_greedy(tree, 1400, "coverage")
+        assert out == ({"d1", "d2", "d4", "d5", "d8"}, 21, 1400)
 
     def test_bfs_tree_shape(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
@@ -194,7 +195,16 @@ class TestBudgetedGreedy:
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
         tree = build_bfs_tree(sub, "d2")
         with pytest.raises(ValueError):
-            budgeted_greedy(sub, tree, 14, "bogus")
+            budgeted_greedy(tree, 1400, "bogus")
+
+    @pytest.mark.parametrize("budget", [Decimal("14"), "14", 14.0, True],
+                             ids=["decimal", "str", "float", "bool"])
+    def test_budget_not_int_cents_rejected(self, dpsa_market, budget):
+        # an amount in the old decimal form must fail, not be read as cents
+        sub = connected_components(_graph_of(dpsa_market, 1))[0]
+        tree = build_bfs_tree(sub, "d2")
+        with pytest.raises(TypeError, match="int cents"):
+            budgeted_greedy(tree, budget, "ratio")
 
 
 class TestRatioKey:
@@ -256,25 +266,25 @@ class TestPathSetup:
     def test_budgeted_greedy_builds_one_setup_per_tree(self, synth_giant, monkeypatch):
         built = _count_path_setups(monkeypatch)
         tree = build_bfs_tree(synth_giant, find_center_exact(synth_giant).center)
-        below_root = cents_to_decimal(synth_giant.graph.prices[tree.root] - 1)
-        assert budgeted_greedy(synth_giant, tree, below_root, "ratio") == set()
+        below_root = synth_giant.graph.prices[tree.root] - 1
+        assert budgeted_greedy(tree, below_root, "ratio") == (set(), 0, 0)
         assert built == []
-        budget = cents_to_decimal(synth_giant.graph.market.total_price_cents // 10)
-        first = [budgeted_greedy(synth_giant, tree, budget, flag)
+        budget = synth_giant.graph.market.total_price_cents // 10
+        first = [budgeted_greedy(tree, budget, flag)
                  for flag in ("ratio", "coverage", "ratio")]
         assert built == [tree.root]
         # each pass grows its own copy, so a rerun starts from the same state
         assert first[0] == first[2] != first[1]
         fresh = build_bfs_tree(synth_giant, tree.root)
-        assert budgeted_greedy(synth_giant, fresh, budget, "coverage") == first[1]
+        assert budgeted_greedy(fresh, budget, "coverage") == first[1]
 
     def test_one_node_tree_builds_no_setup(self, monkeypatch):
         built = _count_path_setups(monkeypatch)
         sub = connected_components(_graph_of(make_market({"only": [(0, 0)]}, theta=3), 1))[0]
         tree = build_bfs_tree(sub, "only")
-        assert [budgeted_greedy(sub, tree, 5, flag) for flag in ("ratio", "coverage")] == \
-            [{"only"}, {"only"}]
-        assert budgeted_greedy(sub, tree, 0, "ratio") == set()
+        assert [budgeted_greedy(tree, 500, flag) for flag in ("ratio", "coverage")] == \
+            [({"only"}, 1, 100)] * 2
+        assert budgeted_greedy(tree, 0, "ratio") == (set(), 0, 0)
         assert built == []
 
     def test_dpsa_builds_one_setup_per_tree(self, synth_giant, monkeypatch):
@@ -286,6 +296,19 @@ class TestPathSetup:
             d for d, p in graph.prices.items() if p <= graph.market.total_price_cents // 10)
         with_trees = [sub for sub in connected_components(affordable) if len(sub) >= 3]
         assert len(built) == len(set(built)) == len(with_trees) == SYNTH_DPSA_PATH_SETUPS
+
+    @pytest.mark.parametrize("center_mode", ["exact", "two_bfs"])
+    def test_dpsa_parses_the_budget_once(self, synth_giant, monkeypatch, center_mode):
+        """The greedy runs in the cents the solve parsed: one ``to_cents``
+        per solve, however many components it grows."""
+        graph = synth_giant.graph
+        budget = cents_to_decimal(graph.market.total_price_cents // 10)
+        calls = []
+        monkeypatch.setattr(solvers, "to_cents",
+                            lambda v, _f=solvers.to_cents: calls.append(v) or _f(v))
+        sol = solve_dpsa(graph.market, budget, 10, center_mode=center_mode, graph=graph)
+        assert calls == [budget]
+        assert len(connected_components(graph)) > 1 and verify_solution(graph, sol, budget).ok
 
     def test_cmc_builds_one_setup_per_component_of_three_or_more(self, synth_giant,
                                                                 monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 import reference_solvers as ref
 from bmcc.graph import build_graph_indexed, connected_components
 from bmcc.grid import GridConfig
-from bmcc.marketplace import Marketplace, PricingFunction, cents_to_decimal
+from bmcc.marketplace import Marketplace, PricingFunction, cents_to_decimal, to_cents
 from bmcc.solvers import (
     budgeted_greedy,
     build_bfs_tree,
@@ -98,13 +98,18 @@ def _trees(sub):
 
 
 def _compare_greedy_on_every_component(graph, budget_list):
+    """The greedy's set against the reference's, and its coverage and price
+    against a recount of that set over the graph's cells and prices."""
     for sub in connected_components(graph):
         for tree in _trees(sub):
             for budget in budget_list:
                 for flag in ("ratio", "coverage"):
-                    got = budgeted_greedy(sub, tree, budget, flag)
+                    selected, coverage, price = budgeted_greedy(tree, to_cents(budget), flag)
                     want = ref.budgeted_greedy(sub, tree, budget, flag)
-                    assert got == want, (tree.root, str(budget), flag)
+                    assert selected == want, (tree.root, str(budget), flag)
+                    recount = (len(frozenset().union(*(graph.cells[u] for u in selected))),
+                               sum(graph.prices[u] for u in selected))
+                    assert (coverage, price) == recount, (tree.root, str(budget), flag)
 
 
 @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
