@@ -33,12 +33,12 @@ from .grid import (
 )
 from .graph import GraphConfigError, build_graph_indexed, write_adjacency
 from .marketplace import (
-    EXPLICIT_TABLE,
     Marketplace,
     MarketplaceError,
     PricingFunction,
     cents_to_decimal,
     load_catalog,
+    price_to_cents,
     save_catalog,
     to_cents,
 )
@@ -125,7 +125,6 @@ _THETA = _checked(int, lambda t: 1 <= t <= MAX_THETA, f"in [1, {MAX_THETA}]")
 _COUNT = _checked(int, lambda n: n >= 0, "non-negative")
 _POSITIVE = _checked(int, lambda n: n >= 1, "at least 1")
 _SOLVER = _checked(str, lambda s: s in SOLVER_LABELS, "one of " + ", ".join(SOLVER_LABELS))
-_CHARACTER = _checked(str, lambda s: len(s) == 1, "one character")
 # The budget is a ``("ratio", Fraction)`` of the catalog total or an
 # ``("amount", text)``. Only the amount's sign is checked here: ``to_cents``
 # rejects one that is not a finite whole number of cents as a data error, as
@@ -141,9 +140,8 @@ _FLAGS = {
     "seed": dict(type=_COUNT, default=0),
     "theta": dict(type=_THETA, default=DEFAULT_THETA, help="grid resolution exponent"),
     "bounds": dict(type=_FINITE, nargs=4, metavar=("X0", "Y0", "X1", "Y1")),
-    "pricing": dict(choices=("usage", "table"), default="usage"),
-    "price-table": dict(help="price file for --pricing table (one '<id> <price>' per line)"),
-    "delimiter": dict(type=_CHARACTER, default=","),
+    "price-table": dict(help="price file of one '<id> <price>' line per dataset; without "
+                             "it a dataset's price is its coverage"),
     "delta": dict(type=_NON_NEGATIVE, default=DEFAULT_DELTA,
                   help="connectivity threshold (cells)"),
     "budget": dict(type=_AMOUNT, default=DEFAULT_BUDGET, metavar="AMOUNT",
@@ -202,21 +200,15 @@ def _read_price_table(path) -> dict[str, int]:
             if parts[0] in table:
                 raise MarketplaceError(f"{path}:{line_no}: repeated id {parts[0]!r}")
             try:
-                cents = to_cents(parts[1])
+                table[parts[0]] = price_to_cents(parts[1])
             except MarketplaceError as exc:
                 raise MarketplaceError(f"{path}:{line_no}: {exc}") from None
-            if cents <= 0:
-                raise MarketplaceError(f"{path}:{line_no}: price {parts[1]!r} is not positive")
-            table[parts[0]] = cents
     return table
 
 
-def _pricing_from_args(kind, table_path) -> PricingFunction:
-    if kind == "usage":
-        return PricingFunction.usage_based()
-    if not table_path:
-        raise MarketplaceError("table pricing requires --price-table")
-    return PricingFunction(kind=EXPLICIT_TABLE, table=_read_price_table(table_path))
+def _pricing_from_args(table_path) -> PricingFunction:
+    """Table pricing when ``--price-table`` is given, else usage pricing."""
+    return PricingFunction(None if table_path is None else _read_price_table(table_path))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +216,10 @@ def _pricing_from_args(kind, table_path) -> PricingFunction:
 
 
 def cmd_ingest(args) -> int:
-    datasets = read_points_file(args.points, delimiter=args.delimiter)
+    datasets = read_points_file(args.points)
     grid = GridConfig.from_envelope(datasets, theta=args.theta, bounds=args.bounds)
     rasterized = [rasterize(d, grid) for d in datasets]
-    pricing = _pricing_from_args(args.pricing, args.price_table)
+    pricing = _pricing_from_args(args.price_table)
     market = Marketplace.build(grid, rasterized, pricing)
     save_catalog(market, args.catalog)
     n_points = sum(len(d.points) for d in datasets)
@@ -392,9 +384,9 @@ def _bench_rows(args, graph, budget_spec, graph_columns):
 
 
 def cmd_bench(args) -> int:
-    datasets = read_points_file(args.points, delimiter=args.delimiter)
+    datasets = read_points_file(args.points)
     datasets_by_id = {d.id: d for d in datasets}
-    pricing = _pricing_from_args(args.pricing, args.price_table)
+    pricing = _pricing_from_args(args.price_table)
     rng = np.random.default_rng(args.seed)
     all_ids = sorted(datasets_by_id)
     ordered_ids = [all_ids[i] for i in rng.permutation(len(all_ids))]
@@ -521,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_command(sub, "ingest", cmd_ingest, "rasterize a point file into a catalog",
                  ("points", "catalog"),
-                 ("theta", "bounds", "pricing", "price-table", "delimiter"))
+                 ("theta", "bounds", "price-table"))
     _add_command(sub, "gen", cmd_gen, "generate a synthetic point file", ("points",),
                  ("datasets", "points-per", "spread", "seed"))
     _add_command(sub, "build-graph", cmd_build_graph,
@@ -532,9 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
                  ("delta", "budget", "budget-ratio", "solvers", "oracle-cap", "json-out",
                   "config"))
     _add_command(sub, "bench", cmd_bench, "parameter sweep over a point file", ("points",),
-                 ("theta", "delta", "budget", "budget-ratio", "pricing", "price-table",
-                  "solvers", "seed", "oracle-cap", "scales", "delimiter", "out",
-                  "json-out", "config"),
+                 ("theta", "delta", "budget", "budget-ratio", "price-table", "solvers",
+                  "seed", "oracle-cap", "scales", "out", "json-out", "config"),
                  axes=("theta", "delta", "budget", "budget-ratio"))
     _add_command(sub, "verify", cmd_verify, "re-verify a solve report against a catalog",
                  ("catalog", "report"), ("delta", "budget", "budget-ratio", "config"))

@@ -178,10 +178,10 @@ def _min_sqdist_coords(a: np.ndarray, b: np.ndarray) -> int:
 def dataset_distance(a, b) -> float:
     """Minimum Euclidean distance between the cell indices of two datasets.
 
-    Zero exactly when the cell sets intersect. Datasets that both carry a
-    grid must carry the same one.
+    Zero exactly when the cell sets intersect. The two datasets must share
+    one grid.
     """
-    if a.grid is not None and b.grid is not None and a.grid != b.grid:
+    if a.grid != b.grid:
         raise GraphConfigError(
             f"datasets {a.id!r} and {b.id!r} were rasterized under different grids")
     return math.sqrt(_min_sqdist_coords(decode_cells(a.cells), decode_cells(b.cells)))

@@ -150,13 +150,13 @@ class PointDataset:
 class CellBasedDataset:
     """A rasterized dataset: strictly ascending cell ids under one grid.
 
-    ``grid`` is optional metadata; when two datasets both carry grids the
-    distance machinery refuses to compare them across different grids.
+    Every cell id lies inside ``grid``; catalogs and the distance machinery
+    refuse to mix datasets of different grids.
     """
 
     id: str
     cells: np.ndarray
-    grid: GridConfig | None = field(default=None, compare=False)
+    grid: GridConfig = field(compare=False)
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=np.int64)
@@ -166,7 +166,7 @@ class CellBasedDataset:
             raise GridError(f"dataset {self.id!r}: negative cell id")
         if cells.size > 1 and not (np.diff(cells) > 0).all():
             raise GridError(f"dataset {self.id!r}: cell ids must be strictly ascending")
-        if self.grid is not None and int(cells[-1]) >= self.grid.n_cells:
+        if int(cells[-1]) >= self.grid.n_cells:
             raise CellRangeError(
                 f"dataset {self.id!r}: cell id {int(cells[-1])} outside 4**theta")
         object.__setattr__(self, "cells", cells)
@@ -311,8 +311,8 @@ def read_counted_file(path, magic, version, keys, records, error):
     return values, ((i + 1, lines[i].split()) for i in range(first, end))
 
 
-def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
-    """Parse a delimited point file into datasets, in first-appearance order.
+def read_points_file(path) -> list[PointDataset]:
+    """Parse a comma-separated point file into datasets, in first-seen order.
 
     The file must be UTF-8 with a header row naming the ``dataset_id``, ``x``
     and ``y`` columns (any order, extra columns ignored). Malformed rows and
@@ -320,7 +320,7 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     """
     groups: dict[str, list[tuple[float, float]]] = {}
     with open_text(path, GridError, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -360,10 +360,10 @@ def read_points_file(path, delimiter: str = ",") -> list[PointDataset]:
     return [PointDataset(id=did, points=np.array(pts)) for did, pts in groups.items()]
 
 
-def write_points_file(path, datasets, delimiter: str = ",") -> None:
+def write_points_file(path, datasets) -> None:
     """Write datasets in the ingestion format (header + one point per row)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["dataset_id", "x", "y"])
         for d in datasets:
             for x, y in d.points:

@@ -39,8 +39,11 @@ def to_cents(value) -> int:
     """Convert a decimal amount (int, str, float, Decimal) to integer cents.
 
     Amounts must be finite and representable at two decimal places; anything
-    finer is rejected rather than silently rounded.
+    finer is rejected rather than silently rounded. A ``bool`` is not an
+    amount, though Python counts it as an ``int``.
     """
+    if isinstance(value, bool):
+        raise MarketplaceError(f"not a decimal amount: {value!r}")
     if isinstance(value, int):
         return value * 100
     try:
@@ -58,37 +61,46 @@ def to_cents(value) -> int:
     return int(q * 100)
 
 
+def price_to_cents(text) -> int:
+    """A price read from a file: a positive whole-cent amount, in cents."""
+    cents = to_cents(text)
+    if cents <= 0:
+        raise MarketplaceError(f"price {text!r} is not positive")
+    return cents
+
+
 def cents_to_decimal(cents: int) -> Decimal:
     return Decimal(cents) * _CENT
 
 
 @dataclass(frozen=True)
 class PricingFunction:
-    """Either usage-based (price == coverage) or an explicit per-dataset table."""
+    """A dataset's price: its ``table`` entry, in positive int cents, or its
+    coverage in whole units when there is no table (usage pricing)."""
 
-    kind: str = USAGE_BASED
     table: dict[str, int] | None = None  # dataset id -> price in cents
 
     def __post_init__(self):
-        if self.kind not in (USAGE_BASED, EXPLICIT_TABLE):
-            raise MarketplaceError(f"unknown pricing kind {self.kind!r}")
-        if self.kind == EXPLICIT_TABLE:
-            if not self.table:
-                raise MarketplaceError("explicit_table pricing requires a price table")
-            for did, cents in self.table.items():
-                if type(cents) is not int or cents <= 0:
-                    raise MarketplaceError(
-                        f"price for {did!r} must be positive int cents, got {cents!r}")
+        if self.table is not None and not self.table:
+            raise MarketplaceError("explicit_table pricing requires a price table")
+        for did, cents in (self.table or {}).items():
+            if type(cents) is not int or cents <= 0:
+                raise MarketplaceError(
+                    f"price for {did!r} must be positive int cents, got {cents!r}")
+
+    @property
+    def kind(self) -> str:
+        """The catalog's ``pricing`` header word."""
+        return USAGE_BASED if self.table is None else EXPLICIT_TABLE
 
     @classmethod
     def usage_based(cls):
-        return cls(kind=USAGE_BASED)
+        return cls()
 
     @classmethod
     def from_table(cls, table) -> "PricingFunction":
         """Build table pricing from a mapping of id -> decimal amount."""
-        return cls(kind=EXPLICIT_TABLE,
-                   table={did: to_cents(value) for did, value in table.items()})
+        return cls({did: to_cents(value) for did, value in table.items()})
 
 
 @dataclass(eq=False)
@@ -105,6 +117,7 @@ class Marketplace:
         if not self.datasets:
             raise MarketplaceError("a catalog must contain at least one dataset")
         self.datasets = {did: self.datasets[did] for did in sorted(self.datasets)}
+        table = self.pricing.table
         prices = {}
         for did, ds in self.datasets.items():
             if not isinstance(did, str) or did.split() != [did]:
@@ -112,16 +125,11 @@ class Marketplace:
                     f"dataset id {did!r} must be a non-empty string without whitespace")
             if ds.id != did:
                 raise MarketplaceError(f"dataset keyed {did!r} carries id {ds.id!r}")
-            if ds.grid is not None and ds.grid != self.grid:
+            if ds.grid != self.grid:
                 raise MarketplaceError(f"dataset {did!r} was rasterized under a different grid")
-            if int(ds.cells[-1]) >= self.grid.n_cells:
-                raise MarketplaceError(f"dataset {did!r} has cell ids outside the grid")
-            if self.pricing.kind == USAGE_BASED:
-                prices[did] = ds.coverage * 100
-            else:
-                if did not in self.pricing.table:
-                    raise MarketplaceError(f"price table misses dataset {did!r}")
-                prices[did] = self.pricing.table[did]
+            if table is not None and did not in table:
+                raise MarketplaceError(f"price table misses dataset {did!r}")
+            prices[did] = ds.coverage * 100 if table is None else table[did]
         self._price_cents = prices
 
     @classmethod
@@ -192,7 +200,7 @@ def save_catalog(market: Marketplace, path) -> None:
         fh.write(f"pricing {market.pricing.kind}\n")
         fh.write(f"datasets {len(market)}\n")
         for did, ds in market.datasets.items():
-            if market.pricing.kind == USAGE_BASED:
+            if market.pricing.table is None:
                 price = "-"
             else:
                 price = str(cents_to_decimal(market.price_cents(did)))
@@ -239,9 +247,7 @@ def load_catalog(path) -> Marketplace:
             if kind == USAGE_BASED and price != "-":
                 raise MarketplaceError("price must be '-' under usage pricing")
             if kind == EXPLICIT_TABLE:
-                table[did] = to_cents(price)
-                if table[did] <= 0:
-                    raise MarketplaceError(f"price {price!r} is not positive")
+                table[did] = price_to_cents(price)
         except MarketplaceError as exc:
             raise CatalogFormatError(f"dataset {did!r}: {exc} at line {line}") from None
         try:
@@ -261,4 +267,4 @@ def load_catalog(path) -> Marketplace:
             raise CatalogFormatError(f"{exc} at line {line}") from None
         datasets[did] = ds
     return Marketplace(grid=grid, datasets=datasets,
-                       pricing=PricingFunction(kind=kind, table=table or None))
+                       pricing=PricingFunction(table if kind == EXPLICIT_TABLE else None))

@@ -273,7 +273,7 @@ def test_criterion_1_worked_example_optimum(example2_market):
 
 
 def test_criterion_2_coverage_arithmetic():
-    ds = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]))
+    ds = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]), grid=GridConfig(theta=2))
     assert coverage_of_union([ds]) == 5
     assert encode_cell(0, 0, 3) == 0
     report(2, "coverage of {3,6,9,11,12} is 5 and the origin cell encodes to 0")

@@ -91,7 +91,7 @@ class TestIngest:
         table.write_text("a 3.50\nb 1.25\n")
         cat = tmp_path / "out.cat"
         code, _, _ = run(capsys, "ingest", str(pts), str(cat), "--theta", "3",
-                         "--pricing", "table", "--price-table", str(table))
+                         "--price-table", str(table))
         assert code == 0
         market = load_catalog(cat)
         assert str(market.price("a")) == "3.50"
@@ -109,10 +109,21 @@ class TestIngest:
         table.write_text(f"# prices\na 3.50\nb {price}\n")
         cat = tmp_path / "out.cat"
         code, _, err = run(capsys, "ingest", str(pts), str(cat), "--theta", "3",
-                           "--pricing", "table", "--price-table", str(table))
+                           "--price-table", str(table))
         assert code == 2
         assert err.splitlines() == [f"error: {table}:3: {message}"]
         assert not cat.exists()
+
+    def test_price_table_alone_selects_table_pricing(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+        table = tmp_path / "prices.txt"
+        table.write_text("a 3.50\nb 6.50\n")
+        cat = tmp_path / "out.cat"
+        code, out, _ = run(capsys, "ingest", str(pts), str(cat), "--price-table", str(table))
+        assert code == 0
+        assert "total_price: 10.00" in out.splitlines()
+        assert "pricing explicit_table" in cat.read_text().splitlines()
 
     def test_byte_order_mark_gives_the_same_catalog(self, tmp_path, capsys):
         plain = DATA_DIR / "synth1000.csv"
@@ -130,7 +141,7 @@ class TestIngest:
         table.write_text("a 3.50\nb 1.25\na 7\n")
         cat = tmp_path / "out.cat"
         code, _, err = run(capsys, "ingest", str(pts), str(cat), "--theta", "3",
-                           "--pricing", "table", "--price-table", str(table))
+                           "--price-table", str(table))
         assert code == 2
         assert err.splitlines() == [f"error: {table}:3: repeated id 'a'"]
         assert not cat.exists()
@@ -168,12 +179,14 @@ class TestGen:
 
 @pytest.mark.parametrize("argv, flag", [
     (["ingest", "{pts}", "{out}", "--theta", "0"], "theta"),
-    (["ingest", "{pts}", "{out}", "--delimiter", ""], "delimiter"),
-    (["bench", "{pts}", "--out", "{out}", "--delimiter", ""], "delimiter"),
+    (["ingest", "{pts}", "{out}", "--pricing", "table"], "--pricing"),
+    (["bench", "{pts}", "--out", "{out}", "--pricing", "table"], "--pricing"),
+    (["ingest", "{pts}", "{out}", "--delimiter", ","], "--delimiter"),
+    (["bench", "{pts}", "--out", "{out}", "--delimiter", ","], "--delimiter"),
     (["gen", "{out}", "--spread", "nan"], "spread"),
     (["gen", "{out}", "--spread", "inf"], "spread"),
-], ids=["ingest-theta-0", "ingest-empty-delimiter", "bench-empty-delimiter",
-        "gen-nan-spread", "gen-inf-spread"])
+], ids=["ingest-theta-0", "ingest-pricing", "bench-pricing", "ingest-delimiter",
+        "bench-delimiter", "gen-nan-spread", "gen-inf-spread"])
 def test_bad_ingest_gen_bench_flag_is_usage_error(tmp_path, capsys, argv, flag):
     pts = tmp_path / "pts.csv"
     write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
@@ -183,6 +196,18 @@ def test_bad_ingest_gen_bench_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
+    assert not out.exists()
+
+
+def test_pricing_config_key_is_usage_error_naming_the_file(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    write_points(pts, ["a,0.1,0.1", "b,0.9,0.9"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pricing = table\n")
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, "bench", str(pts), "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err.splitlines() == [f"error: {cfg}: unrecognized arguments: --pricing=table"]
     assert not out.exists()
 
 
@@ -556,13 +581,31 @@ class TestBench:
         out = tmp_path / "bench.tsv"
         code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",
                          "--theta", "7", "--delta", "5", "--budget-ratio", "0.5",
-                         "--pricing", "table", "--price-table", str(table),
+                         "--price-table", str(table),
                          "--out", str(out))
         assert code == 0
         rows = [r.split("\t") for r in out.read_text().splitlines()]
         row = dict(zip(rows[0], rows[1]))
         # 60 datasets at 2.00 each -> total 120.00, ratio 0.5 -> budget 60.00
         assert row["budget"] == "60.00"
+
+    def test_price_table_alone_prices_the_sweep(self, tmp_path, capsys, small_points):
+        """With ``--price-table`` the budget is a share of the table's total,
+        without it a share of the total coverage."""
+        table = tmp_path / "prices.txt"
+        with open(small_points) as fh:
+            ids = sorted({line.split(",")[0] for line in fh.read().splitlines()[1:]})
+        table.write_text("".join(f"{did} 0.01\n" for did in ids))
+        budgets = []
+        for extra in ([], ["--price-table", str(table)]):
+            out = tmp_path / "bench.tsv"
+            code, _, _ = run(capsys, "bench", small_points, "--solvers", "dsa",
+                             "--theta", "7", "--delta", "5", "--budget-ratio", "1",
+                             *extra, "--out", str(out))
+            assert code == 0
+            rows = [r.split("\t") for r in out.read_text().splitlines()]
+            budgets.append(dict(zip(rows[0], rows[1]))["budget"])
+        assert budgets[1] == "0.60" != budgets[0]
 
 
 class TestVerifyCommand:
@@ -611,6 +654,7 @@ class TestVerifyCommand:
         ({"total_price": "1.001"}, "solution 0"),
         ({"total_price": "Infinity"}, "solution 0"),
         ({"total_price": "1e400"}, "solution 0"),
+        ({"total_price": True}, "solution 0: not a decimal amount: True"),
         ({"coverage": float("inf")}, "solution 0"),  # written as the JSON token Infinity
         ({"coverage": 2.7}, "'coverage' is not a non-negative integer"),
         ({"coverage": 15.0}, "'coverage' is not a non-negative integer"),
@@ -619,7 +663,7 @@ class TestVerifyCommand:
         ({"coverage": -15}, "'coverage' is not a non-negative integer"),
     ], ids=["not-json", "no-selected", "no-coverage", "selected-string",
             "repeated-id", "bad-coverage", "sub-cent-price", "infinite-price",
-            "huge-price", "infinite-coverage", "float-coverage",
+            "huge-price", "bool-price", "infinite-coverage", "float-coverage",
             "integral-float-coverage", "bool-coverage", "string-coverage",
             "negative-coverage"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, example2_catalog,
@@ -662,7 +706,7 @@ class TestBadInputFiles:
         table = tmp_path / "prices.txt"
         table.write_text("d00 inf\nd01 1.25\n")
         code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"),
-                           "--pricing", "table", "--price-table", str(table))
+                           "--price-table", str(table))
         assert code == 2
         assert err == f"error: {table}:1: not a finite amount: 'inf'\n"
 
@@ -687,7 +731,7 @@ class TestBadInputFiles:
         argv = {
             "points": ["ingest", str(bad), str(tmp_path / "out.cat")],
             "price-table": ["ingest", str(pts), str(tmp_path / "out.cat"),
-                            "--pricing", "table", "--price-table", str(bad)],
+                            "--price-table", str(bad)],
             "catalog": ["solve", str(bad)],
             "config": ["solve", example2_catalog, "--config", str(bad)],
             "report": ["verify", example2_catalog, str(bad)],

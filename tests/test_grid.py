@@ -310,35 +310,40 @@ class TestRasterizeAgainstReference:
 class TestCellBasedDataset:
     def test_must_be_strictly_ascending(self):
         with pytest.raises(GridError):
-            CellBasedDataset(id="a", cells=np.array([3, 3, 5]))
+            CellBasedDataset(id="a", cells=np.array([3, 3, 5]), grid=GridConfig(theta=3))
         with pytest.raises(GridError):
-            CellBasedDataset(id="a", cells=np.array([5, 3]))
+            CellBasedDataset(id="a", cells=np.array([5, 3]), grid=GridConfig(theta=3))
+
+    def test_grid_is_required(self):
+        with pytest.raises(TypeError, match="grid"):
+            CellBasedDataset(id="a", cells=np.array([3]))
 
     def test_bounds_checked_against_grid(self):
         with pytest.raises(CellRangeError):
             CellBasedDataset(id="a", cells=np.array([16]), grid=GridConfig(theta=2))
 
     def test_coverage_is_length(self):
-        d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]))
+        d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]), grid=GridConfig(theta=2))
         assert d.coverage == 5
 
 
 class TestCoverageOfUnion:
     def test_worked_example_set(self):
-        d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]))
+        d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]), grid=GridConfig(theta=2))
         assert coverage_of_union([d]) == 5
 
     def test_empty_collection(self):
         assert coverage_of_union([]) == 0
 
     def test_overlapping_union(self):
-        a = CellBasedDataset(id="a", cells=np.array([1, 2]))
-        b = CellBasedDataset(id="b", cells=np.array([2, 3]))
+        a = CellBasedDataset(id="a", cells=np.array([1, 2]), grid=GridConfig(theta=2))
+        b = CellBasedDataset(id="b", cells=np.array([2, 3]), grid=GridConfig(theta=2))
         assert coverage_of_union([a, b]) == 3
 
     def test_single_equals_coverage_and_order_insensitive(self):
         rng = np.random.default_rng(3)
-        ds = [CellBasedDataset(id=f"d{i}", cells=np.unique(rng.integers(0, 200, size=12)))
+        ds = [CellBasedDataset(id=f"d{i}", cells=np.unique(rng.integers(0, 200, size=12)),
+                               grid=GridConfig(theta=4))
               for i in range(5)]
         assert coverage_of_union(ds[:1]) == ds[0].coverage
         forward = coverage_of_union(ds)

@@ -7,6 +7,7 @@ import pytest
 from bmcc.grid import CellBasedDataset, GridConfig, rasterize, read_points_file
 from bmcc.marketplace import (
     EXPLICIT_TABLE,
+    USAGE_BASED,
     CatalogFormatError,
     Marketplace,
     MarketplaceError,
@@ -39,6 +40,11 @@ class TestMoney:
                                        "1e100000", "1e400", float("inf")])
     def test_non_finite_or_huge_amount_rejected_naming_value(self, value):
         with pytest.raises(MarketplaceError, match=repr(value)):
+            to_cents(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_not_an_amount(self, value):
+        with pytest.raises(MarketplaceError, match=f"not a decimal amount: {value}"):
             to_cents(value)
 
 
@@ -78,7 +84,17 @@ class TestPricing:
         """A table built directly is checked as ``from_table``'s is, so no
         free or negative price reaches a solver's ratio keys."""
         with pytest.raises(MarketplaceError, match="price for 'd1'"):
-            PricingFunction(kind=EXPLICIT_TABLE, table={"d1": cents, "d2": 100})
+            PricingFunction(table={"d1": cents, "d2": 100})
+
+    def test_the_table_alone_decides_the_kind(self):
+        assert PricingFunction().kind == USAGE_BASED == "usage_based"
+        assert PricingFunction({"d1": 100}).kind == EXPLICIT_TABLE
+        with pytest.raises(TypeError):
+            PricingFunction(kind=USAGE_BASED)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(MarketplaceError, match="requires a price table"):
+            PricingFunction({})
 
     def test_pmin_pmax_bracket_all_prices(self, example2_market):
         m = example2_market
@@ -96,6 +112,10 @@ class TestAffordableSubset:
 
     def test_threshold_filter(self, example2_market):
         assert example2_market.affordable_subset(4) == {"d3", "d4", "d5"}
+
+    def test_bool_budget_rejected(self, example2_market):
+        with pytest.raises(MarketplaceError, match="not a decimal amount: True"):
+            example2_market.affordable_subset(True)
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(42)

@@ -10,7 +10,7 @@ import bmcc.solvers as solvers
 import reference_solvers as ref
 from bmcc.graph import bfs, build_graph_indexed, build_graph_naive, connected_components
 from bmcc.grid import CellRangeError
-from bmcc.marketplace import cents_to_decimal
+from bmcc.marketplace import MarketplaceError, cents_to_decimal
 from bmcc.solvers import (
     OracleCapError,
     SOLVER_LABELS,
@@ -77,6 +77,12 @@ class TestDsa:
             budget = cents_to_decimal(random_budget_cents(rng, m))
             sol = solve_dsa(m, budget, delta)
             assert sol.coverage == max(sol.round_coverages)
+
+    @pytest.mark.parametrize("label", SOLVER_LABELS)
+    def test_bool_budget_rejected(self, example2_market, label):
+        """``True`` is not a budget of 1.00: no solver returns a selection."""
+        with pytest.raises(MarketplaceError, match="not a decimal amount: True"):
+            solve(label, example2_market, True, 3)
 
 
 class TestCenters:
