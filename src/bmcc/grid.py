@@ -322,39 +322,41 @@ def read_points_file(path) -> list[PointDataset]:
     with open_text(path, GridError, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PointFileError(1, "empty file (header row required)") from None
-        names = [h.strip().lower() for h in header]
-        try:
-            id_col = names.index("dataset_id")
-            x_col = names.index("x")
-            y_col = names.index("y")
-        except ValueError:
-            raise PointFileError(
-                1, "header must name dataset_id, x and y columns") from None
-        width = max(id_col, x_col, y_col) + 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < width:
-                raise PointFileError(line_no, f"expected at least {width} columns")
-            did = row[id_col].strip()
-            pts = groups.get(did)
-            if pts is None:  # an id is checked once, on the line that first names it
-                if not did:
-                    raise PointFileError(line_no, "empty dataset_id")
-                if any(ch.isspace() for ch in did):
-                    raise PointFileError(line_no, f"dataset_id {did!r} contains whitespace")
-                pts = groups[did] = []
+            header = next(reader, None)
+            if header is None:
+                raise PointFileError(1, "empty file (header row required)")
+            names = [h.strip().lower() for h in header]
             try:
-                x = float(row[x_col])
-                y = float(row[y_col])
+                id_col = names.index("dataset_id")
+                x_col = names.index("x")
+                y_col = names.index("y")
             except ValueError:
-                raise PointFileError(line_no, f"bad coordinate in row {row!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise PointFileError(line_no, f"non-finite coordinate in row {row!r}")
-            pts.append((x, y))
+                raise PointFileError(
+                    1, "header must name dataset_id, x and y columns") from None
+            width = max(id_col, x_col, y_col) + 1
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < width:
+                    raise PointFileError(line_no, f"expected at least {width} columns")
+                did = row[id_col].strip()
+                pts = groups.get(did)
+                if pts is None:  # an id is checked once, on the line that first names it
+                    if not did:
+                        raise PointFileError(line_no, "empty dataset_id")
+                    if any(ch.isspace() for ch in did):
+                        raise PointFileError(line_no, f"dataset_id {did!r} contains whitespace")
+                    pts = groups[did] = []
+                try:
+                    x = float(row[x_col])
+                    y = float(row[y_col])
+                except ValueError:
+                    raise PointFileError(line_no, f"bad coordinate in row {row!r}") from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise PointFileError(line_no, f"non-finite coordinate in row {row!r}")
+                pts.append((x, y))
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise PointFileError(reader.line_num, str(exc)) from None
     if not groups:
         raise PointFileError(2, "no data rows")
     return [PointDataset(id=did, points=np.array(pts)) for did, pts in groups.items()]

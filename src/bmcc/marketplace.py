@@ -81,9 +81,13 @@ class PricingFunction:
     table: dict[str, int] | None = None  # dataset id -> price in cents
 
     def __post_init__(self):
-        if self.table is not None and not self.table:
+        if self.table is None:
+            return
+        # a copy, so the caller's later edits to its dict skip no check
+        object.__setattr__(self, "table", dict(self.table))
+        if not self.table:
             raise MarketplaceError("explicit_table pricing requires a price table")
-        for did, cents in (self.table or {}).items():
+        for did, cents in self.table.items():
             if type(cents) is not int or cents <= 0:
                 raise MarketplaceError(
                     f"price for {did!r} must be positive int cents, got {cents!r}")

@@ -39,9 +39,10 @@ return exactly what a full rescan would:
   of :func:`budgeted_greedy` -- gains are lazy (Minoux's accelerated greedy,
   also known as CELF): a heap keyed by (-score, id) holds stale upper
   bounds, and only its top entry is rescored before being examined. The
-  ``dsa`` ratio pass keys by the float quotient gain / price, which is
-  correctly rounded and so never inverts two exact ratios; only equal floats
-  are compared exactly, by integer cross-multiplication.
+  ``dsa`` ratio pass keys by the int ``-(gain * scale // price)``, ``scale``
+  the largest candidate price squared: two distinct ratios of positive int
+  prices differ by at least 1 / (p1*p2), so their scaled floors never tie or
+  invert (:func:`_ratio_key`). Its first heaps read gains from coverage.
 * Where the incremental path price ``dp`` falls too -- the ratio pass of
   :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
   valid, since a taken path makes every path sharing its nodes cheaper and
@@ -271,34 +272,13 @@ def _lazy_argmax(entries, rescore):
             heapq.heappush(heap, fresh)
 
 
-class _RatioKey:
-    """Heap key of the ratio ``gain / price`` (``price > 0``): a larger ratio
-    sorts first, as ``-Fraction(gain, price)`` would, without building one.
-
-    Keys compare by the float quotient first. CPython rounds int / int true
-    division correctly, so the quotient is monotone in the exact ratio: two
-    unequal floats order as the exact ratios do. Only equal floats -- common,
-    since usage pricing makes every initial ratio equal -- are compared
-    exactly, by integer cross-multiplication.
-    """
-
-    __slots__ = ("q", "gain", "price")
-
-    def __init__(self, gain, price):
-        self.q = gain / price
-        self.gain = gain
-        self.price = price
-
-    def __eq__(self, other):
-        return self.q == other.q and self.gain * other.price == other.gain * self.price
-
-    def __lt__(self, other):
-        if self.q != other.q:
-            return self.q > other.q
-        return self.gain * other.price > other.gain * self.price
-
-    def __le__(self, other):
-        return not other < self
+def _ratio_key(prices):
+    """Heap key ``key(gain, price)`` of the ratio ``gain / price``, for prices
+    among ``prices`` (positive int cents): the plain int ``-(gain * scale //
+    price)``, ``scale = max(prices) ** 2``, which orders exactly as
+    ``-Fraction(gain, price)`` (see :func:`solve_dsa`) and compares in C."""
+    scale = max(prices) ** 2
+    return lambda gain, price: -(gain * scale // price)
 
 
 class _PathGrowth:
@@ -427,24 +407,30 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     dropped from the pass's pool whether or not it was accepted, and a
     candidate is acceptable only if it keeps the growing set connected and
     within budget. Gains only fall as cells get covered, so both passes run
-    on :func:`_lazy_argmax`.
+    on :func:`_lazy_argmax`, whose first keys take each gain from coverage.
+    The ratio pass keys by the int ``-(gain * scale // price)``, ``scale =
+    max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
+    price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
+    differ by at least scale / (p1*p2) >= 1 and their floors are strictly
+    ordered, while equal ratios give equal floors (:func:`_ratio_key`).
     """
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution("dsa", rounds=(0, 0))
     adjacency, cells_map, prices = candidate.adjacency, candidate.cells, candidate.prices
 
-    def one_round(ratio_based: bool) -> tuple[set[str], int, int]:
+    def one_round(key) -> tuple[set[str], int, int]:
         covered: set[int] = set()
         selected: set[str] = set()
         frontier: set[str] = set()
         spent = 0
 
         def rescore(did):
-            gain = len(cells_map[did].difference(covered))
-            return _RatioKey(gain, prices[did]) if ratio_based else -gain
+            return key(len(cells_map[did].difference(covered)), prices[did])
 
-        for did in _lazy_argmax([(rescore(d), d) for d in adjacency], rescore):
+        # before anything is covered, a dataset's gain is its coverage
+        entries = [(key(len(cells_map[d]), prices[d]), d) for d in adjacency]
+        for did in _lazy_argmax(entries, rescore):
             if selected and did not in frontier:
                 continue
             if spent + prices[did] > b:
@@ -455,8 +441,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             frontier.update(adjacency[did])
         return selected, len(covered), spent
 
-    first = one_round(ratio_based=True)
-    second = one_round(ratio_based=False)
+    first = one_round(_ratio_key(prices.values()))
+    second = one_round(lambda gain, price: -gain)
     # the raw-gain pass wins only on strictly higher coverage
     selected, coverage, price = second if second[1] > first[1] else first
     return Solution("dsa", tuple(sorted(selected)), price, coverage,

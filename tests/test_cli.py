@@ -717,6 +717,14 @@ class TestBadInputFiles:
         assert code == 2
         assert "line 3" in err and len(err.splitlines()) == 1
 
+    def test_oversized_point_field_is_data_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ["d0,0.1,0.2", "d9,0.5," + "1" * 200_000])
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "line 3: field larger than field limit" in err
+
     @pytest.mark.parametrize("boundary", ["points", "price-table", "catalog", "config",
                                           "report"])
     def test_file_not_utf8_is_data_error(self, tmp_path, capsys, example2_catalog,

@@ -400,6 +400,17 @@ class TestPointFiles:
         with pytest.raises(PointFileError):
             read_points_file(path)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_reports_line(self, tmp_path, line):
+        # the csv module refuses a field over 131072 characters
+        rows = ["dataset_id,x,y", "a,0.1,0.2", "a,0.3,0.4"]
+        rows[line - 1] += "1" * 200_000
+        path = tmp_path / "pts.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(PointFileError, match="field larger than field limit") as info:
+            read_points_file(path)
+        assert info.value.line_number == line
+
     def test_one_leading_byte_order_mark_dropped(self, tmp_path):
         plain = DATA_DIR / "synth1000.csv"
         marked = tmp_path / "bom.csv"

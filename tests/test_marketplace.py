@@ -92,6 +92,14 @@ class TestPricing:
         with pytest.raises(TypeError):
             PricingFunction(kind=USAGE_BASED)
 
+    def test_caller_edits_after_construction_do_not_reach_the_table(self):
+        table = {"d1": 100}
+        pricing = PricingFunction(table)
+        table["d1"] = -5
+        grid = GridConfig(theta=2)
+        d1 = CellBasedDataset(id="d1", cells=np.array([0]), grid=grid)
+        assert Marketplace.build(grid, [d1], pricing).price_cents("d1") == 100
+
     def test_empty_table_rejected(self):
         with pytest.raises(MarketplaceError, match="requires a price table"):
             PricingFunction({})

@@ -26,9 +26,9 @@ from bmcc.solvers import (
     solve_dsa,
     solve_exact,
     verify_solution,
-    _RatioKey,
     _PathGrowth,
     _lazy_argmax,
+    _ratio_key,
     _ratio_order,
 )
 
@@ -215,32 +215,35 @@ class TestBudgetedGreedy:
 
 class TestRatioKey:
     BIG = 2 ** 53
+    PAIRS = [(g, p) for g in range(4) for p in range(1, 5)] + [
+        (BIG + 1, BIG), (BIG, BIG), (BIG - 1, BIG), (3 * BIG + 1, 3 * BIG),
+        (BIG + 2, BIG + 1), (1, BIG), (1, BIG + 1)]
 
     def test_orders_as_negated_fractions(self):
         big = self.BIG
         # (2**53 + 1) / 2**53 rounds to 1.0, the quotient of 1 / 1: the float
         # ties, the exact ratios differ
         assert (big + 1) / big == 1 / 1
-        pairs = [(g, p) for g in range(4) for p in range(1, 5)]
-        pairs += [(big + 1, big), (big, big), (big - 1, big), (3 * big + 1, 3 * big),
-                  (big + 2, big + 1), (1, big), (1, big + 1)]
-        for a in pairs:
-            for b in pairs:
+        key = _ratio_key(p for _, p in self.PAIRS)
+        for a in self.PAIRS:
+            for b in self.PAIRS:
                 want = -Fraction(*a), -Fraction(*b)
-                got = _RatioKey(*a), _RatioKey(*b)
-                assert (got[0] < got[1], got[0] <= got[1], got[0] == got[1]) == \
-                    (want[0] < want[1], want[0] <= want[1], want[0] == want[1]), (a, b)
+                got = key(*a), key(*b)
+                assert type(got[0]) is int
+                assert (got[0] < got[1], got[0] == got[1]) == \
+                    (want[0] < want[1], want[0] == want[1]), (a, b)
 
     def test_lazy_argmax_breaks_float_ties_exactly(self):
         big = self.BIG
+        key = _ratio_key([1, 2, big])
         # "a" is popped first on a stale key; its fresh ratio 1/1 has the same
         # float as b's, but is exactly smaller, so b must come first
-        fresh = {"a": _RatioKey(1, 1), "b": _RatioKey(big + 1, big)}
-        entries = [(_RatioKey(2, 1), "a"), (fresh["b"], "b")]
+        fresh = {"a": key(1, 1), "b": key(big + 1, big)}
+        entries = [(key(2, 1), "a"), (fresh["b"], "b")]
         assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["b", "a"]
         # exactly equal ratios fall back to the smaller id
-        fresh = {"a": _RatioKey(2, 2), "b": _RatioKey(1, 1)}
-        entries = [(_RatioKey(2, 1), "b"), (fresh["a"], "a")]
+        fresh = {"a": key(2, 2), "b": key(1, 1)}
+        entries = [(key(2, 1), "b"), (fresh["a"], "a")]
         assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["a", "b"]
 
 

@@ -3,7 +3,9 @@ loops they replaced (``reference_solvers``), on seeded random markets.
 
 Usage pricing makes every dataset's initial gain-per-price equal, so the
 first picks of the ratio passes are decided by the smallest-id tie-break
-alone; explicit-table pricing makes the ratios distinct. Budgets run from
+alone; explicit-table pricing makes the ratios distinct. Float-tie pricing
+charges 2**53 cents per cell plus under one cent per cell, so distinct ratios
+round to equal floats and only an exact key orders them. Budgets run from
 below the cheapest dataset up to the whole catalog.
 """
 
@@ -58,9 +60,12 @@ def differential_market(seed, pricing):
         datasets.append(make_dataset(f"d{i:02d}", pairs, grid))
     if pricing == "usage":
         prices = PricingFunction.usage_based()
-    else:
+    elif pricing == "table":
         prices = PricingFunction.from_table(
             {d.id: cents_to_decimal(int(rng.integers(50, 5000))) for d in datasets})
+    else:  # "float-tie": every initial ratio is 1 / (2**53 + f), 0 <= f < 1
+        prices = PricingFunction({d.id: d.coverage * 2 ** 53 + int(rng.integers(0, d.coverage))
+                                  for d in datasets})
     return Marketplace.build(grid, datasets, prices)
 
 
@@ -77,7 +82,7 @@ def solution_key(sol):
 
 
 @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
-@pytest.mark.parametrize("pricing", ("usage", "table"))
+@pytest.mark.parametrize("pricing", ("usage", "table", "float-tie"))
 def test_solvers_match_full_scan_reference(pricing, delta):
     for seed in SEEDS:
         market = differential_market(seed, pricing)
@@ -87,6 +92,15 @@ def test_solvers_match_full_scan_reference(pricing, delta):
                 got = new(market, budget, delta, graph=graph, **kwargs)
                 want = old(market, budget, delta, graph=graph, **kwargs)
                 assert solution_key(got) == solution_key(want), (seed, str(budget), label)
+
+
+def test_float_tie_pricing_ties_distinct_ratios():
+    for seed in SEEDS:
+        market = differential_market(seed, "float-tie")
+        ratios = {(market.dataset(d).coverage, market.price_cents(d)) for d in market.ids}
+        assert max(p for _, p in ratios) ** 2 > 2 ** 106
+        assert any(g1 / p1 == g2 / p2 and g1 * p2 != g2 * p1
+                   for g1, p1 in ratios for g2, p2 in ratios), seed
 
 
 def _trees(sub):
