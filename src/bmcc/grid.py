@@ -151,7 +151,10 @@ class CellBasedDataset:
     """A rasterized dataset: strictly ascending cell ids under one grid.
 
     Every cell id lies inside ``grid``; catalogs and the distance machinery
-    refuse to mix datasets of different grids.
+    refuse to mix datasets of different grids. The public constructor checks
+    all of this. :func:`rasterize` and :func:`bmcc.load_catalog` build their
+    datasets with :meth:`_unchecked` instead, because their cells already
+    hold it by construction or were checked as one array.
     """
 
     id: str
@@ -170,6 +173,15 @@ class CellBasedDataset:
             raise CellRangeError(
                 f"dataset {self.id!r}: cell id {int(cells[-1])} outside 4**theta")
         object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _unchecked(cls, id, cells, grid):
+        """A dataset over ``cells`` as given, skipping ``__post_init__``: the
+        caller guarantees a non-empty 1-d int64 array of strictly ascending
+        ids in ``[0, 4**grid.theta)``."""
+        ds = object.__new__(cls)
+        ds.id, ds.cells, ds.grid = id, cells, grid
+        return ds
 
     @property
     def coverage(self) -> int:
@@ -235,6 +247,8 @@ def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     test, and are Morton-encoded by table lookup. Points exactly on the upper
     boundary clamp to the last cell; points outside the bounding space, NaN
     coordinates included, raise :class:`RasterizationError` naming the first.
+    The result is built unchecked: ``np.unique`` of in-grid indices is
+    already sorted, duplicate-free, non-empty and below ``4**theta``.
     """
     side = grid.side
     pts = dataset.points
@@ -247,7 +261,7 @@ def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
             dataset.id, pt, f"dataset {dataset.id!r}: point {pt} outside the bounding space")
     idx = f.astype(np.int64)  # truncation is floor on indices >= 0
     np.minimum(idx, side - 1, out=idx)
-    return CellBasedDataset(id=dataset.id, cells=np.unique(_interleave(idx)), grid=grid)
+    return CellBasedDataset._unchecked(dataset.id, np.unique(_interleave(idx)), grid)
 
 
 def coverage_of_union(collection) -> int:
@@ -316,7 +330,8 @@ def read_points_file(path) -> list[PointDataset]:
 
     The file must be UTF-8 with a header row naming the ``dataset_id``, ``x``
     and ``y`` columns (any order, extra columns ignored). Malformed rows and
-    non-finite coordinates fail with their line number.
+    non-finite coordinates fail with their line number: the physical line,
+    the last one of a row whose quoted field spans lines.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
     with open_text(path, GridError, newline="") as fh:
@@ -334,7 +349,8 @@ def read_points_file(path) -> list[PointDataset]:
                 raise PointFileError(
                     1, "header must name dataset_id, x and y columns") from None
             width = max(id_col, x_col, y_col) + 1
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                line_no = reader.line_num  # a quoted field may span lines
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) < width:

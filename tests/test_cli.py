@@ -725,6 +725,13 @@ class TestBadInputFiles:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "line 3: field larger than field limit" in err
 
+    def test_point_row_after_multiline_field_names_its_physical_line(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        write_points(pts, ['a,0.1,"0.2', '"', "c,zzz,0.3"])
+        code, _, err = run(capsys, "ingest", str(pts), str(tmp_path / "out.cat"))
+        assert code == 2
+        assert err.startswith("error: line 4: bad coordinate") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("boundary", ["points", "price-table", "catalog", "config",
                                           "report"])
     def test_file_not_utf8_is_data_error(self, tmp_path, capsys, example2_catalog,

@@ -411,6 +411,13 @@ class TestPointFiles:
             read_points_file(path)
         assert info.value.line_number == line
 
+    def test_row_after_a_multiline_quoted_field_reports_its_physical_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text('dataset_id,x,y\na,0.1,"0.2\n"\nc,zzz,0.3\n')
+        with pytest.raises(PointFileError, match="bad coordinate") as info:
+            read_points_file(path)
+        assert info.value.line_number == 4
+
     def test_one_leading_byte_order_mark_dropped(self, tmp_path):
         plain = DATA_DIR / "synth1000.csv"
         marked = tmp_path / "bom.csv"

@@ -312,3 +312,28 @@ def test_synth1000_catalog_bytes_are_pinned(tmp_path, synth_rasterized, pricing)
     path = tmp_path / "synth1000.cat"
     save_catalog(Marketplace.build(grid, datasets, prices), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_CATALOG_SHA256[pricing]
+
+
+def test_rasterize_and_load_build_datasets_unchecked(tmp_path, monkeypatch):
+    # both build their datasets from cells already known to be valid, so
+    # neither runs the checks of the public constructor
+    checked = []
+    check = CellBasedDataset.__post_init__
+
+    def counting(self):
+        checked.append(self.id)
+        check(self)
+
+    monkeypatch.setattr(CellBasedDataset, "__post_init__", counting)
+    points = read_points_file(DATA_DIR / "synth1000.csv")
+    grid = GridConfig.from_envelope(points, theta=11)
+    datasets = [rasterize(d, grid) for d in points]
+    assert checked == []
+    path = tmp_path / "synth1000.cat"
+    save_catalog(Marketplace.build(grid, datasets), path)
+    loaded = load_catalog(path)
+    assert checked == []
+    assert len(loaded) == len(datasets) == 1000
+    assert all(np.array_equal(loaded.dataset(d.id).cells, d.cells) for d in datasets)
+    CellBasedDataset(id="x", cells=[0], grid=grid)
+    assert checked == ["x"]

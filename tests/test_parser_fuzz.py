@@ -9,9 +9,9 @@ count is that of the header, with no line past it; an adjacency file's
 delta is finite and non-negative, its prices non-negative, its node count
 that of the header with every id once, and its neighbor lists strictly
 ascending without self-loops; a report's coverages are non-negative
-integers. The point-file reader must also agree with the one it replaced,
-kept in ``reference_grid``: the same datasets, or the same error on the same
-line.
+integers. The point-file reader and the catalog loader must also agree with
+the ones they replaced, kept in ``reference_grid`` and ``reference_catalog``:
+the same datasets, or the same error on the same line.
 """
 
 import json
@@ -20,11 +20,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_catalog
 import reference_grid
 from bmcc.cli import ReportFormatError, _load_report
 from bmcc.graph import GraphConfigError, read_adjacency
 from bmcc.grid import GridError, read_points_file
-from bmcc.marketplace import MarketplaceError, load_catalog
+from bmcc.marketplace import CatalogFormatError, MarketplaceError, load_catalog
 
 TYPED_ERRORS = (GridError, MarketplaceError, GraphConfigError, ReportFormatError)
 
@@ -152,6 +153,55 @@ def test_catalog_parser(scratch_file, text):
         lines = text.splitlines()
         dataset_lines = [line for line in lines[6:] if line.strip()]
         assert len(market) == len(dataset_lines) == int(lines[5].split()[1])
+
+
+def catalog_outcome(loader, path):
+    """The catalog's ids, grid, pricing kind, prices and each dataset's cell
+    dtype and ids, or the typed error raised with its message."""
+    try:
+        market = loader(path)
+    except TYPED_ERRORS as exc:
+        return type(exc), str(exc)
+    return (market.ids, market.grid, market.pricing.kind,
+            [market.price_cents(did) for did in market.ids],
+            [(d.cells.dtype, d.cells.tolist()) for d in market.datasets.values()])
+
+
+@FUZZ
+@given(text=catalog_text())
+def test_catalog_loader_matches_reference(scratch_file, text):
+    scratch_file.write_text(text, encoding="utf-8")
+    want = catalog_outcome(reference_catalog.load_catalog, scratch_file)
+    assert catalog_outcome(load_catalog, scratch_file) == want
+
+
+LOADER_CATALOG = ["CBCAT 1", "theta 3", "origin 0.0 0.0", "cell 1.0 1.0", "pricing usage_based",
+                  "datasets 5", "a - 2 5 9", "b - 3 1 2 3", "c - 1 63", "d - 2 0 7", "e - 1 4"]
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({8: "b - 3 1 3 2", 9: "c - 1 x"},
+     "dataset 'b': cell ids must be strictly ascending at line 8"),
+    ({8: "b - 3 1 x 3", 9: "c - 2 9 8"}, "dataset 'b': non-integer count or cell at line 8"),
+    ({7: "a - 2 5 64", 8: "a - 3 1 2 3"}, "dataset 'a': cell id 64 outside 4**theta at line 7"),
+    ({8: "a - 3 1 2 3", 9: "c - 1 64"}, "repeated dataset id 'a' at line 8"),
+    ({9: "c - 1 99999999999999999999", 10: "d - 2 -1 7"},
+     "dataset 'c': cell id outside int64 at line 9"),
+    ({9: "c - 1 -1", 10: "d - 1 0 7"}, "dataset 'c': negative cell id at line 9"),
+    ({10: "d - 1 x 7"}, "dataset 'd': non-integer count or cell at line 10"),
+    ({10: "d - 3 9 7"}, "dataset 'd': cell count mismatch at line 10"),
+    ({10: "d 1 2 9 7"}, "dataset 'd': price must be '-' under usage pricing at line 10"),
+    ({11: "e - 2 64 4"}, "dataset 'e': cell ids must be strictly ascending at line 11"),
+], ids=["descending-before-non-integer", "non-integer-before-descending",
+        "outside-before-repeated", "repeated-before-outside", "int64-before-negative",
+        "negative-before-count", "non-integer-with-count", "count-with-descending",
+        "price-with-descending", "outside-and-descending-last"])
+def test_first_faulty_catalog_line_wins(tmp_path, faults, message):
+    path = tmp_path / "catalog"
+    lines = [faults.get(number, text) for number, text in enumerate(LOADER_CATALOG, start=1)]
+    path.write_text("\n".join(lines) + "\n")
+    assert catalog_outcome(load_catalog, path) == (CatalogFormatError, message)
+    assert catalog_outcome(reference_catalog.load_catalog, path) == (CatalogFormatError, message)
 
 
 @FUZZ
