@@ -10,11 +10,10 @@ import numpy as np
 from bmcc import (
     GridConfig,
     PointDataset,
-    coverage_of_union,
-    decode_cell,
     encode_cell,
     rasterize,
 )
+from bmcc.grid import decode_cells
 
 
 def main():
@@ -26,7 +25,8 @@ def main():
     # close in space, and the bottom-left cell is id 0.
     for x, y in [(0, 0), (1, 0), (0, 1), (1, 2), (7, 7)]:
         cid = encode_cell(x, y, theta)
-        print(f"  cell ({x},{y}) -> id {cid:2d} -> decodes back to {decode_cell(cid, theta)}")
+        back = decode_cells([cid])[0].tolist()
+        print(f"  cell ({x},{y}) -> id {cid:2d} -> decodes back to {back}")
 
     # Rasterize a small trajectory-like dataset.
     rng = np.random.default_rng(7)
@@ -40,7 +40,7 @@ def main():
     # Coverage of a union counts distinct cells once.
     other = PointDataset(id="other", points=walk[::2] * 0.97)
     other_cells = rasterize(other, GridConfig.from_envelope([dataset], theta=theta))
-    both = coverage_of_union([cell_based, other_cells])
+    both = np.union1d(cell_based.cells, other_cells.cells).size
     print(f"\nunion coverage with a heavily overlapping copy: {both} "
           f"(vs {cell_based.coverage} + {other_cells.coverage} separately)")
 

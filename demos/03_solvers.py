@@ -51,7 +51,7 @@ def main():
     print(f"catalog of {len(market)} datasets, budget {budget}, delta {delta}")
     print("adjacency:")
     for node in graph.nodes:
-        print(f"  {node}: {' '.join(graph.neighbors(node))}")
+        print(f"  {node}: {' '.join(graph.adjacency[node])}")
 
     comp = connected_components(graph)[0]
     exact_center = find_center_exact(comp)

@@ -9,8 +9,6 @@ from .grid import (
     PointDataset,
     PointFileError,
     RasterizationError,
-    coverage_of_union,
-    decode_cell,
     encode_cell,
     rasterize,
     read_points_file,
@@ -45,7 +43,6 @@ from .solvers import (
     OracleCapError,
     SOLVER_LABELS,
     Solution,
-    TwoBfsResult,
     VerificationReport,
     budgeted_greedy,
     build_bfs_tree,

@@ -52,9 +52,6 @@ class DatasetGraph:
     def n_edges(self) -> int:
         return sum(len(v) for v in self.adjacency.values()) // 2
 
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self.adjacency[node_id]
-
     @cached_property
     def cells(self) -> dict[str, frozenset[int]]:
         """Cell ids of every node, built from the catalog on first use."""
@@ -104,9 +101,6 @@ class Subgraph:
 
     def __len__(self):
         return len(self.members)
-
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        return {u: self.graph.adjacency[u] for u in self.members}
 
 
 @dataclass(eq=False)

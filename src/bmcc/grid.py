@@ -64,7 +64,9 @@ class PointFileError(GridError):
 
 
 def _check_theta(theta):
-    if not isinstance(theta, numbers.Integral) or not 1 <= theta <= MAX_THETA:
+    """A ``bool`` is not a theta, though Python counts it as ``Integral``."""
+    if (not isinstance(theta, numbers.Integral) or isinstance(theta, bool)
+            or not 1 <= theta <= MAX_THETA):
         raise GridError(f"theta must be an integer in [1, {MAX_THETA}], got {theta!r}")
 
 
@@ -74,7 +76,8 @@ class GridConfig:
 
     ``(origin_x, origin_y)`` is the bottom-left corner of the bounding space
     and ``cell_width`` / ``cell_height`` are the cell extents in input
-    coordinate units; all four are stored as finite Python floats.
+    coordinate units; all four are stored as finite Python floats, and
+    ``theta`` as a Python int.
     """
 
     theta: int
@@ -85,6 +88,7 @@ class GridConfig:
 
     def __post_init__(self):
         _check_theta(self.theta)
+        object.__setattr__(self, "theta", int(self.theta))
         raw = (self.origin_x, self.origin_y, self.cell_width, self.cell_height)
         try:
             extents = tuple(map(float, raw))
@@ -162,9 +166,12 @@ class CellBasedDataset:
     grid: GridConfig = field(compare=False)
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
         if cells.ndim != 1 or cells.size == 0:
             raise GridError(f"dataset {self.id!r}: cells must be a non-empty 1-d array")
+        if cells.dtype.kind not in "iu":  # no float truncation, no int past 64 bits
+            raise GridError(f"dataset {self.id!r}: cell ids must be integers, got {cells.dtype}")
+        cells = cells.astype(np.int64, copy=False)
         if cells[0] < 0:
             raise GridError(f"dataset {self.id!r}: negative cell id")
         if cells.size > 1 and not (np.diff(cells) > 0).all():
@@ -214,14 +221,6 @@ def encode_cell(x: int, y: int, theta: int) -> int:
     return int(encode_cells(x, y))
 
 
-def decode_cell(cell_id: int, theta: int) -> tuple[int, int]:
-    """Invert :func:`encode_cell`; returns the (x, y) cell indices."""
-    if not 0 <= cell_id < (1 << (2 * theta)):
-        raise CellRangeError(f"cell id {cell_id} outside [0, 4**{theta})")
-    c = np.uint64(cell_id)
-    return int(_compact_bits(c)), int(_compact_bits(c >> np.uint64(1)))
-
-
 def encode_cells(xs, ys) -> np.ndarray:
     """Vectorized Morton encode of index arrays below 2**32, one table lookup
     per index byte; no range checks."""
@@ -262,14 +261,6 @@ def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     idx = f.astype(np.int64)  # truncation is floor on indices >= 0
     np.minimum(idx, side - 1, out=idx)
     return CellBasedDataset._unchecked(dataset.id, np.unique(_interleave(idx)), grid)
-
-
-def coverage_of_union(collection) -> int:
-    """Number of distinct cells covered by a collection of cell-based datasets."""
-    arrays = [d.cells for d in collection]
-    if not arrays:
-        return 0
-    return int(np.unique(np.concatenate(arrays)).size)
 
 
 @contextmanager

@@ -1,9 +1,9 @@
 """Priced catalogs of cell-based datasets.
 
-Prices are held internally as integer cents so budget comparisons are exact;
-the public surface accepts and returns decimal amounts. Usage-based pricing
-charges one unit per covered cell, matching the default used throughout the
-benchmark harness.
+Prices are held as integer cents so budget comparisons are exact; budgets
+and table prices are accepted, and catalogs written, as decimal amounts.
+Usage-based pricing charges one unit per covered cell, matching the default
+used throughout the benchmark harness.
 """
 
 import math
@@ -166,10 +166,6 @@ class Marketplace:
         except KeyError:
             raise UnknownDatasetError(dataset_id) from None
 
-    def price(self, dataset_id: str) -> Decimal:
-        """Price of one dataset: its coverage under usage pricing, else the table value."""
-        return cents_to_decimal(self.price_cents(dataset_id))
-
     @property
     def p_min_cents(self) -> int:
         return min(self._price_cents.values())
@@ -181,11 +177,6 @@ class Marketplace:
     @property
     def total_price_cents(self) -> int:
         return sum(self._price_cents.values())
-
-    def affordable_subset(self, budget) -> set[str]:
-        """Ids of all datasets individually priced within ``budget``."""
-        b = to_cents(budget)
-        return {did for did, c in self._price_cents.items() if c <= b}
 
 
 def save_catalog(market: Marketplace, path) -> None:

@@ -11,7 +11,8 @@ Available strategies:
   paths of the BFS tree rooted at the component center (exact center, or the
   double-BFS approximation for ``-ba``). The exact center is found by
   eccentricity bounding (:func:`find_center_exact`): a few BFS runs per
-  component rather than one per node.
+  component rather than one per node. Both searches return a
+  :class:`CenterResult`.
 * ``cmc-mc`` / ``cmc-mg`` -- baselines that grow root-to-node paths by
   average coverage / average marginal gain per path node.
 * ``exact`` -- exhaustive oracle for small catalogs: it enumerates every
@@ -74,7 +75,7 @@ from .graph import (
     check_delta,
     connected_components,
 )
-from .grid import CellRangeError, GridConfig, CellBasedDataset
+from .grid import CellRangeError, GridConfig, GridError, CellBasedDataset
 from .marketplace import (
     Marketplace,
     PricingFunction,
@@ -117,8 +118,7 @@ class BfsTree:
     """BFS tree of one component and its leaves.
 
     ``parent`` lists the nodes in visit order; a leaf's root path is found by
-    walking it up. ``tree_depth`` equals the root's eccentricity within the
-    component. The path set-up that both flags of :func:`budgeted_greedy`
+    walking it up. The path set-up that both flags of :func:`budgeted_greedy`
     start from is built from ``component`` once, on first use; a tree without
     leaves needs none.
     """
@@ -126,7 +126,6 @@ class BfsTree:
     root: str
     parent: dict[str, str | None]
     leaves: tuple[str, ...]
-    tree_depth: int
     component: Subgraph = field(repr=False, compare=False)
 
     @cached_property
@@ -137,27 +136,11 @@ class BfsTree:
 
 @dataclass(frozen=True)
 class CenterResult:
-    """Exact center and radius of one component.
-
-    ``eccentricities`` maps every member to its eccentricity. It costs one
-    BFS per member, so it is computed from ``component`` only when read.
-    """
+    """A component's center and radius: exact from :func:`find_center_exact`,
+    the double-BFS estimate from :func:`find_center_two_bfs`."""
 
     center: str
     radius: int
-    component: Subgraph = field(repr=False, compare=False)
-
-    @cached_property
-    def eccentricities(self) -> dict[str, int]:
-        adjacency = self.component.graph.adjacency
-        return {u: len(bfs(adjacency, u)[1]) - 1 for u in self.component.members}
-
-
-@dataclass(frozen=True)
-class TwoBfsResult:
-    center: str
-    radius: int
-    diameter: int
 
 
 @dataclass(frozen=True)
@@ -470,7 +453,7 @@ def find_center_exact(sub: Subgraph) -> CenterResult:
     """
     members = sub.members
     if len(members) <= 2:
-        return CenterResult(members[0], len(members) - 1, sub)
+        return CenterResult(members[0], len(members) - 1)
     adjacency = sub.graph.adjacency
     lo = dict.fromkeys(members, 0)
     hi = dict.fromkeys(members, len(members) - 1)
@@ -496,21 +479,22 @@ def find_center_exact(sub: Subgraph) -> CenterResult:
             if lo[w] == hi[w] and (lo[w], w) < best:
                 best = (lo[w], w)
         candidates = {w for w in candidates if lo[w] < hi[w] and (lo[w], w) < best}
-    return CenterResult(best[1], best[0], sub)
+    return CenterResult(best[1], best[0])
 
 
-def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
+def find_center_two_bfs(sub: Subgraph) -> CenterResult:
     """Double-BFS center estimate: exact on acyclic components.
 
     BFS from the smallest id finds a farthest node, BFS from there finds the
     opposite end; the midpoint of that path is returned as center with half
-    the path length (rounded up) as radius. A component of one or two
-    members needs no BFS: the walk ends on its last member.
+    the path length (rounded up) as radius. That radius is a lower bound on
+    the returned center's eccentricity, and equals it, and the exact radius,
+    on a tree. A component of one or two members needs no BFS: the walk ends
+    on its last member.
     """
     members = sub.members
     if len(members) <= 2:
-        return TwoBfsResult(center=members[-1], radius=len(members) - 1,
-                            diameter=len(members) - 1)
+        return CenterResult(members[-1], len(members) - 1)
     adjacency = sub.graph.adjacency
     vj = min(bfs(adjacency, members[0])[1][-1])  # farthest, smallest id
     parent, layers = bfs(adjacency, vj)
@@ -519,7 +503,7 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
     center = vk  # walk up from vk to depth diameter // 2
     for _ in range(diameter - diameter // 2):
         center = parent[center]
-    return TwoBfsResult(center=center, radius=(diameter + 1) // 2, diameter=diameter)
+    return CenterResult(center, (diameter + 1) // 2)
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
@@ -528,12 +512,11 @@ def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
         leaves = tuple(u for u in sub.members if u != root)
         return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
-                       leaves=leaves, tree_depth=len(leaves), component=sub)
-    parent, layers = bfs(sub.graph.adjacency, root)
+                       leaves=leaves, component=sub)
+    parent = bfs(sub.graph.adjacency, root)[0]
     inner = set(parent.values())
     leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
-    return BfsTree(root=root, parent=parent, leaves=leaves,
-                   tree_depth=len(layers) - 1, component=sub)
+    return BfsTree(root=root, parent=parent, leaves=leaves, component=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +768,16 @@ def make_reduction_instance(universe_size: int, sets) -> Marketplace:
     datasets = []
     table = {}
     for i, elements in enumerate(sets):
-        cells = sorted(set(int(e) for e in elements))
-        if not cells:
+        cells = np.unique(list(elements))
+        if not cells.size:
             raise CellRangeError(f"set {i} is empty")
+        if cells.dtype.kind not in "iu":
+            raise GridError(f"set {i} has non-integer elements")
         if cells[0] < 0 or cells[-1] >= universe_size:
             raise CellRangeError(
                 f"set {i} has elements outside the universe [0, {universe_size})")
         did = f"s{i:0{width}d}"
-        datasets.append(CellBasedDataset(id=did, cells=np.array(cells, dtype=np.int64),
-                                         grid=grid))
+        datasets.append(CellBasedDataset(id=did, cells=cells, grid=grid))
         table[did] = 1
     return Marketplace.build(grid, datasets, PricingFunction.from_table(table))
 

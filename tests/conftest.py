@@ -181,15 +181,20 @@ def union_find_components(nodes, edges):
     return len({find(u) for u in nodes})
 
 
+def _decode_bits(cell, theta):
+    """``(x, y)`` of a Morton cell id, one bit at a time: x on the even bits."""
+    return tuple(sum((cell >> (2 * k + axis) & 1) << k for k in range(theta))
+                 for axis in (0, 1))
+
+
 def brute_force_min_distance(a, b, theta):
     """Python-loop minimum distance between two cell id arrays."""
-    from bmcc.grid import decode_cell
     import math
     best = None
     for ca in a.cells.tolist():
-        xa, ya = decode_cell(ca, theta)
+        xa, ya = _decode_bits(ca, theta)
         for cb in b.cells.tolist():
-            xb, yb = decode_cell(cb, theta)
+            xb, yb = _decode_bits(cb, theta)
             d = math.hypot(xa - xb, ya - yb)
             best = d if best is None else min(best, d)
     return best

@@ -15,7 +15,8 @@ which walks all 2^n subsets of the affordable datasets (its one edit: it
 calls the live ``_prepare``, as this module has its own). The reference
 solvers use these BFS loops, not the live ones, and their own copies of the
 per-solve helpers that the solvers replaced with the candidate graph's cell
-sets, and of the ``CenterResult`` that stored every eccentricity."""
+sets, of the ``CenterResult`` that stored every eccentricity, and of the
+double-BFS result that stored the diameter."""
 
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ from bmcc.solvers import (
     STATUS_OK,
     OracleCapError,
     Solution,
-    TwoBfsResult,
     _empty_solution,
     _solution,
 )
@@ -108,12 +108,18 @@ class CenterResult:
 
 
 @dataclass(frozen=True)
+class TwoBfsResult:
+    center: str
+    radius: int
+    diameter: int
+
+
+@dataclass(frozen=True)
 class BfsTree:
     """BFS tree of one component, with per-leaf root-to-leaf path summaries.
 
     ``paths[leaf]`` lists the path nodes root excluded, ending at the leaf;
     ``path_cells`` / ``path_price_cents`` aggregate the datasets on the path.
-    The tree depth equals the root's eccentricity within the component.
     """
 
     root: str
@@ -123,10 +129,6 @@ class BfsTree:
     paths: dict[str, tuple[str, ...]]
     path_cells: dict[str, frozenset[int]]
     path_price_cents: dict[str, int]
-
-    @property
-    def tree_depth(self) -> int:
-        return max(self.depth.values())
 
 
 def _bfs_depths(adjacency, root):
@@ -156,7 +158,7 @@ def _farthest(depth_map):
 def find_center_exact(sub: Subgraph) -> CenterResult:
     """Run BFS from every node; the center has minimum eccentricity
     (smallest id on ties), the radius is that eccentricity."""
-    adjacency = sub.adjacency()
+    adjacency = {u: sub.graph.adjacency[u] for u in sub.members}
     eccentricities = {}
     for node in sub.members:
         depth = _bfs_depths(adjacency, node)
@@ -173,7 +175,7 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
     opposite end; the midpoint of that path is returned as center with half
     the path length (rounded up) as radius.
     """
-    adjacency = sub.adjacency()
+    adjacency = {u: sub.graph.adjacency[u] for u in sub.members}
     start = sub.members[0]
     vj, _ = _farthest(_bfs_depths(adjacency, start))
     depth = {vj: 0}
@@ -200,7 +202,7 @@ def find_center_two_bfs(sub: Subgraph) -> TwoBfsResult:
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     """Layerwise BFS tree from ``root`` with per-leaf path aggregates."""
     market = sub.graph.market
-    adjacency = sub.adjacency()
+    adjacency = {u: sub.graph.adjacency[u] for u in sub.members}
     parent: dict[str, str | None] = {root: None}
     depth = {root: 0}
     children = {u: [] for u in sub.members}
@@ -444,7 +446,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         root_price = candidate_graph.prices[root]
         if root_price > b:
             continue
-        adjacency = sub.adjacency()
+        adjacency = {u: sub.graph.adjacency[u] for u in sub.members}
         parent = {root: None}
         queue = [root]
         head = 0

@@ -94,7 +94,7 @@ class TestIngest:
                          "--price-table", str(table))
         assert code == 0
         market = load_catalog(cat)
-        assert str(market.price("a")) == "3.50"
+        assert market.price_cents("a") == 350
 
     @pytest.mark.parametrize("price, message", [
         ("abc", "not a decimal amount: 'abc'"),

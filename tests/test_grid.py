@@ -15,8 +15,6 @@ from bmcc.grid import (
     PointDataset,
     PointFileError,
     RasterizationError,
-    coverage_of_union,
-    decode_cell,
     decode_cells,
     encode_cell,
     encode_cells,
@@ -56,18 +54,13 @@ class TestEncodeDecode:
             encode_cell(x, y, 2)
 
     def test_decode_zero(self):
-        assert decode_cell(0, 2) == (0, 0)
+        assert decode_cells([0]).tolist() == [[0, 0]]
 
     def test_decode_inverse_of_example(self):
-        assert decode_cell(9, 2) == (1, 2)
-
-    def test_decode_range_error(self):
-        with pytest.raises(CellRangeError):
-            decode_cell(16, 2)
+        assert decode_cells([9]).tolist() == [[1, 2]]
 
     def test_round_trip_theta4(self):
-        for cid in range(1 << 8):
-            x, y = decode_cell(cid, 4)
+        for cid, (x, y) in enumerate(decode_cells(np.arange(1 << 8)).tolist()):
             assert encode_cell(x, y, 4) == cid
 
     @pytest.mark.parametrize("theta", range(1, 9))
@@ -86,7 +79,7 @@ class TestEncodeDecode:
         side = 1 << theta
         top = encode_cell(side - 1, side - 1, theta)
         assert top == (1 << (2 * theta)) - 1
-        assert decode_cell(top, theta) == (side - 1, side - 1)
+        assert decode_cells([top]).tolist() == [[side - 1, side - 1]]
 
 
 class TestGridConfig:
@@ -96,12 +89,12 @@ class TestGridConfig:
         with pytest.raises(GridError):
             GridConfig(theta=32)
 
-    @pytest.mark.parametrize("theta", [10.0, "10", None, 1.5])
+    @pytest.mark.parametrize("theta", [10.0, "10", None, 1.5, True])
     def test_non_integral_theta_rejected(self, theta):
         with pytest.raises(GridError, match="integer"):
             GridConfig(theta=theta)
 
-    @pytest.mark.parametrize("theta", [-1, 0, 32, 10**6, 10.0, "10"])
+    @pytest.mark.parametrize("theta", [-1, 0, 32, 10**6, 10.0, "10", True])
     def test_envelope_checks_theta_before_shifting(self, theta):
         ds = [PointDataset("a", [(0.0, 0.0), (8.0, 4.0)])]
         with pytest.raises(GridError, match="theta"):
@@ -132,6 +125,14 @@ class TestGridConfig:
         path = tmp_path / "cat.txt"
         save_catalog(Marketplace.build(g, [ds]), path)
         assert load_catalog(path).grid == g
+
+    def test_numpy_integer_theta_stored_as_int_and_round_trips(self, tmp_path):
+        g = GridConfig(theta=np.int64(4))
+        assert type(g.theta) is int
+        ds = CellBasedDataset(id="a", cells=np.array([1, 7]), grid=g)
+        path = tmp_path / "cat.txt"
+        save_catalog(Marketplace.build(g, [ds]), path)
+        assert repr(load_catalog(path).grid) == repr(g) == repr(GridConfig(theta=4))
 
     def test_envelope_derivation(self):
         ds = [PointDataset("a", [(0.0, 0.0), (8.0, 4.0)])]
@@ -322,33 +323,21 @@ class TestCellBasedDataset:
         with pytest.raises(CellRangeError):
             CellBasedDataset(id="a", cells=np.array([16]), grid=GridConfig(theta=2))
 
+    @pytest.mark.parametrize("cells", [np.array([0.5, 1.9, 2.2]), np.array([2**70], dtype=object),
+                                       [2**70], np.array([True])],
+                             ids=["float", "object-past-int64", "list-past-int64", "bool"])
+    def test_non_integer_cells_rejected(self, cells):
+        with pytest.raises(GridError, match="cell ids must be integers"):
+            CellBasedDataset(id="a", cells=cells, grid=GridConfig(theta=3))
+
+    @pytest.mark.parametrize("cells", [[], np.zeros((1, 1))], ids=["empty-list", "2-d"])
+    def test_empty_or_not_1d_checked_before_dtype(self, cells):
+        with pytest.raises(GridError, match="non-empty 1-d array"):
+            CellBasedDataset(id="a", cells=cells, grid=GridConfig(theta=3))
+
     def test_coverage_is_length(self):
         d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]), grid=GridConfig(theta=2))
         assert d.coverage == 5
-
-
-class TestCoverageOfUnion:
-    def test_worked_example_set(self):
-        d = CellBasedDataset(id="a", cells=np.array([3, 6, 9, 11, 12]), grid=GridConfig(theta=2))
-        assert coverage_of_union([d]) == 5
-
-    def test_empty_collection(self):
-        assert coverage_of_union([]) == 0
-
-    def test_overlapping_union(self):
-        a = CellBasedDataset(id="a", cells=np.array([1, 2]), grid=GridConfig(theta=2))
-        b = CellBasedDataset(id="b", cells=np.array([2, 3]), grid=GridConfig(theta=2))
-        assert coverage_of_union([a, b]) == 3
-
-    def test_single_equals_coverage_and_order_insensitive(self):
-        rng = np.random.default_rng(3)
-        ds = [CellBasedDataset(id=f"d{i}", cells=np.unique(rng.integers(0, 200, size=12)),
-                               grid=GridConfig(theta=4))
-              for i in range(5)]
-        assert coverage_of_union(ds[:1]) == ds[0].coverage
-        forward = coverage_of_union(ds)
-        assert coverage_of_union(list(reversed(ds))) == forward
-        assert coverage_of_union([ds[2], ds[0], ds[4], ds[1], ds[3]]) == forward
 
 
 class TestPointFiles:

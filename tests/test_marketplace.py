@@ -19,7 +19,7 @@ from bmcc.marketplace import (
     to_cents,
 )
 
-from conftest import DATA_DIR, make_market, random_market
+from conftest import DATA_DIR, make_market
 
 
 class TestMoney:
@@ -51,17 +51,17 @@ class TestMoney:
 class TestPricing:
     def test_usage_price_equals_coverage(self, example2_market):
         m = example2_market
-        assert [int(m.price(d)) for d in m.ids] == [5, 6, 4, 4, 2]
+        assert [m.price_cents(d) for d in m.ids] == [500, 600, 400, 400, 200]
         for did in m.ids:
-            assert m.price(did) == m.dataset(did).coverage
+            assert m.price_cents(did) == m.dataset(did).coverage * 100
 
     def test_worked_example_set_price(self):
         m = make_market({"d1": [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3)]}, theta=2)
-        assert m.price("d1") == 5
+        assert m.price_cents("d1") == 500
 
     def test_table_passthrough(self):
         m = make_market({"d1": [(0, 0)]}, theta=2, prices={"d1": 7})
-        assert m.price("d1") == 7
+        assert m.price_cents("d1") == 700
 
     def test_table_must_cover_catalog(self):
         grid = GridConfig(theta=2)
@@ -73,7 +73,7 @@ class TestPricing:
 
     def test_unknown_id_lookup(self, example2_market):
         with pytest.raises(UnknownDatasetError):
-            example2_market.price("nope")
+            example2_market.price_cents("nope")
 
     def test_nonpositive_price_rejected(self):
         with pytest.raises(MarketplaceError):
@@ -109,31 +109,6 @@ class TestPricing:
         assert m.p_min_cents == 200 and m.p_max_cents == 600
         for did in m.ids:
             assert m.p_min_cents <= m.price_cents(did) <= m.p_max_cents
-
-
-class TestAffordableSubset:
-    def test_example_budget_15_takes_all(self, example2_market):
-        assert example2_market.affordable_subset(15) == set(example2_market.ids)
-
-    def test_zero_budget_is_empty(self, example2_market):
-        assert example2_market.affordable_subset(0) == set()
-
-    def test_threshold_filter(self, example2_market):
-        assert example2_market.affordable_subset(4) == {"d3", "d4", "d5"}
-
-    def test_bool_budget_rejected(self, example2_market):
-        with pytest.raises(MarketplaceError, match="not a decimal amount: True"):
-            example2_market.affordable_subset(True)
-
-    def test_monotone_in_budget(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            m = random_market(rng)
-            b1 = int(rng.integers(0, m.total_price_cents))
-            b2 = int(rng.integers(b1, m.total_price_cents + 1))
-            low = m.affordable_subset(cents_to_decimal(b1))
-            high = m.affordable_subset(cents_to_decimal(b2))
-            assert low <= high
 
 
 class TestCatalogStructure:
@@ -217,7 +192,7 @@ class TestCatalogFiles:
         path.write_text("\n".join(table_priced(path.read_text().splitlines(), *PRICES)) + "\n")
         back = load_catalog(path)
         assert back.pricing.kind == EXPLICIT_TABLE
-        assert [back.price(did) for did in back.ids] == [Decimal(p) for p in PRICES]
+        assert [back.price_cents(did) for did in back.ids] == [to_cents(p) for p in PRICES]
 
     @pytest.mark.parametrize("edit, where", [
         (lambda lines: lines[:3], "line 4"),                   # cut after the 'origin' line
