@@ -36,6 +36,7 @@ from .marketplace import (
     Marketplace,
     MarketplaceError,
     PricingFunction,
+    UnknownDatasetError,
     cents_to_decimal,
     load_catalog,
     price_to_cents,
@@ -120,7 +121,7 @@ def _decimal(text) -> Fraction:
 _NON_NEGATIVE = _checked(float, lambda x: math.isfinite(x) and x >= 0,
                          "finite and non-negative")
 _FINITE = _checked(float, math.isfinite, "finite")
-_SCALE = _checked(float, lambda m: 0 < m <= 1, "in (0, 1]")
+_SCALE = _checked(_decimal, lambda m: 0 < m <= 1, "in (0, 1]")
 _THETA = _checked(int, lambda t: 1 <= t <= MAX_THETA, f"in [1, {MAX_THETA}]")
 _COUNT = _checked(int, lambda n: n >= 0, "non-negative")
 _POSITIVE = _checked(int, lambda n: n >= 1, "at least 1")
@@ -152,7 +153,9 @@ _FLAGS = {
     "solvers": dict(type=_comma_list(_SOLVER), default=DEFAULT_SOLVERS,
                     help="comma list: " + ",".join(SOLVER_LABELS)),
     "oracle-cap": dict(type=_COUNT, default=15),
-    "scales": dict(type=_comma_list(_SCALE), default=(1.0,)),
+    "scales": dict(type=_comma_list(_SCALE), default=(Fraction(1),),
+                   help="comma list of exact decimal shares of the datasets; a scale "
+                        "takes the first ceil(scale * n) of them"),
     "adjacency-out": {},
     "json-out": {},
     "out": dict(help="TSV output path (default stdout)"),
@@ -553,7 +556,7 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except KeyError as exc:
+    except UnknownDatasetError as exc:
         sys.stderr.write(f"error: unknown dataset id {exc}\n")
         return EXIT_DATA
 

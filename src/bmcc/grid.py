@@ -150,6 +150,22 @@ class PointDataset:
         object.__setattr__(self, "points", pts)
 
 
+def _exact_integers(values):
+    """The 1-d integer ``values`` read exactly: as int64 when numpy gives
+    them an integer dtype other than uint64, else as an object array of
+    Python ints, because numpy reads an int past int64 as uint64, float64 or
+    object, which wraps or rounds it. None when an element is not an
+    integer, a float or a bool included."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and arr.dtype != np.uint64:
+        return arr.astype(np.int64, copy=False)
+    items = arr.tolist() if isinstance(values, np.ndarray) else list(values)
+    if arr.dtype.kind not in "ufO" or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items):
+        return None
+    return np.array([int(v) for v in items], dtype=object)
+
+
 @dataclass(eq=False)
 class CellBasedDataset:
     """A rasterized dataset: strictly ascending cell ids under one grid.
@@ -169,9 +185,10 @@ class CellBasedDataset:
         cells = np.asarray(self.cells)
         if cells.ndim != 1 or cells.size == 0:
             raise GridError(f"dataset {self.id!r}: cells must be a non-empty 1-d array")
-        if cells.dtype.kind not in "iu":  # no float truncation, no int past 64 bits
-            raise GridError(f"dataset {self.id!r}: cell ids must be integers, got {cells.dtype}")
-        cells = cells.astype(np.int64, copy=False)
+        dtype = cells.dtype
+        cells = _exact_integers(self.cells)
+        if cells is None:  # no float truncation, no bool
+            raise GridError(f"dataset {self.id!r}: cell ids must be integers, got {dtype}")
         if cells[0] < 0:
             raise GridError(f"dataset {self.id!r}: negative cell id")
         if cells.size > 1 and not (np.diff(cells) > 0).all():
@@ -179,7 +196,7 @@ class CellBasedDataset:
         if int(cells[-1]) >= self.grid.n_cells:
             raise CellRangeError(
                 f"dataset {self.id!r}: cell id {int(cells[-1])} outside 4**theta")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", cells.astype(np.int64, copy=False))  # all in range
 
     @classmethod
     def _unchecked(cls, id, cells, grid):

@@ -7,7 +7,7 @@ used throughout the benchmark harness.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -107,45 +107,42 @@ class PricingFunction:
         return cls({did: to_cents(value) for did, value in table.items()})
 
 
-@dataclass(eq=False)
 class Marketplace:
     """Immutable catalog of cell-based datasets under one grid, with prices;
-    ids are non-empty and whitespace-free, so catalog lines split back into them."""
+    ids are non-empty and whitespace-free, so catalog lines split back into them.
 
-    grid: GridConfig
-    datasets: dict[str, CellBasedDataset]
-    pricing: PricingFunction
-    _price_cents: dict[str, int] = field(init=False, repr=False)
+    ``datasets`` is any iterable of datasets, checked in one pass in its
+    order, then held in id order. Without ``pricing``, prices are usage based.
+    """
 
-    def __post_init__(self):
-        if not self.datasets:
-            raise MarketplaceError("a catalog must contain at least one dataset")
-        self.datasets = {did: self.datasets[did] for did in sorted(self.datasets)}
-        table = self.pricing.table
-        prices = {}
-        for did, ds in self.datasets.items():
+    def __init__(self, grid: GridConfig, datasets, pricing: PricingFunction | None = None):
+        pricing = pricing or PricingFunction.usage_based()
+        table = pricing.table
+        catalog = {}
+        for ds in datasets:
+            did = ds.id
+            if did in catalog:
+                raise MarketplaceError(f"duplicate dataset id {did!r}")
             if not isinstance(did, str) or did.split() != [did]:
                 raise MarketplaceError(
                     f"dataset id {did!r} must be a non-empty string without whitespace")
-            if ds.id != did:
-                raise MarketplaceError(f"dataset keyed {did!r} carries id {ds.id!r}")
-            if ds.grid != self.grid:
+            # loaded and rasterized datasets share their catalog's grid object
+            if ds.grid is not grid and ds.grid != grid:
                 raise MarketplaceError(f"dataset {did!r} was rasterized under a different grid")
             if table is not None and did not in table:
                 raise MarketplaceError(f"price table misses dataset {did!r}")
-            prices[did] = ds.coverage * 100 if table is None else table[did]
-        self._price_cents = prices
+            catalog[did] = ds
+        if not catalog:
+            raise MarketplaceError("a catalog must contain at least one dataset")
+        self.grid, self.pricing = grid, pricing
+        self.datasets: dict[str, CellBasedDataset] = {did: catalog[did] for did in sorted(catalog)}
+        self._price_cents = {did: ds.coverage * 100 if table is None else table[did]
+                             for did, ds in self.datasets.items()}
 
     @classmethod
     def build(cls, grid, datasets, pricing=None) -> "Marketplace":
-        """Assemble a marketplace from an iterable of datasets."""
-        pricing = pricing or PricingFunction.usage_based()
-        catalog = {}
-        for ds in datasets:
-            if ds.id in catalog:
-                raise MarketplaceError(f"duplicate dataset id {ds.id!r}")
-            catalog[ds.id] = ds
-        return cls(grid=grid, datasets=catalog, pricing=pricing)
+        """The constructor under the name the pipeline calls."""
+        return cls(grid, datasets, pricing)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -318,7 +315,6 @@ def load_catalog(path) -> Marketplace:
         _raise_line_error(*fault, kind, grid, {parts[0] for _, parts in records})
 
     offsets = bounds.tolist()
-    datasets = {parts[0]: CellBasedDataset._unchecked(parts[0], cells[s:e], grid)
-                for (_, parts), s, e in zip(records, offsets, offsets[1:])}
-    return Marketplace(grid=grid, datasets=datasets,
-                       pricing=PricingFunction(table if kind == EXPLICIT_TABLE else None))
+    datasets = [CellBasedDataset._unchecked(parts[0], cells[s:e], grid)
+                for (_, parts), s, e in zip(records, offsets, offsets[1:])]
+    return Marketplace(grid, datasets, PricingFunction(table if kind == EXPLICIT_TABLE else None))

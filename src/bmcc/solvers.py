@@ -75,7 +75,7 @@ from .graph import (
     check_delta,
     connected_components,
 )
-from .grid import CellRangeError, GridConfig, GridError, CellBasedDataset
+from .grid import CellRangeError, GridConfig, GridError, CellBasedDataset, _exact_integers
 from .marketplace import (
     Marketplace,
     PricingFunction,
@@ -768,11 +768,13 @@ def make_reduction_instance(universe_size: int, sets) -> Marketplace:
     datasets = []
     table = {}
     for i, elements in enumerate(sets):
-        cells = np.unique(list(elements))
-        if not cells.size:
+        elements = list(elements)
+        if not elements:
             raise CellRangeError(f"set {i} is empty")
-        if cells.dtype.kind not in "iu":
+        cells = _exact_integers(elements)
+        if cells is None:
             raise GridError(f"set {i} has non-integer elements")
+        cells = np.unique(cells)
         if cells[0] < 0 or cells[-1] >= universe_size:
             raise CellRangeError(
                 f"set {i} has elements outside the universe [0, {universe_size})")

@@ -75,5 +75,5 @@ def load_catalog(path) -> Marketplace:
         except GridError as exc:
             raise CatalogFormatError(f"{exc} at line {line}") from None
         datasets[did] = ds
-    return Marketplace(grid=grid, datasets=datasets,
-                       pricing=PricingFunction(table if kind == EXPLICIT_TABLE else None))
+    return Marketplace(grid, datasets.values(),
+                       PricingFunction(table if kind == EXPLICIT_TABLE else None))

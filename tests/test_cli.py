@@ -414,6 +414,16 @@ class TestBuildGraph:
         assert where in err
         assert len(err.splitlines()) == 1
 
+    def test_stray_key_error_propagates(self, monkeypatch, capsys, example2_catalog):
+        """Only an unknown dataset id is a data error; a ``KeyError`` from a
+        library bug is not reported as one."""
+        def broken(market, delta):
+            raise KeyError("oops")
+        monkeypatch.setattr("bmcc.cli.build_graph_indexed", broken)
+        with pytest.raises(KeyError, match="oops"):
+            main(["build-graph", example2_catalog, "--delta", "2"])
+        assert "unknown dataset id" not in capsys.readouterr().err
+
 
 def mask_timing(table: str) -> str:
     lines = table.splitlines()
@@ -484,6 +494,19 @@ class TestBench:
         header = rows[0]
         n_idx = header.index("n_datasets")
         assert [r[n_idx] for r in rows[1:]] == ["30", "60"]
+
+    def test_scales_are_exact_decimals(self, tmp_path, capsys):
+        """0.07 and 0.14 of 100 datasets are 7 and 14, though as floats
+        their products with 100 lie just above."""
+        pts = tmp_path / "pts100.csv"
+        run(capsys, "gen", str(pts), "--datasets", "100", "--points-per", "2", "--seed", "1")
+        out = tmp_path / "bench.tsv"
+        code, _, _ = run(capsys, "bench", str(pts), "--solvers", "dsa", "--theta", "6",
+                         "--delta", "5", "--scales", "0.07,0.14", "--out", str(out))
+        assert code == 0
+        rows = [r.split("\t") for r in out.read_text().splitlines()]
+        scale, n = rows[0].index("scale"), rows[0].index("n_datasets")
+        assert [(r[scale], r[n]) for r in rows[1:]] == [("0.07", "7"), ("0.14", "14")]
 
     def test_delta_sweep_degree_monotone(self, tmp_path, capsys, small_points):
         out = tmp_path / "bench.tsv"

@@ -323,12 +323,36 @@ class TestCellBasedDataset:
         with pytest.raises(CellRangeError):
             CellBasedDataset(id="a", cells=np.array([16]), grid=GridConfig(theta=2))
 
-    @pytest.mark.parametrize("cells", [np.array([0.5, 1.9, 2.2]), np.array([2**70], dtype=object),
-                                       [2**70], np.array([True])],
-                             ids=["float", "object-past-int64", "list-past-int64", "bool"])
+    @pytest.mark.parametrize("cells", [np.array([0.5, 1.9, 2.2]), np.array([True]),
+                                       [3.0, 2**63], [2**70, 0.5]],
+                             ids=["float", "bool", "float-and-past-int64", "past-int64-and-float"])
     def test_non_integer_cells_rejected(self, cells):
         with pytest.raises(GridError, match="cell ids must be integers"):
             CellBasedDataset(id="a", cells=cells, grid=GridConfig(theta=3))
+
+    # numpy reads these as uint64, float64 and object arrays
+    @pytest.mark.parametrize("cells, top", [
+        ([2**63], 2**63), ([3, 2**63], 2**63), ([2**70], 2**70),
+        (np.array([2**70], dtype=object), 2**70), ([2**63, 2**64], 2**64),
+        (np.array([5, 2**63], dtype=np.uint64), 2**63),
+    ], ids=["uint64", "float64", "list-past-int64", "object-past-int64", "object-pair",
+            "uint64-array"])
+    def test_ids_past_int64_fall_outside_the_grid(self, cells, top):
+        with pytest.raises(CellRangeError, match=rf"cell id {top} outside 4\*\*theta"):
+            CellBasedDataset(id="a", cells=cells, grid=GridConfig(theta=3))
+
+    @pytest.mark.parametrize("cells, fault", [
+        ([2**63, 5], "strictly ascending"), ([2**70, 2**70], "strictly ascending"),
+        ([-1, 2**70], "negative cell id"), ([-(2**70), 3], "negative cell id"),
+    ], ids=["descending", "repeated", "negative-first", "below-int64-first"])
+    def test_ids_past_int64_keep_the_check_order(self, cells, fault):
+        with pytest.raises(GridError, match=fault) as info:
+            CellBasedDataset(id="a", cells=cells, grid=GridConfig(theta=3))
+        assert type(info.value) is GridError
+
+    def test_object_array_of_small_ints_is_read_as_int64(self):
+        d = CellBasedDataset(id="a", cells=np.array([1, 5], dtype=object), grid=GridConfig(theta=3))
+        assert d.cells.dtype == np.int64 and d.cells.tolist() == [1, 5]
 
     @pytest.mark.parametrize("cells", [[], np.zeros((1, 1))], ids=["empty-list", "2-d"])
     def test_empty_or_not_1d_checked_before_dtype(self, cells):

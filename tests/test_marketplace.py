@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmcc.grid import CellBasedDataset, GridConfig, rasterize, read_points_file
 from bmcc.marketplace import (
@@ -138,6 +139,47 @@ class TestCatalogStructure:
     def test_ids_sorted(self):
         m = make_market({"b": [(0, 0)], "a": [(1, 1)]}, theta=2)
         assert m.ids == ("a", "b")
+
+    def test_dataset_of_another_grid_rejected(self):
+        grid = GridConfig(theta=2)
+        d1 = CellBasedDataset(id="d1", cells=np.array([0]), grid=grid)
+        d2 = CellBasedDataset(id="d2", cells=np.array([1]), grid=GridConfig(theta=3))
+        with pytest.raises(MarketplaceError, match="'d2' was rasterized under a different grid"):
+            Marketplace(grid, [d1, d2])
+
+    def test_equal_grid_object_accepted(self):
+        d = CellBasedDataset(id="d1", cells=np.array([0]), grid=GridConfig(theta=2))
+        assert Marketplace(GridConfig(theta=2), [d]).ids == ("d1",)
+
+    @pytest.mark.parametrize("ids", [("a", 7), (7, "a"), ("b", 3, "a")])
+    def test_mixed_str_and_int_ids_rejected(self, ids):
+        grid = GridConfig(theta=2)
+        datasets = [CellBasedDataset(id=did, cells=np.array([i]), grid=grid)
+                    for i, did in enumerate(ids)]
+        with pytest.raises(MarketplaceError, match="must be a non-empty string"):
+            Marketplace(grid, datasets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 15), min_size=1), min_size=1, max_size=12),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_any_order_gives_the_same_catalog(self, cell_sets, rnd, with_table):
+        grid = GridConfig(theta=2)
+        datasets = [CellBasedDataset(id=f"d{i}", cells=sorted(cells), grid=grid)
+                    for i, cells in enumerate(cell_sets)]
+        pricing = (PricingFunction.from_table({d.id: f"{i + 1}.25" for i, d in
+                                               enumerate(datasets)})
+                   if with_table else None)
+        shuffled = datasets[:]
+        rnd.shuffle(shuffled)
+
+        def contents(market):
+            return (market.ids, [market.price_cents(did) for did in market.ids],
+                    [market.dataset(did).cells.tolist() for did in market.ids])
+
+        want = contents(Marketplace(grid, datasets, pricing))
+        assert want[0] == tuple(sorted(d.id for d in datasets))
+        assert contents(Marketplace(grid, iter(shuffled), pricing)) == want
+        assert contents(Marketplace.build(grid, shuffled, pricing)) == want
 
 
 class TestCatalogFiles:

@@ -753,6 +753,12 @@ class TestReduction:
         with pytest.raises(GridError, match="set 1 has non-integer elements"):
             make_reduction_instance(4, [[0], elements])
 
+    @pytest.mark.parametrize("elements", [[2**63], [3, 2**63], [2**70], {1, 2**64}, [-1, 2**70]],
+                             ids=["uint64", "float64", "object", "set", "negative-and-huge"])
+    def test_element_past_int64_is_outside_the_universe(self, elements):
+        with pytest.raises(CellRangeError, match=r"set 1 has elements outside the universe"):
+            make_reduction_instance(4, [[0], elements])
+
 
 class TestDeterminism:
     def test_repeated_solves_identical(self):
