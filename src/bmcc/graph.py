@@ -54,10 +54,14 @@ class DatasetGraph:
 
     @cached_property
     def cells(self) -> dict[str, frozenset[int]]:
-        """Cell ids of every node, built from the catalog on first use."""
-        if self.market is None:
+        """Cell ids of every node, sliced on first use from one ``tolist()`` of
+        the catalog's cell array."""
+        market = self.market
+        if market is None:
             raise GraphConfigError("graph carries no marketplace; cannot read cells")
-        return {u: frozenset(self.market.dataset(u).cells.tolist()) for u in self.adjacency}
+        cells, starts = market.cells.tolist(), market.starts.tolist()
+        return {u: frozenset(cells[s:e]) for u, s, e in zip(market.ids, starts, starts[1:])
+                if u in self.adjacency}
 
     def restricted(self, ids) -> "DatasetGraph":
         """The induced subgraph over ``ids``, on the same catalog."""
@@ -108,16 +112,14 @@ class BallTree:
     """Binary bounding-box tree over the catalog; one dataset per leaf.
 
     Nodes are stored as flat arrays; ``order[start[i]:end[i]]`` lists the
-    dataset indices (into ``ids``) beneath node ``i``. ``lo[i]`` and ``hi[i]``
-    are the smallest and largest cell index on each axis over every cell under
-    the node, so a leaf's box is its dataset's box. ``cells`` and ``starts``
-    are the decoded catalog the tree was built from (:func:`_catalog_cells`).
+    dataset indices (into ``market.ids``) beneath node ``i``. ``lo[i]`` and
+    ``hi[i]`` are the smallest and largest cell index on each axis over every
+    cell under the node, so a leaf's box is its dataset's box. ``cells`` is
+    ``market.cells`` decoded, so ``market.starts`` delimits each dataset's rows.
     """
 
     market: Marketplace
-    ids: tuple[str, ...]
-    cells: np.ndarray        # (C, 2) int64 cell indices, datasets in id order
-    starts: np.ndarray       # (n + 1,) dataset j owns cells[starts[j]:starts[j + 1]]
+    cells: np.ndarray        # (C, 2) int64 cell indices of market.cells
     order: np.ndarray        # (n,) permutation of dataset indices
     lo: np.ndarray           # (m, 2) int64 box corner
     hi: np.ndarray           # (m, 2) int64 opposite box corner
@@ -134,7 +136,8 @@ class BallTree:
         return self.left[node] < 0
 
     def datasets_under(self, node: int) -> tuple[str, ...]:
-        return tuple(self.ids[j] for j in self.order[self.start[node]:self.end[node]])
+        ids = self.market.ids
+        return tuple(ids[j] for j in self.order[self.start[node]:self.end[node]])
 
 
 def check_delta(delta: float) -> None:
@@ -181,15 +184,6 @@ def dataset_distance(a, b) -> float:
     return math.sqrt(_min_sqdist_coords(decode_cells(a.cells), decode_cells(b.cells)))
 
 
-def _catalog_cells(market: Marketplace):
-    """Every cell of the catalog as one (C, 2) int64 array, datasets in id
-    order, from one decode; dataset ``j`` owns rows ``starts[j]:starts[j + 1]``."""
-    morton = [ds.cells for ds in market.datasets.values()]
-    starts = np.zeros(len(morton) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in morton], out=starts[1:])
-    return decode_cells(np.concatenate(morton)), starts
-
-
 def _graph_from_pairs(market, delta, ii, jj) -> DatasetGraph:
     """Graph from the unordered index pairs ``(ii[k], jj[k])``, each edge
     given once; ids are sorted, so index order is id order."""
@@ -209,7 +203,7 @@ def build_graph_naive(market: Marketplace, delta: float) -> DatasetGraph:
     its assembler :func:`_graph_from_pairs`. Nothing is cached between calls."""
     thr = _sq_threshold(delta)
     ii, jj = np.triu_indices(len(market), 1)
-    close = _min_sqdist_pairs(*_catalog_cells(market), ii, jj) <= thr
+    close = _min_sqdist_pairs(decode_cells(market.cells), market.starts, ii, jj) <= thr
     return _graph_from_pairs(market, delta, ii[close], jj[close])
 
 
@@ -230,7 +224,7 @@ def build_ball_tree(market: Marketplace) -> BallTree:
     centre, id) orders every node of a level. Nodes are numbered level by
     level.
     """
-    cells, starts = _catalog_cells(market)
+    cells, starts = decode_cells(market.cells), market.starts
     box_lo = np.minimum.reduceat(cells, starts[:-1], axis=0)
     box_hi = np.maximum.reduceat(cells, starts[:-1], axis=0)
     centre = box_lo + box_hi
@@ -257,8 +251,8 @@ def build_ball_tree(market: Marketplace) -> BallTree:
         mid = begin + (stop - begin + 1) // 2
         begin, stop = np.column_stack([begin, mid]).ravel(), np.column_stack([mid, stop]).ravel()
     begin, stop, lo, hi, left = (np.concatenate(col) for col in zip(*levels))
-    return BallTree(market=market, ids=market.ids, cells=cells, starts=starts,
-                    order=order, lo=lo, hi=hi, left=left.astype(np.int32),
+    return BallTree(market=market, cells=cells, order=order, lo=lo, hi=hi,
+                    left=left.astype(np.int32),
                     right=np.where(left < 0, -1, left + 1).astype(np.int32),
                     start=begin.astype(np.int32), end=stop.astype(np.int32))
 
@@ -370,7 +364,7 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
 
     la, lb = (np.concatenate(side) for side in zip(*open_leaves))
     li, lj = tree.order[tree.start[la]], tree.order[tree.start[lb]]
-    close = _min_sqdist_pairs(tree.cells, tree.starts, li, lj) <= thr
+    close = _min_sqdist_pairs(tree.cells, market.starts, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
     return _graph_from_pairs(market, delta, np.concatenate([li[close], wi]),
                              np.concatenate([lj[close], wj]))

@@ -6,6 +6,7 @@ Usage-based pricing charges one unit per covered cell, matching the default
 used throughout the benchmark harness.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -24,7 +25,7 @@ _CENT = Decimal("0.01")
 
 
 class MarketplaceError(ValueError):
-    """Invalid catalog or pricing configuration."""
+    """Invalid catalog, pricing configuration or selection of datasets."""
 
 
 class UnknownDatasetError(KeyError):
@@ -111,8 +112,11 @@ class Marketplace:
     """Immutable catalog of cell-based datasets under one grid, with prices;
     ids are non-empty and whitespace-free, so catalog lines split back into them.
 
-    ``datasets`` is any iterable of datasets, checked in one pass in its
-    order, then held in id order. Without ``pricing``, prices are usage based.
+    ``datasets`` is any iterable of datasets, checked in one pass in its order.
+    No dataset is kept: their cells are copied in id order into one read-only
+    int64 array, ``ids[j]`` owning ``cells[starts[j]:starts[j + 1]]``.
+    Without ``pricing``, prices are usage based. ``p_min_cents``,
+    ``p_max_cents`` and ``total_price_cents`` summarize the prices.
     """
 
     def __init__(self, grid: GridConfig, datasets, pricing: PricingFunction | None = None):
@@ -131,49 +135,45 @@ class Marketplace:
                 raise MarketplaceError(f"dataset {did!r} was rasterized under a different grid")
             if table is not None and did not in table:
                 raise MarketplaceError(f"price table misses dataset {did!r}")
-            catalog[did] = ds
+            catalog[did] = ds.cells
         if not catalog:
             raise MarketplaceError("a catalog must contain at least one dataset")
-        self.grid, self.pricing = grid, pricing
-        self.datasets: dict[str, CellBasedDataset] = {did: catalog[did] for did in sorted(catalog)}
-        self._price_cents = {did: ds.coverage * 100 if table is None else table[did]
-                             for did, ds in self.datasets.items()}
+        ids, arrays = zip(*sorted(catalog.items()))
+        cells, starts = np.concatenate(arrays), np.cumsum([0, *map(len, arrays)], dtype=np.int64)
+        cells.flags.writeable = starts.flags.writeable = False
+        prices = (np.diff(starts) * 100).tolist() if table is None else [table[d] for d in ids]
+        vars(self).update(  # past __setattr__, which refuses every assignment
+            grid=grid, pricing=pricing, ids=ids, cells=cells, starts=starts,
+            p_min_cents=min(prices), p_max_cents=max(prices), total_price_cents=sum(prices),
+            _price_cents=dict(zip(ids, prices)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Marketplace is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Marketplace is immutable; cannot delete {name!r}")
 
     @classmethod
     def build(cls, grid, datasets, pricing=None) -> "Marketplace":
         """The constructor under the name the pipeline calls."""
         return cls(grid, datasets, pricing)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.datasets)
-
     def __len__(self):
-        return len(self.datasets)
+        return len(self.ids)
 
     def dataset(self, dataset_id: str) -> CellBasedDataset:
-        try:
-            return self.datasets[dataset_id]
-        except KeyError:
-            raise UnknownDatasetError(dataset_id) from None
+        """A view of the dataset's slice of ``cells``, read-only like it."""
+        if dataset_id not in self._price_cents:
+            raise UnknownDatasetError(dataset_id)
+        j = bisect.bisect_left(self.ids, dataset_id)  # ids are sorted
+        cells = self.cells[self.starts[j]:self.starts[j + 1]]
+        return CellBasedDataset._unchecked(dataset_id, cells, self.grid)
 
     def price_cents(self, dataset_id: str) -> int:
         try:
             return self._price_cents[dataset_id]
         except KeyError:
             raise UnknownDatasetError(dataset_id) from None
-
-    @property
-    def p_min_cents(self) -> int:
-        return min(self._price_cents.values())
-
-    @property
-    def p_max_cents(self) -> int:
-        return max(self._price_cents.values())
-
-    @property
-    def total_price_cents(self) -> int:
-        return sum(self._price_cents.values())
 
 
 def save_catalog(market: Marketplace, path) -> None:
@@ -191,13 +191,10 @@ def save_catalog(market: Marketplace, path) -> None:
         fh.write(f"cell {g.cell_width!r} {g.cell_height!r}\n")
         fh.write(f"pricing {market.pricing.kind}\n")
         fh.write(f"datasets {len(market)}\n")
-        for did, ds in market.datasets.items():
-            if market.pricing.table is None:
-                price = "-"
-            else:
-                price = str(cents_to_decimal(market.price_cents(did)))
-            cells = " ".join(map(str, ds.cells.tolist()))
-            fh.write(f"{did} {price} {ds.coverage} {cells}\n")
+        cells, starts, table = market.cells.tolist(), market.starts.tolist(), market.pricing.table
+        for did, s, e in zip(market.ids, starts, starts[1:]):
+            price = "-" if table is None else cents_to_decimal(table[did])
+            fh.write(f"{did} {price} {e - s} {' '.join(map(str, cells[s:e]))}\n")
 
 
 def _finite_float(text) -> float:
@@ -253,10 +250,10 @@ def load_catalog(path) -> Marketplace:
     The cells of all dataset lines are parsed into one int64 array and
     checked there at once: strictly ascending within each line, ``>= 0`` and
     below ``4**theta``. These are the checks ``CellBasedDataset`` runs, so
-    each dataset is an unchecked view of its slice of that array, and all of
-    them share it. A faulty file raises :class:`CatalogFormatError` for its
-    first faulty line, whose own checks, rerun on it alone, give the message
-    and line number.
+    each dataset goes to :class:`Marketplace` as an unchecked view of its
+    slice of that array. A faulty file raises :class:`CatalogFormatError` for
+    its first faulty line, whose own checks, rerun on it alone, give the
+    message and line number.
     """
     header, rows = read_counted_file(
         path, CATALOG_MAGIC, CATALOG_VERSION,

@@ -78,6 +78,7 @@ from .graph import (
 from .grid import CellRangeError, GridConfig, GridError, CellBasedDataset, _exact_integers
 from .marketplace import (
     Marketplace,
+    MarketplaceError,
     PricingFunction,
     UnknownDatasetError,
     cents_to_decimal,
@@ -721,10 +722,13 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
 
 
 def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> VerificationReport:
-    """Recompute price, connectivity and coverage of a solution from scratch."""
-    for did in solution.selected:
+    """Recompute price, connectivity and coverage of a solution from scratch.
+    An id the graph lacks, or one selected twice, is refused."""
+    for did, times in collections.Counter(solution.selected).items():
         if did not in graph.adjacency:
             raise UnknownDatasetError(did)
+        if times > 1:
+            raise MarketplaceError(f"solution selects dataset {did!r} {times} times")
     b = to_cents(budget)
     price = sum(graph.prices[d] for d in solution.selected)
     chosen = graph.restricted(solution.selected)

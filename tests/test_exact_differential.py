@@ -40,7 +40,7 @@ def small_market(seed, pricing):
     """A ``random_market`` of 2-15 datasets under the given pricing."""
     rng = np.random.default_rng(500 + seed)
     market = random_market(rng, n_max=15)
-    datasets = list(market.datasets.values())
+    datasets = [market.dataset(i) for i in market.ids]
     if pricing == "usage":
         prices = PricingFunction.usage_based()
     else:

@@ -10,7 +10,6 @@ from bmcc.grid import GridConfig, decode_cells
 from bmcc.graph import (
     _PAIR_CHUNK,
     GraphConfigError,
-    _catalog_cells,
     _min_sqdist_coords,
     _min_sqdist_pairs,
     build_ball_tree,
@@ -108,7 +107,7 @@ class TestNaiveGraph:
         for seed in range(12, 17):
             m = random_market(np.random.default_rng(seed), n_max=8)
             ii, jj = np.triu_indices(len(m), 1)
-            d2 = _min_sqdist_pairs(*_catalog_cells(m), ii, jj)
+            d2 = _min_sqdist_pairs(decode_cells(m.cells), m.starts, ii, jj)
             for i, j, v in zip(ii.tolist(), jj.tolist(), d2.tolist()):
                 a, b = m.dataset(m.ids[i]), m.dataset(m.ids[j])
                 assert math.sqrt(v) == dataset_distance(a, b), (seed, i, j)
@@ -426,7 +425,7 @@ class TestTheta31Exactness:
                   for b in sets] for a in sets]
         # no int64 squared distance overflows: the kernel gives the exact values
         ii, jj = np.triu_indices(len(sets), 1)
-        d2 = _min_sqdist_pairs(*_catalog_cells(m), ii, jj).tolist()
+        d2 = _min_sqdist_pairs(decode_cells(m.cells), m.starts, ii, jj).tolist()
         assert d2 == [exact[i][j] for i, j in zip(ii.tolist(), jj.tolist())]
         assert [math.sqrt(v) for v in d2] == [
             dataset_distance(m.dataset(f"d{i}"), m.dataset(f"d{j}"))

@@ -75,6 +75,10 @@ class TestPricing:
     def test_unknown_id_lookup(self, example2_market):
         with pytest.raises(UnknownDatasetError):
             example2_market.price_cents("nope")
+        # ids before, between and after the sorted catalog ids, and a non-string
+        for did in ("d0", "d11", "d9", "", 7):
+            with pytest.raises(UnknownDatasetError):
+                example2_market.dataset(did)
 
     def test_nonpositive_price_rejected(self):
         with pytest.raises(MarketplaceError):
@@ -180,6 +184,72 @@ class TestCatalogStructure:
         assert want[0] == tuple(sorted(d.id for d in datasets))
         assert contents(Marketplace(grid, iter(shuffled), pricing)) == want
         assert contents(Marketplace.build(grid, shuffled, pricing)) == want
+
+
+class TestCellArray:
+    def test_cells_of_every_dataset_in_id_order(self):
+        grid = GridConfig(theta=2)
+        b = CellBasedDataset(id="b", cells=np.array([0, 5, 9]), grid=grid)
+        a = CellBasedDataset(id="a", cells=np.array([3]), grid=grid)
+        m = Marketplace(grid, [b, a])
+        assert m.ids == ("a", "b")
+        assert m.cells.dtype == np.int64 and m.cells.tolist() == [3, 0, 5, 9]
+        assert m.starts.dtype == np.int64 and m.starts.tolist() == [0, 1, 4]
+        assert [m.price_cents(did) for did in m.ids] == [100, 300]
+        view = m.dataset("b")
+        assert (view.id, view.grid, view.coverage) == ("b", grid, 3)
+        assert view.cells.tolist() == [0, 5, 9] and view.cells.base is m.cells
+
+    def test_caller_edits_after_construction_do_not_reach_the_catalog(self):
+        grid = GridConfig(theta=2)
+        a = CellBasedDataset(id="a", cells=np.array([0, 1]), grid=grid)
+        m = Marketplace(grid, [a])
+        a.cells[0] = 7
+        assert m.dataset("a").cells.tolist() == [0, 1]
+        assert m.cells.tolist() == [0, 1]
+
+    def test_loaded_catalog_owns_its_cells(self, tmp_path, example2_market):
+        path = tmp_path / "cat.txt"
+        save_catalog(example2_market, path)
+        back = load_catalog(path)
+        assert back.cells.tolist() == example2_market.cells.tolist()
+        assert back.starts.tolist() == example2_market.starts.tolist()
+        assert back.cells.base is None  # a copy, not a view of the parsed array
+        assert not back.cells.flags.writeable and not back.starts.flags.writeable
+
+    @pytest.fixture
+    def market(self):
+        return make_market({"a": [(0, 0), (1, 1)], "b": [(2, 3)]}, theta=2)
+
+    @pytest.mark.parametrize("array", ["cells", "starts", "view"])
+    def test_arrays_are_read_only(self, market, array):
+        target = market.dataset("b").cells if array == "view" else getattr(market, array)
+        before = target.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1
+        assert target.tolist() == before
+
+    @pytest.mark.parametrize("name", ["grid", "pricing", "ids", "cells", "starts", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, market, name):
+        before = getattr(market, name, None)
+        with pytest.raises(AttributeError, match=f"immutable; cannot set '{name}'"):
+            setattr(market, name, None)
+        with pytest.raises(AttributeError, match=f"immutable; cannot delete '{name}'"):
+            delattr(market, name)
+        assert getattr(market, name, None) is before
+
+    def test_class_attributes_can_still_be_rebound(self, market, monkeypatch):
+        # a timing harness may wrap Marketplace.build on the class
+        calls = []
+        build = Marketplace.build
+
+        def wrapped(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(Marketplace, "build", wrapped)
+        again = Marketplace.build(market.grid, [market.dataset("b")])
+        assert len(calls) == 1 and again.ids == ("b",)
 
 
 class TestCatalogFiles:

@@ -164,7 +164,7 @@ def catalog_outcome(loader, path):
         return type(exc), str(exc)
     return (market.ids, market.grid, market.pricing.kind,
             [market.price_cents(did) for did in market.ids],
-            [(d.cells.dtype, d.cells.tolist()) for d in market.datasets.values()])
+            [(d.cells.dtype, d.cells.tolist()) for d in map(market.dataset, market.ids)])
 
 
 @FUZZ

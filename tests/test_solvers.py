@@ -697,6 +697,14 @@ class TestVerify:
         with pytest.raises(KeyError):
             verify_solution(graph, tampered, 15)
 
+    def test_repeated_id_raises_naming_it(self):
+        # d5 costs 200 cents: counted twice, the price would match 400
+        graph = _graph_of(make_market({"d5": [(0, 0), (1, 1)]}, theta=2), 2)
+        tampered = solvers.Solution(
+            algorithm="exact", selected=("d5", "d5"), total_price_cents=400, coverage=2)
+        with pytest.raises(MarketplaceError, match="selects dataset 'd5' 2 times"):
+            verify_solution(graph, tampered, 4)
+
     def test_solver_outputs_verify_on_randoms(self):
         rng = np.random.default_rng(26)
         for _ in range(25):
