@@ -54,14 +54,12 @@ class DatasetGraph:
 
     @cached_property
     def cells(self) -> dict[str, frozenset[int]]:
-        """Cell ids of every node, sliced on first use from one ``tolist()`` of
-        the catalog's cell array."""
-        market = self.market
-        if market is None:
+        """Cell ids of every node, each read on first use from the node's own
+        slice of the catalog array, so the cost follows the graph."""
+        if self.market is None:
             raise GraphConfigError("graph carries no marketplace; cannot read cells")
-        cells, starts = market.cells.tolist(), market.starts.tolist()
-        return {u: frozenset(cells[s:e]) for u, s, e in zip(market.ids, starts, starts[1:])
-                if u in self.adjacency}
+        cells, rows = self.market.cells, self.market._slices
+        return {u: frozenset(cells[rows[u]].tolist()) for u in self.adjacency}
 
     def restricted(self, ids) -> "DatasetGraph":
         """The induced subgraph over ``ids``, on the same catalog."""

@@ -6,10 +6,10 @@ Usage-based pricing charges one unit per covered cell, matching the default
 used throughout the benchmark harness.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 
 import numpy as np
 
@@ -161,19 +161,22 @@ class Marketplace:
     def __len__(self):
         return len(self.ids)
 
+    @cached_property  # lazy: loading, saving and graph building never read it
+    def _slices(self) -> dict[str, slice]:  # id -> its rows of cells
+        return dict(zip(self.ids, map(slice, self.starts[:-1].tolist(), self.starts[1:].tolist())))
+
     def dataset(self, dataset_id: str) -> CellBasedDataset:
         """A view of the dataset's slice of ``cells``, read-only like it."""
-        if dataset_id not in self._price_cents:
+        rows = self._slices.get(dataset_id)
+        if rows is None:
             raise UnknownDatasetError(dataset_id)
-        j = bisect.bisect_left(self.ids, dataset_id)  # ids are sorted
-        cells = self.cells[self.starts[j]:self.starts[j + 1]]
-        return CellBasedDataset._unchecked(dataset_id, cells, self.grid)
+        return CellBasedDataset._unchecked(dataset_id, self.cells[rows], self.grid)
 
     def price_cents(self, dataset_id: str) -> int:
-        try:
-            return self._price_cents[dataset_id]
-        except KeyError:
-            raise UnknownDatasetError(dataset_id) from None
+        price = self._price_cents.get(dataset_id)
+        if price is None:
+            raise UnknownDatasetError(dataset_id)
+        return price
 
 
 def save_catalog(market: Marketplace, path) -> None:

@@ -9,6 +9,7 @@ from bmcc import graph as graph_module
 from bmcc.grid import GridConfig, decode_cells
 from bmcc.graph import (
     _PAIR_CHUNK,
+    DatasetGraph,
     GraphConfigError,
     _min_sqdist_coords,
     _min_sqdist_pairs,
@@ -465,6 +466,22 @@ class TestComponents:
         m = make_market({"z": [(0, 0)], "a": [(20, 20)], "b": [(21, 20)]}, theta=6)
         comps = connected_components(build_graph_naive(m, 1))
         assert [c.members[0] for c in comps] == ["a", "z"]
+
+
+class TestCellMap:
+    def test_full_and_restricted_graphs_map_exactly_their_nodes(self):
+        m = scattered_market(4, n=24)
+        g = build_graph_indexed(m, 2)
+        for graph in (g, g.restricted(m.ids[3:20:4])):
+            assert list(graph.cells) == list(graph.adjacency)
+            for u, cells in graph.cells.items():
+                j = m.ids.index(u)
+                assert cells == frozenset(m.cells[m.starts[j]:m.starts[j + 1]].tolist())
+
+    def test_graph_without_market_has_no_cells(self):
+        g = DatasetGraph(delta=1.0, prices={"a": 100}, adjacency={"a": ()})
+        with pytest.raises(GraphConfigError, match="no marketplace"):
+            g.cells
 
 
 class TestThresholdMonotonicity:
