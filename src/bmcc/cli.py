@@ -44,6 +44,7 @@ from .marketplace import (
     to_cents,
 )
 from .solvers import (
+    ORACLE_CAP,
     OracleCapError,
     SOLVER_LABELS,
     Solution,
@@ -152,7 +153,7 @@ _FLAGS = {
                               "to cents; the last of --budget/--budget-ratio wins"),
     "solvers": dict(type=_comma_list(_SOLVER), default=DEFAULT_SOLVERS,
                     help="comma list: " + ",".join(SOLVER_LABELS)),
-    "oracle-cap": dict(type=_COUNT, default=15),
+    "oracle-cap": dict(type=_COUNT, default=ORACLE_CAP),
     "scales": dict(type=_comma_list(_SCALE), default=(Fraction(1),),
                    help="comma list of exact decimal shares of the datasets; a scale "
                         "takes the first ceil(scale * n) of them"),

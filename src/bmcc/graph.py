@@ -140,9 +140,10 @@ class BallTree:
 
 def check_delta(delta: float) -> None:
     """Raise :class:`GraphConfigError` unless ``delta`` is finite and
-    non-negative; a Python int beyond float range counts as infinite."""
+    non-negative; a Python int beyond float range counts as infinite, and a
+    ``bool`` is not a distance."""
     try:
-        valid = math.isfinite(delta) and delta >= 0
+        valid = not isinstance(delta, (bool, np.bool_)) and math.isfinite(delta) and delta >= 0
     except OverflowError:
         valid = False
     if not valid:

@@ -125,11 +125,11 @@ class Marketplace:
         catalog = {}
         for ds in datasets:
             did = ds.id
-            if did in catalog:
-                raise MarketplaceError(f"duplicate dataset id {did!r}")
             if not isinstance(did, str) or did.split() != [did]:
                 raise MarketplaceError(
                     f"dataset id {did!r} must be a non-empty string without whitespace")
+            if did in catalog:
+                raise MarketplaceError(f"duplicate dataset id {did!r}")
             # loaded and rasterized datasets share their catalog's grid object
             if ds.grid is not grid and ds.grid != grid:
                 raise MarketplaceError(f"dataset {did!r} was rasterized under a different grid")
@@ -207,44 +207,40 @@ def _finite_float(text) -> float:
     return value
 
 
-def _is_int64(token) -> bool:
-    try:
-        return -(1 << 63) <= int(token) < 1 << 63
-    except ValueError:
-        return False
-
-
-def _raise_line_error(line, parts, kind, grid, earlier_ids):
-    """Run the checks of one dataset line, in file order after the ids
-    ``earlier_ids``, and raise the error of the first that fails."""
-    if len(parts) < 4:
-        raise CatalogFormatError(f"short dataset line at line {line}")
-    did, price = parts[0], parts[1]
-    if did in earlier_ids:
-        raise CatalogFormatError(f"repeated dataset id {did!r} at line {line}")
-    try:
-        if kind == USAGE_BASED and price != "-":
-            raise MarketplaceError("price must be '-' under usage pricing")
-        if kind == EXPLICIT_TABLE:
-            price_to_cents(price)
-    except MarketplaceError as exc:
-        raise CatalogFormatError(f"dataset {did!r}: {exc} at line {line}") from None
-    try:
-        n = int(parts[2])
-        cells = np.array([int(c) for c in parts[3:]], dtype=np.int64)
-    except ValueError:
-        raise CatalogFormatError(
-            f"dataset {did!r}: non-integer count or cell at line {line}") from None
-    except OverflowError:
-        raise CatalogFormatError(
-            f"dataset {did!r}: cell id outside int64 at line {line}") from None
-    if len(cells) != n:
-        raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {line}")
-    try:
-        CellBasedDataset(id=did, cells=cells, grid=grid)
-    except GridError as exc:
-        raise CatalogFormatError(f"{exc} at line {line}") from None
-    raise AssertionError(f"line {line} passes every dataset line check")
+def _raise_first_line_error(rows, kind, grid):
+    """Run every dataset line's checks in file order and raise the error of
+    the first line that fails one."""
+    seen = set()
+    for line, parts in rows:
+        if len(parts) < 4:
+            raise CatalogFormatError(f"short dataset line at line {line}")
+        did, price = parts[0], parts[1]
+        if did in seen:
+            raise CatalogFormatError(f"repeated dataset id {did!r} at line {line}")
+        try:
+            if kind == USAGE_BASED and price != "-":
+                raise MarketplaceError("price must be '-' under usage pricing")
+            if kind == EXPLICIT_TABLE:
+                price_to_cents(price)
+        except MarketplaceError as exc:
+            raise CatalogFormatError(f"dataset {did!r}: {exc} at line {line}") from None
+        try:
+            n = int(parts[2])
+            cells = np.array([int(c) for c in parts[3:]], dtype=np.int64)
+        except ValueError:
+            raise CatalogFormatError(
+                f"dataset {did!r}: non-integer count or cell at line {line}") from None
+        except OverflowError:
+            raise CatalogFormatError(
+                f"dataset {did!r}: cell id outside int64 at line {line}") from None
+        if len(cells) != n:
+            raise CatalogFormatError(f"dataset {did!r}: cell count mismatch at line {line}")
+        try:
+            CellBasedDataset(id=did, cells=cells, grid=grid)
+        except GridError as exc:
+            raise CatalogFormatError(f"{exc} at line {line}") from None
+        seen.add(did)
+    raise AssertionError("every dataset line passes its checks")
 
 
 def load_catalog(path) -> Marketplace:
@@ -254,9 +250,10 @@ def load_catalog(path) -> Marketplace:
     checked there at once: strictly ascending within each line, ``>= 0`` and
     below ``4**theta``. These are the checks ``CellBasedDataset`` runs, so
     each dataset goes to :class:`Marketplace` as an unchecked view of its
-    slice of that array. A faulty file raises :class:`CatalogFormatError` for
-    its first faulty line, whose own checks, rerun on it alone, give the
-    message and line number.
+    slice of that array. That pass only accepts or refuses the whole file:
+    on any fault, every dataset line's own checks are rerun in file order,
+    and the first line that fails one raises :class:`CatalogFormatError`
+    with its message and line number.
     """
     header, rows = read_counted_file(
         path, CATALOG_MAGIC, CATALOG_VERSION,
@@ -276,45 +273,31 @@ def load_catalog(path) -> Marketplace:
     if kind not in (EXPLICIT_TABLE, USAGE_BASED):
         raise CatalogFormatError(f"unknown pricing kind {kind!r} at line 5")
 
-    # the lines before the first that fails a check needing no cell array
-    records, seen, sizes, tokens, table = [], set(), [], [], {}
-    fault = None
-    for record in rows:
-        parts = record[1]
-        try:
+    rows, seen, sizes, tokens, table = list(rows), set(), [], [], {}
+    try:  # accepts no faulty line, but need not find one
+        for _, parts in rows:
             if len(parts) < 4 or parts[0] in seen or int(parts[2]) != len(parts) - 3:
                 raise ValueError
             if kind == EXPLICIT_TABLE:
                 table[parts[0]] = price_to_cents(parts[1])
             elif parts[1] != "-":
                 raise ValueError
-        except ValueError:  # MarketplaceError included
-            fault = record
-            break
-        seen.add(parts[0])
-        records.append(record)
-        sizes.append(len(parts) - 3)
-        tokens += parts[3:]
-
-    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)  # record k owns bounds[k]:bounds[k + 1]
-    np.cumsum(sizes, out=bounds[1:])
-    try:
+            seen.add(parts[0])
+            sizes.append(len(parts) - 3)
+            tokens += parts[3:]
         cells = np.array(list(map(int, tokens)), dtype=np.int64)
-    except (ValueError, OverflowError):  # the line of the first token outside int64 fails
-        k = int(np.searchsorted(bounds, [_is_int64(t) for t in tokens].index(False), "right")) - 1
-        fault, records, bounds = records[k], records[:k], bounds[:k + 1]
-        cells = np.array(list(map(int, tokens[:bounds[-1]])), dtype=np.int64)
-    bad = (cells < 0) | (cells >= grid.n_cells)
-    descending = cells[1:] <= cells[:-1]
-    descending[bounds[1:-1] - 1] = False  # a line's first cell follows another line's last
-    bad[1:] |= descending
-    if bad.any():
-        k = int(np.searchsorted(bounds, bad.argmax(), "right")) - 1
-        fault, records = records[k], records[:k]
-    if fault is not None:
-        _raise_line_error(*fault, kind, grid, {parts[0] for _, parts in records})
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)  # line k owns bounds[k]:bounds[k + 1]
+        np.cumsum(sizes, out=bounds[1:])
+        bad = (cells < 0) | (cells >= grid.n_cells)
+        descending = cells[1:] <= cells[:-1]
+        descending[bounds[1:-1] - 1] = False  # a line's first cell follows another line's last
+        bad[1:] |= descending
+        if bad.any():
+            raise ValueError
+    except (ValueError, OverflowError):  # MarketplaceError included
+        _raise_first_line_error(rows, kind, grid)
 
     offsets = bounds.tolist()
     datasets = [CellBasedDataset._unchecked(parts[0], cells[s:e], grid)
-                for (_, parts), s, e in zip(records, offsets, offsets[1:])]
+                for (_, parts), s, e in zip(rows, offsets, offsets[1:])]
     return Marketplace(grid, datasets, PricingFunction(table if kind == EXPLICIT_TABLE else None))

@@ -89,6 +89,7 @@ STATUS_OK = "ok"
 STATUS_BELOW_MINIMUM = "budget_below_minimum"
 
 SOLVER_LABELS = ("dsa", "dpsa", "dpsa-ba", "cmc-mc", "cmc-mg", "exact")
+ORACLE_CAP = 15  # the exact oracle's default size cap, in datasets
 
 
 class OracleCapError(ValueError):
@@ -195,9 +196,9 @@ def _prepare(market, budget, delta, graph):
     return b, graph.restricted(did for did, price in graph.prices.items() if price <= b)
 
 
-def _empty_solution(algorithm, status=STATUS_BELOW_MINIMUM, rounds=None):
+def _empty_solution(algorithm, rounds=None):
     return Solution(algorithm=algorithm, selected=(), total_price_cents=0,
-                    coverage=0, status=status, round_coverages=rounds)
+                    coverage=0, status=STATUS_BELOW_MINIMUM, round_coverages=rounds)
 
 
 # Sorts after the key of every candidate: no candidate has negative coverage.
@@ -699,7 +700,7 @@ def _connected_sets(graph: DatasetGraph, budget: int):
                                   extension[i + 1:] + fresh, covered | cells[w], p))
 
 
-def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
+def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
                 graph: DatasetGraph | None = None) -> Solution:
     """Exhaustive search over the connected, budget-feasible sets of the
     candidate graph, each enumerated once (:func:`_connected_sets`); ties
@@ -789,7 +790,7 @@ def make_reduction_instance(universe_size: int, sets) -> Marketplace:
 
 
 def solve(label: str, market: Marketplace, budget, delta,
-          graph: DatasetGraph | None = None, oracle_cap: int = 15) -> Solution:
+          graph: DatasetGraph | None = None, oracle_cap: int = ORACLE_CAP) -> Solution:
     """Dispatch on a solver label (see :data:`SOLVER_LABELS`)."""
     if label == "dsa":
         return solve_dsa(market, budget, delta, graph=graph)

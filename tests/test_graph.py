@@ -221,11 +221,16 @@ class TestIndexedGraph:
         assert build_graph_indexed(m, 4.999).n_edges == 0
 
 
-@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0, True, np.True_, False],
+                         ids=["inf", "nan", "negative", "bool", "numpy-bool", "false"])
 @pytest.mark.parametrize("build", [build_graph_naive, build_graph_indexed,
-                                   lambda m, delta: solve("dsa", m, 1, delta)],
-                         ids=["naive", "indexed", "solve"])
+                                   lambda m, delta: solve("dsa", m, 1, delta),
+                                   lambda m, delta: solve("dsa", m, 1, delta,
+                                                          graph=build_graph_naive(m, 1))],
+                         ids=["naive", "indexed", "solve", "solve-on-graph"])
 def test_bad_delta_is_graph_config_error(build, delta):
+    """A ``bool`` is not a distance either, though Python counts it as an
+    int; a graph built at delta 1 lets no bad delta through ``solve``."""
     m = make_market({"a": [(0, 0)], "b": [(1, 1)]}, theta=3)
     with pytest.raises(GraphConfigError, match="delta must be finite and non-negative"):
         build(m, delta)

@@ -20,6 +20,7 @@ from bmcc.marketplace import (
     to_cents,
 )
 
+import reference_catalog
 from conftest import DATA_DIR, make_market
 
 
@@ -131,10 +132,12 @@ class TestCatalogStructure:
         with pytest.raises(MarketplaceError):
             Marketplace.build(grid, [d, d])
 
-    @pytest.mark.parametrize("did", ["", "a b", 7], ids=["empty", "whitespace", "not-a-string"])
+    @pytest.mark.parametrize("did", ["", "a b", 7, ["a"]],
+                             ids=["empty", "whitespace", "not-a-string", "unhashable"])
     def test_id_that_cannot_round_trip_rejected(self, did):
         # a catalog line splits on whitespace: '' would load as another
-        # dataset, 'a b' would not load at all and 7 would load as '7'
+        # dataset, 'a b' would not load at all and 7 would load as '7'; the
+        # id rule runs before the duplicate lookup, which ['a'] would crash
         grid = GridConfig(theta=2)
         d = CellBasedDataset(id=did, cells=np.array([1, 2]), grid=grid)
         with pytest.raises(MarketplaceError, match=repr(did)):
@@ -356,6 +359,36 @@ class TestCatalogFiles:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(CatalogFormatError, match=where):
             load_catalog(path)
+
+
+FAULT_CATALOG = ["CBCAT 1", "theta 3", "origin 0.0 0.0", "cell 1.0 1.0", "pricing usage_based",
+                 "datasets 4", "a - 2 5 9", "b - 3 1 2 3", "c - 1 63", "d - 2 0 7"]
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({7: "a - 2 9 5", 8: "b - 3"}, "dataset 'a': cell ids must be strictly ascending at line 7"),
+    ({7: "a - 2 5 99999999999999999999", 8: "b 1.00 3 1 2 3"},
+     "dataset 'a': cell id outside int64 at line 7"),
+    ({8: "b - 3 -1 2 3", 9: "c - 1 x"}, "dataset 'b': negative cell id at line 8"),
+    ({8: "b - 4 1 x 3"}, "dataset 'b': non-integer count or cell at line 8"),
+    ({8: "b - 3 1 2 64", 9: "a - 1 63"}, "dataset 'b': cell id 64 outside 4**theta at line 8"),
+    ({7: "a - 2 5 x", 8: "b - 3 3 2 1"}, "dataset 'a': non-integer count or cell at line 7"),
+    ({9: "c - 1 64"}, "dataset 'c': cell id 64 outside 4**theta at line 9"),
+], ids=["descending-then-short", "past-int64-then-price", "negative-then-non-integer",
+        "count-mismatch-with-non-integer", "outside-then-repeated", "non-integer-then-descending",
+        "outside-after-two-good-lines"])
+def test_first_faulty_line_is_reported(tmp_path, faults, message):
+    """The loader checks the whole catalog in one pass, and on any fault
+    rechecks its lines in file order, so it reports the line the reference
+    loader, which checks each line on its own, reports."""
+    path = tmp_path / "catalog"
+    lines = [faults.get(number, text) for number, text in enumerate(FAULT_CATALOG, start=1)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CatalogFormatError) as caught:
+        load_catalog(path)
+    with pytest.raises(CatalogFormatError) as reference:
+        reference_catalog.load_catalog(path)
+    assert str(caught.value) == str(reference.value) == message
 
 
 PRICES = ("1", "2.50", "0.01", "7", "12.34")
