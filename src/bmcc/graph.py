@@ -20,7 +20,6 @@ share one integer threshold, so the edge sets are bit-identical.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,8 @@ class GraphConfigError(ValueError):
 
 @dataclass(eq=False)
 class DatasetGraph:
-    """Undirected graph over dataset ids with sorted adjacency lists."""
+    """Undirected graph over dataset ids with sorted adjacency lists. It holds
+    no cells: solves read them from ``market`` (``None`` if read from a file)."""
 
     delta: float
     prices: dict[str, int]  # cents, snapshot of the catalog prices
@@ -51,15 +51,6 @@ class DatasetGraph:
     @property
     def n_edges(self) -> int:
         return sum(len(v) for v in self.adjacency.values()) // 2
-
-    @cached_property
-    def cells(self) -> dict[str, frozenset[int]]:
-        """Cell ids of every node, each read on first use from the node's own
-        slice of the catalog array, so the cost follows the graph."""
-        if self.market is None:
-            raise GraphConfigError("graph carries no marketplace; cannot read cells")
-        cells, rows = self.market.cells, self.market._slices
-        return {u: frozenset(cells[rows[u]].tolist()) for u in self.adjacency}
 
     def restricted(self, ids) -> "DatasetGraph":
         """The induced subgraph over ``ids``, on the same catalog."""

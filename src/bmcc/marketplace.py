@@ -165,6 +165,23 @@ class Marketplace:
     def _slices(self) -> dict[str, slice]:  # id -> its rows of cells
         return dict(zip(self.ids, map(slice, self.starts[:-1].tolist(), self.starts[1:].tolist())))
 
+    @cached_property  # lazy like _slices: only solves read it
+    def _split(self) -> tuple[dict[str, int], dict[str, frozenset[int]]]:
+        """``(solo, shared)``: ``solo[id]`` counts the dataset's cells that no
+        other dataset holds, ``shared[id]`` is the frozenset of its others (one
+        empty frozenset for most), so a set S covers sum(solo) + |union(shared)|."""
+        order = np.argsort(self.cells, kind="stable")
+        repeat = np.diff(self.cells[order]) == 0
+        held = np.zeros(len(order), dtype=bool)  # cells that another dataset holds too
+        held[order[1:][repeat]] = held[order[:-1][repeat]] = True
+        sizes = np.diff(self.starts)
+        n_shared = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[held], minlength=len(sizes))
+        shared = dict.fromkeys(self.ids, frozenset())
+        for j in np.flatnonzero(n_shared).tolist():
+            rows = slice(self.starts[j], self.starts[j + 1])
+            shared[self.ids[j]] = frozenset(self.cells[rows][held[rows]].tolist())
+        return dict(zip(self.ids, (sizes - n_shared).tolist())), shared
+
     def dataset(self, dataset_id: str) -> CellBasedDataset:
         """A view of the dataset's slice of ``cells``, read-only like it."""
         rows = self._slices.get(dataset_id)

@@ -22,16 +22,18 @@ Available strategies:
 Every tie among equal-scoring candidates breaks toward the smallest id, so
 all solvers are deterministic functions of their inputs.
 
-Each solve works on a candidate graph, the datasets priced within the budget.
-When every dataset fits, it shares the query graph's adjacency and prices
-rather than copying them, but it is a new object, so the cell sets it builds
-die with the solve. Its budget is parsed to cents once (:func:`_prepare`),
-and every heuristic reads a candidate's coverage and price from the state
-that grew it. A component of one or two members has a closed form in
-:func:`budgeted_greedy` and ``cmc`` (:func:`_small_growth`), with no path
-set-up: every path greedy grown from its root takes the other member exactly
-when the two prices fit together. Its double-BFS center and BFS tree take no
-BFS. A candidate's ids are sorted only if it can win (:func:`_offer`).
+Each solve works on a candidate graph, the datasets priced within the budget
+(the query graph itself when every dataset fits), its budget parsed to cents
+once (:func:`_prepare`). Cells come from ``Marketplace._split``: a dataset's
+*solo* cells, held by no other dataset, are only counted, and the rest form
+its *shared* frozenset, empty for most. So v's marginal gain over the shared
+cells C covered so far is ``solo[v] + len(shared[v] - C)``, and every
+heuristic reads a candidate's coverage (a running count) and price from the
+state that grew it. A component of one or two members has a closed form in :func:`budgeted_greedy`
+and ``cmc`` (:func:`_small_growth`), with no path set-up: every path greedy
+grown from its root takes the other member exactly when the two prices fit
+together. Its double-BFS center and BFS tree take no BFS. A candidate's ids
+are sorted only if it can win (:func:`_offer`).
 
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
@@ -133,7 +135,7 @@ class BfsTree:
     @cached_property
     def _growth(self) -> "_PathGrowth":
         graph = self.component.graph
-        return _PathGrowth(self.parent, graph.cells, graph.prices, set(self.leaves))
+        return _PathGrowth(self.parent, _market_of(graph)._split, graph.prices, set(self.leaves))
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,16 @@ class VerificationReport:
         ]
 
 
+def _market_of(graph):
+    if graph.market is None:  # a graph read from an adjacency file
+        raise GraphConfigError("graph carries no marketplace; cannot read cells")
+    return graph.market
+
+
 def _prepare(market, budget, delta, graph):
     """Common front matter: the budget in cents and the candidate graph, the
-    graph induced by the datasets priced within the budget.
-
-    When every dataset fits, the candidate graph shares the query graph's
-    adjacency and prices instead of copying them. It is still a new graph
-    object, so the ``cells`` it builds are dropped with the solve and never
-    cached on the caller's long-lived graph.
-    """
+    graph induced by the datasets priced within the budget; that is the query
+    graph itself when every dataset fits. No solve writes to it."""
     b = to_cents(budget)
     if b < 0:
         raise ValueError("budget must be non-negative")
@@ -192,7 +195,7 @@ def _prepare(market, budget, delta, graph):
             raise GraphConfigError(
                 f"graph was built at delta={graph.delta}, solve requested {delta}")
     if max(graph.prices.values(), default=0) <= b:
-        return b, DatasetGraph(graph.delta, graph.prices, graph.adjacency, graph.market)
+        return b, graph
     return b, graph.restricted(did for did, price in graph.prices.items() if price <= b)
 
 
@@ -220,14 +223,15 @@ def _solution(algorithm, key, rounds=None):
     return Solution(algorithm, key[2], key[1], -key[0], round_coverages=rounds)
 
 
-def _small_growth(members, root, cells_map, prices, b):
+def _small_growth(members, root, split, prices, b):
     """``(selected, coverage, price)`` of what every path greedy from ``root``
     selects on a component of one or two members, whose root fits ``b``: the
     root, and the other member too if the two prices fit ``b`` together."""
+    solo, shared = split
     if len(members) == 2 and prices[members[0]] + prices[members[1]] <= b:
         u, v = members
-        return {u, v}, len(cells_map[u] | cells_map[v]), prices[u] + prices[v]
-    return {root}, len(cells_map[root]), prices[root]
+        return {u, v}, solo[u] + solo[v] + len(shared[u] | shared[v]), prices[u] + prices[v]
+    return {root}, solo[root] + len(shared[root]), prices[root]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +275,12 @@ class _PathGrowth:
 
     ``parent`` maps every tree node to its parent (the root to ``None``) in
     BFS order; candidate ``k``, for each ``k`` in the set ``ends``, is the
-    path from below the root down to ``k``. The exact marginal gain
-    ``gain[k]`` (cells not yet covered) and incremental price ``dp[k]``
-    (price of nodes not yet selected) of every candidate are kept up to date,
-    so a step costs only what it touches:
+    path from below the root down to ``k``. ``split`` is the catalog's
+    ``(solo, shared)``: solo cells are only counted, so the cell sets below
+    are shared cells; ``covered`` holds the selection's, and ``count`` all
+    its cells. The exact marginal gain ``gain[k]`` (cells not yet covered)
+    and incremental price ``dp[k]`` (price of nodes not yet selected) of
+    every candidate are kept up to date, so a step costs only what it touches:
 
     * a node's *new cells* are those that no ancestor below the root holds.
       Along a path they partition its cells, so ``reach[k]`` (the distinct
@@ -292,12 +298,14 @@ class _PathGrowth:
     growth from the same state without rebuilding them.
     """
 
-    def __init__(self, parent, cells_map, prices, ends):
+    def __init__(self, parent, split, prices, ends):
         root = next(iter(parent))
-        self.parent, self.prices = parent, prices
+        solo, cells_map = split
+        self.parent, self.prices, self._solo = parent, prices, solo
         self.selected = {root}
         self.spent = prices[root]
         self.covered = set(cells_map[root])
+        self.count = solo[root] + len(cells_map[root])
         # Cells held by one node are new there; a shared cell is new at each
         # holder with no holder above it below the root. The candidates in
         # each subtree are counted in the same pass, up from the leaves.
@@ -305,8 +313,10 @@ class _PathGrowth:
         size.update(dict.fromkeys(ends, 1))
         seen, shared = set(), set()
         for v, u in itertools.islice(reversed(parent.items()), len(parent) - 1):
-            shared |= seen & cells_map[v]
-            seen |= cells_map[v]
+            cells = cells_map[v]
+            if cells:
+                shared |= seen & cells
+                seen |= cells
             size[u] += size[v]
         rooted = cells_map[root] & seen
         shared |= rooted
@@ -334,7 +344,8 @@ class _PathGrowth:
                 held = held | mine
                 gain -= len(cells & rooted)
             new_cells[v] = cells
-            reach, gain, dp = reach + len(cells), gain + len(cells), dp + prices[v]
+            n = solo[v] + len(cells)
+            reach, gain, dp = reach + n, gain + n, dp + prices[v]
             above.append((v, held, reach, gain, dp))
             lo = slot[u]
             slot[u] = hi = lo + size[v]
@@ -368,9 +379,12 @@ class _PathGrowth:
             for j in order[span[u]]:
                 dp[j] -= price
             fresh = self._new_cells[u] - covered
+            n = self._solo[u] + len(fresh)
+            if n:
+                self.count += n
+                lost[u] = lost.get(u, 0) + n
             if fresh:
                 covered |= fresh
-                lost[u] = lost.get(u, 0) + len(fresh)
                 for c in fresh & self._shared:
                     for h in self._holders[c]:
                         if h != u:
@@ -391,8 +405,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     Each pass examines candidates in score order; an examined dataset is
     dropped from the pass's pool whether or not it was accepted, and a
     candidate is acceptable only if it keeps the growing set connected and
-    within budget. Gains only fall as cells get covered, so both passes run
-    on :func:`_lazy_argmax`, whose first keys take each gain from coverage.
+    within budget. A gain, ``solo + len(shared - covered)``, only falls, so
+    both passes run on :func:`_lazy_argmax`, first keyed by coverage.
     The ratio pass keys by the int ``-(gain * scale // price)``, ``scale =
     max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
     price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
@@ -402,19 +416,20 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution("dsa", rounds=(0, 0))
-    adjacency, cells_map, prices = candidate.adjacency, candidate.cells, candidate.prices
+    adjacency, prices = candidate.adjacency, candidate.prices
+    solo, shared = market._split
 
     def one_round(key) -> tuple[set[str], int, int]:
-        covered: set[int] = set()
+        covered: set[int] = set()  # shared cells only
         selected: set[str] = set()
         frontier: set[str] = set()
-        spent = 0
+        spent = count = 0
 
         def rescore(did):
-            return key(len(cells_map[did].difference(covered)), prices[did])
+            return key(solo[did] + len(shared[did].difference(covered)), prices[did])
 
         # before anything is covered, a dataset's gain is its coverage
-        entries = [(key(len(cells_map[d]), prices[d]), d) for d in adjacency]
+        entries = [(key(solo[d] + len(shared[d]), prices[d]), d) for d in adjacency]
         for did in _lazy_argmax(entries, rescore):
             if selected and did not in frontier:
                 continue
@@ -422,9 +437,10 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
                 continue
             selected.add(did)
             spent += prices[did]
-            covered.update(cells_map[did])
+            count += solo[did]
+            covered.update(shared[did])
             frontier.update(adjacency[did])
-        return selected, len(covered), spent
+        return selected, count + len(covered), spent
 
     first = one_round(_ratio_key(prices.values()))
     second = one_round(lambda gain, price: -gain)
@@ -566,8 +582,8 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
     if graph.prices[tree.root] > budget_cents:
         return set(), 0, 0
     if len(tree.parent) <= 2:
-        return _small_growth(tuple(tree.parent), tree.root, graph.cells, graph.prices,
-                             budget_cents)
+        return _small_growth(tuple(tree.parent), tree.root, _market_of(graph)._split,
+                             graph.prices, budget_cents)
     growth = tree._growth.copy()
     gain, dp = growth.gain, growth.dp
     if flag == "coverage":
@@ -584,7 +600,7 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
             room = budget_cents - growth.spent
             if all(dp[k] > room for k in remaining):
                 break
-    return growth.selected, len(growth.covered), growth.spent
+    return growth.selected, growth.count, growth.spent
 
 
 def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
@@ -638,16 +654,16 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
         return _empty_solution(label)
-    prices, cells_map = candidate.prices, candidate.cells
+    prices, split = candidate.prices, market._split
     best = _NO_CANDIDATE
     for sub in connected_components(candidate):
         members = sub.members
         root = members[0]
         if len(members) <= 2:
-            best = _offer(best, *_small_growth(members, root, cells_map, prices, b))
+            best = _offer(best, *_small_growth(members, root, split, prices, b))
             continue
         pool = dict.fromkeys(members[1:])
-        growth = _PathGrowth(sub.parent, cells_map, prices, pool)
+        growth = _PathGrowth(sub.parent, split, prices, pool)
         dp = growth.dp
         nums = growth.gain if variant == "mg" else growth.reach
         depth = {root: 0}
@@ -666,7 +682,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
                 break
             growth.take(pick)
             del pool[pick]
-        best = _offer(best, growth.selected, len(growth.covered), growth.spent)
+        best = _offer(best, growth.selected, growth.count, growth.spent)
     return _solution(label, best)
 
 
@@ -675,9 +691,10 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
 
 
 def _connected_sets(graph: DatasetGraph, budget: int):
-    """Yield ``(members, covered cells, price)`` for every connected node set
-    of ``graph`` priced at most ``budget`` cents, each set exactly once. Every
-    node of ``graph`` must fit the budget on its own, as in a candidate graph.
+    """Yield ``(members, coverage, covered shared cells, price)`` for every
+    connected node set of ``graph`` priced at most ``budget`` cents, each set
+    exactly once. Every node of ``graph`` must fit the budget on its own, as
+    in a candidate graph.
 
     This is Wernicke's ESU enumeration ("Efficient detection of network
     motifs", IEEE/ACM TCBB 2006): a set grows only from its smallest member
@@ -686,18 +703,20 @@ def _connected_sets(graph: DatasetGraph, budget: int):
     no earlier member). A node that would overrun the budget is never added:
     prices are non-negative, so every set containing it is over budget too.
     """
-    adj, prices, cells = graph.adjacency, graph.prices, graph.cells
+    adj, prices = graph.adjacency, graph.prices
+    solo, shared = graph.market._split
     for v in graph.nodes:
-        stack = [([v], {v, *adj[v]}, [u for u in adj[v] if u > v], cells[v], prices[v])]
+        stack = [([v], {v, *adj[v]}, [u for u in adj[v] if u > v], solo[v], shared[v],
+                  prices[v])]
         while stack:
-            members, seen, extension, covered, price = stack.pop()
-            yield members, covered, price
+            members, seen, extension, count, covered, price = stack.pop()
+            yield members, count + len(covered), covered, price
             for i, w in enumerate(extension):
                 p = price + prices[w]
                 if p <= budget:
                     fresh = [u for u in adj[w] if u > v and u not in seen]
-                    stack.append((members + [w], seen.union(adj[w]),
-                                  extension[i + 1:] + fresh, covered | cells[w], p))
+                    stack.append((members + [w], seen.union(adj[w]), extension[i + 1:] + fresh,
+                                  count + solo[w], covered | shared[w], p))
 
 
 def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
@@ -713,8 +732,8 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
     if not candidate.nodes:
         return _empty_solution("exact")
     best = (0, 0, ())  # the key of the empty set
-    for members, covered, price in _connected_sets(candidate, b):
-        best = _offer(best, members, len(covered), price)
+    for members, coverage, _, price in _connected_sets(candidate, b):
+        best = _offer(best, members, coverage, price)
     return _solution("exact", best)
 
 
@@ -723,8 +742,9 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
 
 
 def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> VerificationReport:
-    """Recompute price, connectivity and coverage of a solution from scratch.
-    An id the graph lacks, or one selected twice, is refused."""
+    """Recompute price, connectivity and coverage (the distinct values of the
+    catalog's cell array in the selected slices) of a solution from scratch.
+    An id the graph lacks, one selected twice or a graph with no catalog is refused."""
     for did, times in collections.Counter(solution.selected).items():
         if did not in graph.adjacency:
             raise UnknownDatasetError(did)
@@ -738,7 +758,10 @@ def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> Verifica
     else:
         reached, _ = bfs(chosen.adjacency, solution.selected[0])
         connected = len(reached) == len(solution.selected)
-    coverage = len(frozenset().union(*chosen.cells.values()))
+    market = _market_of(graph)
+    cells = np.sort(np.concatenate(
+        [market.cells[:0], *(market.cells[market._slices[d]] for d in solution.selected)]))
+    coverage = int(cells.size - np.count_nonzero(cells[1:] == cells[:-1]))
     return VerificationReport(
         within_budget=price <= b,
         connected=connected,

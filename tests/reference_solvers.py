@@ -11,13 +11,14 @@ the solvers in :mod:`bmcc.solvers` return exactly the same selections,
 that the bounded exact center matches the one-BFS-per-node
 :func:`find_center_exact` below, and ``test_exact_differential.py`` that the
 connected-set oracle returns the same solutions as :func:`solve_exact` below,
-which walks all 2^n subsets of the affordable datasets (its one edit: it
-calls the live ``_prepare``, as this module has its own). The reference
-solvers use these BFS loops, not the live ones, and their own copies of the
-per-solve helpers that the solvers replaced with the candidate graph's cell
-sets, of the ``CenterResult`` that stored every eccentricity, and of the
+which walks all 2^n subsets of the affordable datasets (its edits: it calls
+the live ``_prepare``, as this module has its own, and reads cells with
+:func:`_cells_map`). The reference solvers use these BFS loops, not the live
+ones, and their own copies of the per-solve cell helpers that the solvers
+replaced, of the ``CenterResult`` that stored every eccentricity, and of the
 double-BFS result that stored the diameter."""
 
+import collections
 from dataclasses import dataclass, field
 
 from bmcc.graph import DatasetGraph, GraphConfigError, Subgraph, build_graph_indexed
@@ -34,6 +35,17 @@ from bmcc.solvers import (
 
 def _cells_map(market, ids):
     return {did: frozenset(market.dataset(did).cells.tolist()) for did in ids}
+
+
+def covered_cells(market, ids):
+    """The cells the datasets ``ids`` cover, read from their market slices."""
+    return frozenset().union(*_cells_map(market, ids).values())
+
+
+def shared_cells(market):
+    """The cells that two or more datasets of ``market`` hold."""
+    held = collections.Counter(c for did in market.ids for c in market.dataset(did).cells.tolist())
+    return frozenset(c for c, n in held.items() if n > 1)
 
 
 def _union_len(cells_map, ids):
@@ -514,7 +526,7 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = 15,
     afford = candidate.nodes
     if not afford:
         return _empty_solution("exact")
-    cells_map = candidate.cells
+    cells_map = _cells_map(market, afford)
     n = len(afford)
     bit_of = {c: i for i, c in enumerate(sorted(frozenset().union(*cells_map.values())))}
     masks = []

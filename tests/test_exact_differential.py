@@ -110,13 +110,16 @@ def make_graph(n, edges, prices=None):
 def enumerated(graph, budget=None):
     """The member sets the generator yields on the graph induced by the
     nodes that fit ``budget`` (the candidate graph of a solve), after checking
-    each yield's cells and price against its members."""
+    each yield's coverage, shared cells and price against its members, whose
+    cells are recounted from their market slices."""
     if budget is None:
         budget = sum(graph.prices.values())
     out = []
+    shared = ref.shared_cells(graph.market)
     candidate = graph.restricted(d for d, p in graph.prices.items() if p <= budget)
-    for members, covered, price in _connected_sets(candidate, budget):
-        assert covered == frozenset().union(*(graph.cells[d] for d in members))
+    for members, coverage, covered, price in _connected_sets(candidate, budget):
+        cells = ref.covered_cells(graph.market, members)
+        assert (coverage, covered) == (len(cells), cells & shared)
         assert price == sum(graph.prices[d] for d in members) <= budget
         out.append(frozenset(members))
     return out

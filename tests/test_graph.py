@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmcc import graph as graph_module
-from bmcc.grid import GridConfig, decode_cells
+from bmcc.grid import GridConfig, decode_cells, encode_cell
 from bmcc.graph import (
     _PAIR_CHUNK,
-    DatasetGraph,
     GraphConfigError,
     _min_sqdist_coords,
     _min_sqdist_pairs,
@@ -22,7 +21,13 @@ from bmcc.graph import (
     write_adjacency,
 )
 from bmcc.marketplace import Marketplace, PricingFunction
-from bmcc.solvers import complete_graph_delta, solve
+from bmcc.solvers import (
+    budgeted_greedy,
+    build_bfs_tree,
+    complete_graph_delta,
+    solve,
+    verify_solution,
+)
 
 from conftest import (
     brute_force_min_distance,
@@ -474,19 +479,34 @@ class TestComponents:
 
 
 class TestCellMap:
-    def test_full_and_restricted_graphs_map_exactly_their_nodes(self):
+    """Solves read cells from the catalog's ``(solo, shared)`` split, and
+    ``verify_solution`` recounts them from the catalog's slices."""
+
+    def test_split_counts_solo_cells_and_keeps_shared_ones(self):
+        m = make_market({"a": [(0, 0), (0, 1)], "b": [(0, 1), (1, 1), (3, 3)],
+                         "c": [(2, 2)], "d": [(0, 1), (3, 3)], "e": [(2, 3), (3, 2)]},
+                        theta=3)
+        solo, shared = m._split
+        assert solo == {"a": 1, "b": 1, "c": 1, "d": 0, "e": 2}
+        one, both = encode_cell(0, 1, 3), encode_cell(3, 3, 3)
+        assert shared == {"a": {one}, "b": {one, both}, "c": set(), "d": {one, both},
+                          "e": set()}
+        assert all(type(cells) is frozenset for cells in shared.values())
+        assert shared["c"] is shared["e"]  # one empty frozenset
+        assert m._split is m._split  # built once per catalog
+
+    def test_graph_without_market_has_no_cells(self, tmp_path):
         m = scattered_market(4, n=24)
         g = build_graph_indexed(m, 2)
-        for graph in (g, g.restricted(m.ids[3:20:4])):
-            assert list(graph.cells) == list(graph.adjacency)
-            for u, cells in graph.cells.items():
-                j = m.ids.index(u)
-                assert cells == frozenset(m.cells[m.starts[j]:m.starts[j + 1]].tolist())
-
-    def test_graph_without_market_has_no_cells(self):
-        g = DatasetGraph(delta=1.0, prices={"a": 100}, adjacency={"a": ()})
+        sol = solve("dsa", m, 30, 2, graph=g)
+        write_adjacency(g, tmp_path / "graph.txt")
+        read = read_adjacency(tmp_path / "graph.txt")
         with pytest.raises(GraphConfigError, match="no marketplace"):
-            g.cells
+            verify_solution(read, sol, 30)
+        for sub in connected_components(read):
+            tree = build_bfs_tree(sub, sub.members[0])
+            with pytest.raises(GraphConfigError, match="no marketplace"):
+                budgeted_greedy(tree, 10 ** 6, "coverage")
 
 
 class TestThresholdMonotonicity:

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
@@ -5,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bmcc.solvers as solvers
 import reference_solvers as ref
 from bmcc.graph import bfs, build_graph_indexed, build_graph_naive, connected_components
-from bmcc.grid import CellRangeError, GridError
-from bmcc.marketplace import MarketplaceError, cents_to_decimal
+from bmcc.grid import CellBasedDataset, CellRangeError, GridConfig, GridError
+from bmcc.marketplace import Marketplace, MarketplaceError, PricingFunction, cents_to_decimal
 from bmcc.solvers import (
     OracleCapError,
     SOLVER_LABELS,
@@ -365,15 +368,34 @@ def _path_below_root(parent, k):
     return nodes
 
 
+def _market_split(cells_map, rng, universe):
+    """The ``Marketplace._split`` of a catalog holding each node's cells plus
+    a few cells of its own, and one more dataset, in no tree, holding some
+    cells of the universe: ``(full cells_map, split)`` keyed by node."""
+    nodes = list(cells_map)
+    own = itertools.count(universe)
+    full = {v: cells | {next(own) for _ in range(int(rng.integers(0, 4)))}
+            for v, cells in cells_map.items()}
+    outside = rng.integers(0, universe, size=3).tolist()
+    market = make_reduction_instance(next(own), [*full.values(), outside])
+    solo, shared = market._split
+    ids = market.ids[:len(nodes)]
+    return full, ({v: solo[d] for v, d in zip(nodes, ids)},
+                  {v: shared[d] for v, d in zip(nodes, ids)})
+
+
 class TestPathGrowthInvariants:
     """Every candidate's gain, dp and reach, checked by brute force after
     set-up and after every take, with two candidate sets: the leaves only,
-    as in ``dpsa``, and every non-root node, as in ``cmc``."""
+    as in ``dpsa``, and every non-root node, as in ``cmc``. The growth reads
+    a ``(solo, shared)`` split: by default every cell counts as shared, and
+    the ``market`` cases read a catalog's real split, with solo cells."""
 
     @staticmethod
-    def check(growth, cells_map, prices, paths):
+    def check(growth, cells_map, split, prices, paths):
         covered = set().union(*(cells_map[u] for u in growth.selected))
-        assert growth.covered == covered
+        assert growth.covered == covered & set().union(*split[1].values())
+        assert growth.count == len(covered)
         assert growth.spent == sum(prices[u] for u in growth.selected)
         assert growth.gain.keys() == growth.dp.keys() == growth.reach.keys() == paths.keys()
         for k, nodes in paths.items():
@@ -383,16 +405,17 @@ class TestPathGrowthInvariants:
             assert growth.dp[k] == sum(prices[u] for u in nodes
                                        if u not in growth.selected), k
 
-    def grow(self, parent, cells_map, prices, rng):
+    def grow(self, parent, cells_map, prices, rng, split=None):
+        split = split or (dict.fromkeys(cells_map, 0), cells_map)
         inner = set(parent.values())
         below_root = list(parent)[1:]
         for ends in ({v for v in below_root if v not in inner}, set(below_root)):
             paths = {k: _path_below_root(parent, k) for k in ends}
-            growth = _PathGrowth(parent, cells_map, prices, ends)
-            self.check(growth, cells_map, prices, paths)
+            growth = _PathGrowth(parent, split, prices, ends)
+            self.check(growth, cells_map, split, prices, paths)
             for k in rng.permutation(sorted(ends)).tolist():
                 growth.take(k)
-                self.check(growth, cells_map, prices, paths)
+                self.check(growth, cells_map, split, prices, paths)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_tree(self, seed):
@@ -403,6 +426,15 @@ class TestPathGrowthInvariants:
         rng = np.random.default_rng(900 + seed)
         tree = _random_tree(rng, int(rng.integers(2, 25)), int(rng.integers(3, 20)))
         self.grow(*tree, rng)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_trees_on_a_market_split(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        universe = int(rng.integers(3, 20))
+        parent, cells_map, prices = _random_tree(rng, int(rng.integers(2, 25)), universe)
+        full, split = _market_split(cells_map, rng, universe)
+        assert any(split[0].values())
+        self.grow(parent, full, prices, rng, split)
 
 
 class TestDpsa:
@@ -549,12 +581,14 @@ class TestTinyComponents:
     @pytest.mark.parametrize("budget", [30, 5], ids=["every-node-fits", "some-nodes-fit"])
     @pytest.mark.parametrize("label", SOLVER_LABELS)
     def test_solve_caches_no_cells_on_the_callers_graph(self, tiny_market, label, budget):
-        """The candidate graph may share the query graph's adjacency and
-        prices, but it is its own object: the cell sets a solve builds must
-        not stay behind on a graph the caller keeps."""
+        """The candidate graph may be the query graph itself: a solve must
+        leave nothing behind on a graph the caller keeps."""
         graph = _graph_of(tiny_market, 1)
+        before = dict(vars(graph))
         solve(label, tiny_market, budget, 1, graph=graph)
         assert "cells" not in vars(graph)
+        assert vars(graph).keys() == before.keys()
+        assert all(vars(graph)[name] is value for name, value in before.items())
 
 
 class TestCmc:
@@ -715,6 +749,62 @@ class TestVerify:
             for label in SOLVER_LABELS:
                 sol = solve(label, m, budget, delta, graph=graph)
                 assert verify_solution(graph, sol, budget).ok, (label, sol)
+
+
+@st.composite
+def overlapping_markets(draw):
+    """A catalog of up to 8 datasets on the 8x8 grid, with table prices: its
+    datasets overlap at random, repeat (each one twice or more, so every cell
+    is shared) or are disjoint (so no cell is)."""
+    kind = draw(st.sampled_from(["overlapping", "repeated", "disjoint"]))
+    if kind == "overlapping":
+        sets = draw(st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=6),
+                             min_size=1, max_size=8))
+    elif kind == "repeated":
+        base = draw(st.lists(st.sets(st.integers(0, 63), min_size=1, max_size=6),
+                             min_size=1, max_size=3))
+        sets = base + base + draw(st.lists(st.sampled_from(base), max_size=2))
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+        ends = list(itertools.accumulate(sizes))
+        sets = [range(e - k, e) for k, e in zip(sizes, ends)]
+    grid = GridConfig(theta=3)
+    datasets = [CellBasedDataset(id=f"d{i}", cells=np.array(sorted(c), dtype=np.int64),
+                                 grid=grid) for i, c in enumerate(sets)]
+    prices = {ds.id: draw(st.integers(1, 5)) for ds in datasets}
+    return kind, Marketplace(grid, datasets, PricingFunction.from_table(prices))
+
+
+class TestCellSplit:
+    """``Marketplace._split`` against a ``Counter`` of every cell's holders,
+    and each solver's coverage against a recount from the catalog's slices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(overlapping_markets())
+    def test_split_matches_a_count_of_holders(self, drawn):
+        kind, m = drawn
+        cells = {d: m.dataset(d).cells.tolist() for d in m.ids}
+        holders = collections.Counter(c for held in cells.values() for c in held)
+        solo, shared = m._split
+        assert solo.keys() == shared.keys() == set(m.ids)
+        for d, held in cells.items():
+            assert solo[d] + len(shared[d]) == len(held)
+            assert shared[d] == {c for c in held if holders[c] >= 2}
+        assert kind != "repeated" or not any(solo.values())
+        assert kind != "disjoint" or not any(shared.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(overlapping_markets(), st.sampled_from([0, 1, 3, 12]), st.integers(0, 40))
+    def test_every_solver_coverage_is_a_recount(self, drawn, delta, budget):
+        _, m = drawn
+        graph = build_graph_indexed(m, delta)
+        for label in SOLVER_LABELS:
+            sol = solve(label, m, budget, delta, graph=graph)
+            recount = np.unique(np.concatenate(
+                [m.cells[:0], *(m.dataset(d).cells for d in sol.selected)])).size
+            assert sol.coverage == recount, label
+            report = verify_solution(graph, sol, budget)
+            assert report.ok and type(report.recomputed_coverage) is int, label
 
 
 class TestReduction:

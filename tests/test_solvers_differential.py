@@ -113,7 +113,8 @@ def _trees(sub):
 
 def _compare_greedy_on_every_component(graph, budget_list):
     """The greedy's set against the reference's, and its coverage and price
-    against a recount of that set over the graph's cells and prices."""
+    against a recount of that set over its market slices and the graph's
+    prices."""
     for sub in connected_components(graph):
         for tree in _trees(sub):
             for budget in budget_list:
@@ -121,7 +122,7 @@ def _compare_greedy_on_every_component(graph, budget_list):
                     selected, coverage, price = budgeted_greedy(tree, to_cents(budget), flag)
                     want = ref.budgeted_greedy(sub, tree, budget, flag)
                     assert selected == want, (tree.root, str(budget), flag)
-                    recount = (len(frozenset().union(*(graph.cells[u] for u in selected))),
+                    recount = (len(ref.covered_cells(graph.market, selected)),
                                sum(graph.prices[u] for u in selected))
                     assert (coverage, price) == recount, (tree.root, str(budget), flag)
 
