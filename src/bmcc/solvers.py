@@ -49,10 +49,12 @@ return exactly what a full rescan would:
 * Where the incremental path price ``dp`` falls too -- the ratio pass of
   :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
   valid, since a taken path makes every path sharing its nodes cheaper and
-  its ratio can rise. There each candidate's gain and ``dp`` are kept exact
-  by an inverted index (cell -> nodes) and a DFS preorder of the candidates,
-  in which those below a node are one contiguous range; taking a path walks
-  up the tree and touches only what it newly covers or pays for. Initial
+  its ratio can rise. There one scan, :func:`_grow_paths`, skips the paths
+  that do not fit (they never will) and drops the ends already selected.
+  Each path's gain and ``dp`` are kept exact by an inverted index (cell ->
+  nodes) and a DFS preorder of the candidates, in which those below a node
+  are one contiguous range; taking a path walks up the tree and touches only
+  what it newly covers or pays for. Initial
   gains and prices are running sums in parent order, O(n) per tree, and the
   set-up is built once per :class:`BfsTree`: both flags of
   :func:`budgeted_greedy` grow a copy of it.
@@ -395,6 +397,35 @@ class _PathGrowth:
                 gain[j] -= n
 
 
+def _grow_paths(growth, ends, b, num, den):
+    """Grow ``growth`` within ``b`` cents by whole paths to ``ends``, given
+    in ascending id. Each step takes, of the paths that fit the room left,
+    the largest exact ratio ``num[k] / den[k]`` of the live scores, by
+    integer cross-multiplication: a zero ``den`` ranks first, by ``num``, and
+    ties go to the smallest id. A take drops from the pool every end it
+    selects; the growth stops when no path fits. A take raises ``spent`` by
+    ``dp[pick]`` and lowers no ``dp[k]`` by more, so ``dp[k] + spent`` never
+    falls: a path that does not fit now never will."""
+    dp, parent, selected = growth.dp, growth.parent, growth.selected
+    pool = dict.fromkeys(ends)
+    while True:
+        room = b - growth.spent
+        pick, bn, bd = None, -1, 1  # -1/1 ranks below every ratio
+        for k in pool:
+            if dp[k] > room:
+                continue
+            n, d = num[k], den[k]
+            if (n * bd > bn * d) if d and bd else (d == 0 and (bd != 0 or n > bn)):
+                pick, bn, bd = k, n, d
+        if pick is None:
+            return
+        u = pick
+        while u not in selected:
+            pool.pop(u, None)
+            u = parent[u]
+        growth.take(pick)
+
+
 # ---------------------------------------------------------------------------
 # DSA: dual greedy over individual datasets
 
@@ -541,36 +572,21 @@ def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
 # DPSA: budgeted greedy over BFS-tree paths
 
 
-def _ratio_order(leaves, gain, dp):
-    """Yield leaves by exact marginal gain per incremental price over the live
-    scores, zero-price paths first by gain, each chosen only after the caller
-    has acted on the previous one. Each step scans the pool in ascending id
-    and keeps the first of equal leaves, so ties break to the smallest id."""
-    pool = sorted(leaves)
-    while pool:
-        at, bg, bd = 0, gain[pool[0]], dp[pool[0]]
-        for i, k in enumerate(pool):
-            g, d = gain[k], dp[k]
-            if (g * bd > bg * d) if d and bd else (d == 0 and (bd != 0 or g > bg)):
-                at, bg, bd = i, g, d
-        yield pool.pop(at)
-
-
 def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[str], int, int]:
     """Grow a connected set from the tree root by whole root-to-leaf paths
     of ``tree.component``, within ``budget_cents``, an ``int`` of cents.
 
     ``flag`` selects the leaf scoring: ``"ratio"`` maximizes marginal gain
     per incremental path price, ``"coverage"`` maximizes raw marginal gain.
-    A selected path is paid only for its nodes not already in the result; the
-    examined leaf leaves the candidate pool whether or not its path fit.
+    A selected path is paid only for its nodes not already in the result,
+    and a leaf whose path does not fit is passed over: it never fits later.
     Returns ``(selected, coverage, price)``, read from the growth that ran,
     and ``(set(), 0, 0)`` when the root itself exceeds the budget.
 
     Raw gains only fall, so the coverage pass is lazy (:func:`_lazy_argmax`).
     The ratio pass cannot be: a taken path also lowers the incremental price
     of every path sharing its nodes, which can raise their ratios. It scans
-    the exact scores that :class:`_PathGrowth` keeps up to date instead.
+    the exact scores of :class:`_PathGrowth` instead (:func:`_grow_paths`).
     Both flags start from a copy of the tree's path set-up, built once per
     tree; a tree of one or two nodes needs none (:func:`_small_growth`).
     """
@@ -586,20 +602,13 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
                              graph.prices, budget_cents)
     growth = tree._growth.copy()
     gain, dp = growth.gain, growth.dp
-    if flag == "coverage":
-        order = _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
-                             lambda leaf: -gain[leaf])
+    if flag == "ratio":
+        _grow_paths(growth, tree.leaves, budget_cents, gain, dp)
     else:
-        order = _ratio_order(tree.leaves, gain, dp)
-    remaining = set(tree.leaves)
-    for leaf in order:
-        remaining.discard(leaf)
-        if growth.spent + dp[leaf] <= budget_cents:
-            growth.take(leaf)
-            # only a take lowers a price: once none fits, none ever will
-            room = budget_cents - growth.spent
-            if all(dp[k] > room for k in remaining):
-                break
+        for leaf in _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
+                                 lambda leaf: -gain[leaf]):
+            if growth.spent + dp[leaf] <= budget_cents:
+                growth.take(leaf)
     return growth.selected, growth.count, growth.spent
 
 
@@ -646,7 +655,8 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     the component (``Subgraph.parent``), and every root-to-node path is a
     candidate; each step selects, among the paths whose incremental price
     still fits, the one maximizing average coverage per path node (``mc``) or
-    average marginal gain per path node (``mg``).
+    average marginal gain per path node (``mg``), and never a path already
+    selected (:func:`_grow_paths`).
     """
     if variant not in ("mc", "mg"):
         raise ValueError(f"unknown cmc variant {variant!r}")
@@ -662,26 +672,12 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         if len(members) <= 2:
             best = _offer(best, *_small_growth(members, root, split, prices, b))
             continue
-        pool = dict.fromkeys(members[1:])
-        growth = _PathGrowth(sub.parent, split, prices, pool)
-        dp = growth.dp
-        nums = growth.gain if variant == "mg" else growth.reach
+        growth = _PathGrowth(sub.parent, split, prices, set(members[1:]))
         depth = {root: 0}
         for v, u in itertools.islice(sub.parent.items(), 1, None):
             depth[v] = depth[u] + 1
-        while pool:
-            room = b - growth.spent
-            pick, best_num, best_n = None, 0, 1
-            for u in pool:
-                if dp[u] > room:
-                    continue
-                num, n_nodes = nums[u], depth[u]
-                if pick is None or num * best_n > best_num * n_nodes:
-                    pick, best_num, best_n = u, num, n_nodes
-            if pick is None:
-                break
-            growth.take(pick)
-            del pool[pick]
+        _grow_paths(growth, members[1:], b, growth.gain if variant == "mg" else growth.reach,
+                    depth)
         best = _offer(best, growth.selected, growth.count, growth.spent)
     return _solution(label, best)
 

@@ -30,9 +30,9 @@ from bmcc.solvers import (
     solve_exact,
     verify_solution,
     _PathGrowth,
+    _grow_paths,
     _lazy_argmax,
     _ratio_key,
-    _ratio_order,
 )
 
 from conftest import (
@@ -182,24 +182,38 @@ class TestBudgetedGreedy:
             depth[v] = depth[u] + 1
         assert max(depth.values()) == res.radius
 
+    @staticmethod
+    def ratio_takes(scored):
+        """The order in which :func:`_grow_paths` takes the leaves of a free
+        star root, each leaf scored ``(leaf, gain, price)`` by cells of its
+        own, with budget for all of them: a take changes no other score."""
+        taken = []
+
+        class Recording(_PathGrowth):
+            def take(self, k):
+                taken.append(k)
+                super().take(k)
+
+        parent = {"root": None, **{leaf: "root" for leaf, _, _ in scored}}
+        solo = {"root": 0, **{leaf: g for leaf, g, _ in scored}}
+        prices = {"root": 0, **{leaf: p for leaf, _, p in scored}}
+        growth = Recording(parent, (solo, dict.fromkeys(parent, frozenset())), prices,
+                           set(solo) - {"root"})
+        _grow_paths(growth, sorted(growth.gain), sum(prices.values()), growth.gain, growth.dp)
+        return taken
+
     def test_zero_cost_paths_rank_first(self):
         # zero incremental price outranks any finite ratio; within the zero
         # class higher gain wins, then the smaller leaf id
-        def first(scored):
-            gain = {leaf: g for leaf, g, _ in scored}
-            dp = {leaf: d for leaf, _, d in scored}
-            return next(_ratio_order(list(gain), gain, dp))
-
-        assert first([("a", 5, 0), ("b", 9, 0), ("c", 100, 1)]) == "b"
-        assert first([("a", 5, 0), ("b", 5, 0)]) == "a"
-        assert first([("c", 100, 1), ("d", 1, 0)]) == "d"
+        assert self.ratio_takes([("a", 5, 0), ("b", 9, 0), ("c", 100, 1)])[0] == "b"
+        assert self.ratio_takes([("a", 5, 0), ("b", 5, 0)])[0] == "a"
+        assert self.ratio_takes([("c", 100, 1), ("d", 1, 0)])[0] == "d"
 
     def test_ratio_order_ties_break_to_smallest_id(self):
         # equal exact ratios, listed in descending id: the pool is scanned in
         # ascending id, whatever order the leaves come in
-        gain = {"c": 3, "b": 2, "a": 1, "z": 5}
-        dp = {"c": 3, "b": 2, "a": 1, "z": 4}
-        assert list(_ratio_order(("z", "c", "b", "a"), gain, dp)) == ["z", "a", "b", "c"]
+        scored = [("z", 5, 4), ("c", 3, 3), ("b", 2, 2), ("a", 1, 1)]
+        assert self.ratio_takes(scored) == ["z", "a", "b", "c"]
 
     def test_invalid_flag(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
@@ -386,10 +400,11 @@ def _market_split(cells_map, rng, universe):
 
 class TestPathGrowthInvariants:
     """Every candidate's gain, dp and reach, checked by brute force after
-    set-up and after every take, with two candidate sets: the leaves only,
-    as in ``dpsa``, and every non-root node, as in ``cmc``. The growth reads
-    a ``(solo, shared)`` split: by default every cell counts as shared, and
-    the ``market`` cases read a catalog's real split, with solo cells."""
+    set-up and after every take, and no ``dp + spent`` falling, with two
+    candidate sets: the leaves only, as in ``dpsa``, and every non-root node,
+    as in ``cmc``. The growth reads a ``(solo, shared)`` split: by default
+    every cell counts as shared, and the ``market`` cases read a catalog's
+    real split, with solo cells."""
 
     @staticmethod
     def check(growth, cells_map, split, prices, paths):
@@ -414,8 +429,12 @@ class TestPathGrowthInvariants:
             growth = _PathGrowth(parent, split, prices, ends)
             self.check(growth, cells_map, split, prices, paths)
             for k in rng.permutation(sorted(ends)).tolist():
+                before = {j: growth.dp[j] + growth.spent for j in ends}
                 growth.take(k)
                 self.check(growth, cells_map, split, prices, paths)
+                # a take lowers no dp by more than it spends, so a path that
+                # does not fit the room left never fits later (_grow_paths)
+                assert all(growth.dp[j] + growth.spent >= before[j] for j in ends), k
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_tree(self, seed):
@@ -634,6 +653,25 @@ class TestCmc:
         for variant in ("mc", "mg"):
             solve_cmc(graph.market, budget, 10, variant=variant, graph=graph)
         assert calls == []
+
+    @pytest.mark.parametrize("variant", ("mc", "mg"))
+    def test_no_take_selects_nothing(self, synth_giant, monkeypatch, variant):
+        """An end that a take selects on its way up leaves the pool, so no
+        later take names a path that is already in the set."""
+        graph = synth_giant.graph
+        taken, repeated = [], []
+        take = solvers._PathGrowth.take
+
+        def checked_take(self, k):
+            taken.append(k)
+            if k in self.selected:
+                repeated.append(k)
+            take(self, k)
+
+        monkeypatch.setattr(solvers._PathGrowth, "take", checked_take)
+        budget = cents_to_decimal(graph.market.total_price_cents // 10)
+        solve_cmc(graph.market, budget, 10, variant=variant, graph=graph)
+        assert taken and repeated == []
 
     @pytest.mark.parametrize("variant", ("mc", "mg"))
     def test_memory_grows_linearly_on_a_chain(self, variant):

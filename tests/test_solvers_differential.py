@@ -24,6 +24,7 @@ from bmcc.solvers import (
     complete_graph_delta,
     find_center_exact,
     find_center_two_bfs,
+    make_reduction_instance,
     solve_cmc,
     solve_dpsa,
     solve_dsa,
@@ -92,6 +93,22 @@ def test_solvers_match_full_scan_reference(pricing, delta):
                 got = new(market, budget, delta, graph=graph, **kwargs)
                 want = old(market, budget, delta, graph=graph, **kwargs)
                 assert solution_key(got) == solution_key(want), (seed, str(budget), label)
+
+
+def test_path_solvers_match_full_scan_reference_on_a_chain():
+    """A chain of 40 unit-priced datasets, each sharing 5 cells with the next:
+    every path is a stretch of the chain and many scores tie exactly, so the
+    smallest-id rule decides most picks."""
+    market = make_reduction_instance(205, [range(5 * i, 5 * i + 10) for i in range(40)])
+    graph = build_graph_indexed(market, 0)
+    assert graph.n_edges == 39
+    for ratio in RATIOS:
+        budget = cents_to_decimal(int(ratio * market.total_price_cents))
+        for label in ("dpsa", "dpsa-ba", "cmc-mc", "cmc-mg"):
+            new, old, kwargs = SOLVERS[label]
+            got = new(market, budget, 0, graph=graph, **kwargs)
+            want = old(market, budget, 0, graph=graph, **kwargs)
+            assert solution_key(got) == solution_key(want), (ratio, label)
 
 
 def test_float_tie_pricing_ties_distinct_ratios():
