@@ -16,7 +16,9 @@ gathers the bits back with shift-and-mask rounds.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 import csv
+import io
 import math
 import numbers
 
@@ -259,25 +261,32 @@ _BOUNDARY_RTOL = 1e-9
 def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     """Map every point of ``dataset`` to its cell and return the sorted id set.
 
-    Both indices come from one ``(n, 2)`` array expression and one range
-    test, and are Morton-encoded by table lookup. Points exactly on the upper
-    boundary clamp to the last cell; points outside the bounding space, NaN
-    coordinates included, raise :class:`RasterizationError` naming the first.
-    The result is built unchecked: ``np.unique`` of in-grid indices is
-    already sorted, duplicate-free, non-empty and below ``4**theta``.
+    Both indices come from one ``(n, 2)`` array expression whose range is
+    tested by one ``min`` and one ``max``, and are Morton-encoded by table
+    lookup. Points exactly on the upper boundary clamp to the last cell;
+    points outside the bounding space, NaN coordinates included (they fail
+    both tests), raise :class:`RasterizationError` naming the first. The
+    result is built unchecked: in-grid codes, sorted with their adjacent
+    repeats dropped, are already duplicate-free, non-empty and below
+    ``4**theta``.
     """
     side = grid.side
     pts = dataset.points
     with np.errstate(over="ignore"):  # an overflowed index is outside the grid
         f = (pts - (grid.origin_x, grid.origin_y)) / (grid.cell_width, grid.cell_height)
-    ok = (f >= 0) & (f <= side * (1.0 + _BOUNDARY_RTOL))
-    if not ok.all():
+    limit = side * (1.0 + _BOUNDARY_RTOL)
+    if not (f.min() >= 0 and f.max() <= limit):
+        ok = (f >= 0) & (f <= limit)
         pt = tuple(pts[np.argmin(ok.all(axis=1))].tolist())
         raise RasterizationError(
             dataset.id, pt, f"dataset {dataset.id!r}: point {pt} outside the bounding space")
     idx = f.astype(np.int64)  # truncation is floor on indices >= 0
     np.minimum(idx, side - 1, out=idx)
-    return CellBasedDataset._unchecked(dataset.id, np.unique(_interleave(idx)), grid)
+    cells = np.sort(_interleave(idx))
+    keep = np.empty(cells.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    return CellBasedDataset._unchecked(dataset.id, cells[keep], grid)
 
 
 @contextmanager
@@ -333,16 +342,85 @@ def read_counted_file(path, magic, version, keys, records, error):
     return values, ((i + 1, lines[i].split()) for i in range(first, end))
 
 
+def _read_points_array(text):
+    """The datasets of point-file ``text``, read as arrays, or None when the
+    text is not of the plain shape this pass covers.
+
+    After CRLF line ends become LF, the text must hold no quote, no other CR
+    and no NUL (which the csv module refuses before Python 3.11); every line
+    must have the header's field count and be no longer than the csv
+    module's field size limit; every coordinate must parse with ``float``
+    and be finite; and every id, stripped, must be non-empty and hold no
+    whitespace. Such text splits at commas exactly as the csv module splits
+    it, and holds no fault the csv pass would raise.
+    Datasets come out in first-seen order of their stripped ids, grouped by
+    one stable argsort.
+    """
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":  # the last line's break
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines.pop(0).split(",")
+    names = [h.strip().lower() for h in header]
+    if not {"dataset_id", "x", "y"} <= set(names):
+        return None
+    id_col, x_col, y_col = map(names.index, ("dataset_id", "x", "y"))
+    width = len(header)
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    n = len(lines)
+    tokens = ",".join(lines).split(",")
+    del lines
+    pts = np.empty((n, 2))
+    try:
+        pts[:, 0] = np.fromiter(map(float, tokens[x_col::width]), np.float64, n)
+        pts[:, 1] = np.fromiter(map(float, tokens[y_col::width]), np.float64, n)
+    except ValueError:
+        return None
+    if not np.isfinite(pts).all():
+        return None
+    raw_ids = tokens[id_col::width]
+    del tokens
+    group = dict.fromkeys(raw_ids)  # raw ids in first-seen order
+    ids = {}  # stripped ids in first-seen order, to their group
+    for raw in group:
+        parts = raw.split()  # one part: non-empty and no inner whitespace
+        if len(parts) != 1:
+            return None
+        group[raw] = ids.setdefault(parts[0], len(ids))
+    owner = np.fromiter(map(group.__getitem__, raw_ids), np.intp, n)
+    del raw_ids
+    pts = pts[np.argsort(owner, kind="stable")]
+    ends = np.cumsum(np.bincount(owner)).tolist()
+    return [PointDataset(id=did, points=pts[start:end])
+            for did, start, end in zip(ids, [0, *ends], ends)]
+
+
 def read_points_file(path) -> list[PointDataset]:
     """Parse a comma-separated point file into datasets, in first-seen order.
 
     The file must be UTF-8 with a header row naming the ``dataset_id``, ``x``
-    and ``y`` columns (any order, extra columns ignored). Malformed rows and
-    non-finite coordinates fail with their line number: the physical line,
-    the last one of a row whose quoted field spans lines.
+    and ``y`` columns (any order, extra columns ignored); lines end in LF or
+    CRLF. The text is read whole, so a file that is not UTF-8 fails as such
+    before any of its lines is checked. Plain text, with no quote, lone CR,
+    blank or ragged line and no faulty value, takes one array pass (see
+    :func:`_read_points_array`). Any other text goes whole, from line 1, to
+    the csv module's row loop, the only source of point-file errors:
+    malformed rows and non-finite coordinates fail with their line number,
+    the physical line, the last one of a row whose quoted field spans lines.
     """
-    groups: dict[str, list[tuple[float, float]]] = {}
     with open_text(path, GridError, newline="") as fh:
+        text = fh.read()
+    datasets = _read_points_array(text)
+    if datasets is not None:
+        return datasets
+    groups: dict[str, list[tuple[float, float]]] = {}
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
