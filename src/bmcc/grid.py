@@ -12,11 +12,15 @@ code and the row index ``y`` the odd ones, so ``encode_cell(0, 0) == 0`` and
 ``encode_cell(1, 0) == 1``. Encoding spreads each index byte through one
 256-entry table (four lookups per axis cover ``theta <= 31``); decoding
 gathers the bits back with shift-and-mask rounds.
+
+The datasets of one point file share one read-only block of points, which
+:func:`rasterize` encodes in one pass per grid; each call then takes a slice.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
+from types import SimpleNamespace
 import csv
 import io
 import math
@@ -126,9 +130,9 @@ class GridConfig:
             pts = [d.points for d in datasets]
             if not pts:
                 raise GridError("cannot derive an envelope from zero datasets")
-            allp = np.concatenate(pts)
-            x0, y0 = (float(v) for v in allp.min(axis=0))
-            x1, y1 = (float(v) for v in allp.max(axis=0))
+            axes = np.ascontiguousarray(np.concatenate(pts).T)  # rows reduce faster
+            x0, y0 = axes.min(axis=1).tolist()
+            x1, y1 = axes.max(axis=1).tolist()
         if x1 < x0 or y1 < y0:
             raise GridError("envelope maximum lies below its minimum")
         side = 1 << theta
@@ -140,16 +144,31 @@ class GridConfig:
 
 @dataclass(eq=False)
 class PointDataset:
-    """A raw spatial dataset: an id plus a non-empty sequence of (x, y) points."""
+    """A raw spatial dataset: an id plus a non-empty sequence of (x, y) points.
+    Those :func:`read_points_file` returns are read-only rows of one block."""
 
     id: str
     points: np.ndarray
+    _block = (None, 0, None)  # (block, index, its points); a class attribute, not a field
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise GridError(f"dataset {self.id!r}: points must be a non-empty (n, 2) array")
         object.__setattr__(self, "points", pts)
+
+
+def _over_block(ids, points, ends):
+    """Datasets ``ids`` over the rows of ``points`` up to each of ``ends``.
+    They share one block: ``points``, made read-only, dataset ``i`` in rows
+    ``starts[i]:starts[i + 1]``, and ``cells``, the last grid
+    :func:`rasterize` met with :func:`_cells_by_range`'s result on it."""
+    points.flags.writeable = False
+    block = SimpleNamespace(points=points, starts=[0, *ends], cells=(None, None))
+    datasets = [PointDataset(did, points[a:b]) for did, a, b in zip(ids, block.starts, ends)]
+    for i, ds in enumerate(datasets):
+        ds._block = (block, i, ds.points)
+    return datasets
 
 
 def _exact_integers(values):
@@ -256,37 +275,74 @@ def decode_cells(cell_ids) -> np.ndarray:
 # index of side*(1 +/- one ulp); anything within this relative tolerance of
 # the boundary clamps to the last cell instead of erroring.
 _BOUNDARY_RTOL = 1e-9
+_CHUNK = 1024  # rows per _interleave call, whose temporaries are 8 int64 per row
+
+
+def _cells_by_range(points, grid, starts):
+    """The cells of each row range ``starts[i]:starts[i + 1]`` of ``points``,
+    sorted and duplicate-free, in one array, and each range's bounds in it;
+    None when a point lies outside ``grid`` or the range numbers do not fit
+    above its cell bits in an int64. One sort of ``range << 2*theta | cell``
+    orders the cells by range; a mask of adjacent repeats drops repeats."""
+    side, bits, n_sets = grid.side, 2 * grid.theta, len(starts) - 1
+    if n_sets >> (63 - bits):
+        return None
+    with np.errstate(over="ignore"):  # an overflowed index is outside the grid
+        f = points - (grid.origin_x, grid.origin_y)
+        f /= (grid.cell_width, grid.cell_height)
+    if not (f.min() >= 0 and f.max() <= side * (1.0 + _BOUNDARY_RTOL)):
+        return None  # a NaN fails both tests
+    idx = f.astype(np.int64)  # truncation is floor on indices >= 0
+    del f
+    np.minimum(idx, side - 1, out=idx)
+    keys = _interleave(idx) if len(idx) <= _CHUNK else np.concatenate(
+        [_interleave(idx[i:i + _CHUNK]) for i in range(0, len(idx), _CHUNK)])
+    if n_sets > 1:
+        keys |= np.repeat(np.arange(n_sets, dtype=np.int64) << bits, np.diff(starts))
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    if n_sets == 1:
+        return keys, (0, keys.size)
+    bounds = np.searchsorted(keys, np.arange(n_sets + 1, dtype=np.int64) << bits).tolist()
+    keys &= (1 << bits) - 1
+    return keys, bounds
 
 
 def rasterize(dataset: PointDataset, grid: GridConfig) -> CellBasedDataset:
     """Map every point of ``dataset`` to its cell and return the sorted id set.
 
-    Both indices come from one ``(n, 2)`` array expression whose range is
-    tested by one ``min`` and one ``max``, and are Morton-encoded by table
-    lookup. Points exactly on the upper boundary clamp to the last cell;
-    points outside the bounding space, NaN coordinates included (they fail
-    both tests), raise :class:`RasterizationError` naming the first. The
-    result is built unchecked: in-grid codes, sorted with their adjacent
-    repeats dropped, are already duplicate-free, non-empty and below
-    ``4**theta``.
+    A dataset of a reader's block, its ``points`` still the reader's slice,
+    gets a copy of its share of one :func:`_cells_by_range` pass over the
+    block, which the block keeps for the last grid only. Other datasets, and
+    those of a block with a point outside the grid, take that pass over their
+    own points. Points on the upper boundary clamp to the last cell; points
+    outside the bounding space, NaN coordinates included, raise
+    :class:`RasterizationError` naming the dataset's first. The result is
+    built unchecked: sorted in-grid codes without adjacent repeats are
+    strictly ascending, non-empty and below ``4**theta``.
     """
-    side = grid.side
+    block, i, points = dataset._block
+    if block is not None and dataset.points is points:
+        cells = block.cells  # read once: another thread may replace it
+        if cells[0] is not grid:
+            block.cells = cells = (grid, _cells_by_range(block.points, grid, block.starts))
+        if cells[1] is not None:
+            keys, bounds = cells[1]
+            return CellBasedDataset._unchecked(
+                dataset.id, keys[bounds[i]:bounds[i + 1]].copy(), grid)
     pts = dataset.points
-    with np.errstate(over="ignore"):  # an overflowed index is outside the grid
-        f = (pts - (grid.origin_x, grid.origin_y)) / (grid.cell_width, grid.cell_height)
-    limit = side * (1.0 + _BOUNDARY_RTOL)
-    if not (f.min() >= 0 and f.max() <= limit):
-        ok = (f >= 0) & (f <= limit)
+    cells = _cells_by_range(pts, grid, (0, len(pts)))
+    if cells is None:
+        with np.errstate(over="ignore"):
+            f = (pts - (grid.origin_x, grid.origin_y)) / (grid.cell_width, grid.cell_height)
+        ok = (f >= 0) & (f <= grid.side * (1.0 + _BOUNDARY_RTOL))
         pt = tuple(pts[np.argmin(ok.all(axis=1))].tolist())
         raise RasterizationError(
             dataset.id, pt, f"dataset {dataset.id!r}: point {pt} outside the bounding space")
-    idx = f.astype(np.int64)  # truncation is floor on indices >= 0
-    np.minimum(idx, side - 1, out=idx)
-    cells = np.sort(_interleave(idx))
-    keep = np.empty(cells.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
-    return CellBasedDataset._unchecked(dataset.id, cells[keep], grid)
+    return CellBasedDataset._unchecked(dataset.id, cells[0], grid)
 
 
 @contextmanager
@@ -354,7 +410,7 @@ def _read_points_array(text):
     whitespace. Such text splits at commas exactly as the csv module splits
     it, and holds no fault the csv pass would raise.
     Datasets come out in first-seen order of their stripped ids, grouped by
-    one stable argsort.
+    one stable argsort into one read-only block (see :func:`rasterize`).
     """
     text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
@@ -395,10 +451,8 @@ def _read_points_array(text):
         group[raw] = ids.setdefault(parts[0], len(ids))
     owner = np.fromiter(map(group.__getitem__, raw_ids), np.intp, n)
     del raw_ids
-    pts = pts[np.argsort(owner, kind="stable")]
-    ends = np.cumsum(np.bincount(owner)).tolist()
-    return [PointDataset(id=did, points=pts[start:end])
-            for did, start, end in zip(ids, [0, *ends], ends)]
+    return _over_block(ids, pts[np.argsort(owner, kind="stable")],
+                       np.cumsum(np.bincount(owner)).tolist())
 
 
 def read_points_file(path) -> list[PointDataset]:
@@ -413,6 +467,8 @@ def read_points_file(path) -> list[PointDataset]:
     the csv module's row loop, the only source of point-file errors:
     malformed rows and non-finite coordinates fail with their line number,
     the physical line, the last one of a row whose quoted field spans lines.
+    Either way the datasets share one block: their points are read-only row
+    slices of one array, which :func:`rasterize` encodes in one pass.
     """
     with open_text(path, GridError, newline="") as fh:
         text = fh.read()
@@ -461,7 +517,8 @@ def read_points_file(path) -> list[PointDataset]:
             raise PointFileError(reader.line_num, str(exc)) from None
     if not groups:
         raise PointFileError(2, "no data rows")
-    return [PointDataset(id=did, points=np.array(pts)) for did, pts in groups.items()]
+    return _over_block(groups, np.array([p for pts in groups.values() for p in pts]),
+                       list(accumulate(map(len, groups.values()))))
 
 
 def write_points_file(path, datasets) -> None:

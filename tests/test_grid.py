@@ -1,8 +1,11 @@
 import codecs
+import sys
+import threading
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_grid as ref
 from bmcc.grid import (
@@ -306,6 +309,108 @@ class TestRasterizeAgainstReference:
                (np.nextafter(side, 0.0), 0.5), (-0.0, side - 1)]
         ds = PointDataset("corner", pts)
         assert raster_outcome(rasterize, ds, grid) == raster_outcome(ref.rasterize, ds, grid)
+
+
+@st.composite
+def block_case(draw):
+    """A point file of up to 9 datasets on a coarse lattice of coordinates,
+    so cells repeat within and across datasets; a theta; narrower bounds; a
+    list of ``(dataset, grid)`` calls over two grids, which need not name
+    every dataset; and the dataset, if any, whose points are reassigned."""
+    coordinate = st.integers(-40, 40).map(lambda v: v / 10)
+    rows = draw(st.lists(st.tuples(st.integers(0, 8), coordinate, coordinate),
+                         min_size=1, max_size=60))
+    quote = draw(st.sampled_from(("", '"')))  # a quoted id sends the file to the csv pass
+    text = "dataset_id,x,y\n" + "".join(
+        f"{quote * (i == 0)}d{owner}{quote * (i == 0)},{x!r},{y!r}\n"
+        for i, (owner, x, y) in enumerate(rows))
+    n_sets = len({owner for owner, _, _ in rows})
+    theta = draw(st.sampled_from((1, 3, 8, 30, 31)))  # 8+ datasets at 30, 2+ at 31 do not fit
+    bounds = (draw(st.integers(-40, 0)) / 10, draw(st.integers(-40, 0)) / 10,
+              draw(st.integers(1, 40)) / 10, draw(st.integers(1, 40)) / 10)
+    calls = draw(st.lists(st.tuples(st.integers(0, n_sets - 1), st.integers(0, 1)),
+                          min_size=1, max_size=3 * n_sets))
+    reassigned = draw(st.none() | st.integers(0, n_sets - 1))
+    return text, theta, bounds, calls, reassigned
+
+
+@pytest.fixture(scope="module")
+def points_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("block") / "points.csv"
+
+
+class TestRasterizeBlock:
+    """The datasets of one point file share one read-only block, which
+    ``rasterize`` serves from one pass per grid: each call must give what
+    ``reference_grid.rasterize`` gives on a fresh copy of the dataset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=block_case())
+    def test_block_pass_matches_reference(self, points_path, case):
+        text, theta, bounds, calls, reassigned = case
+        points_path.write_text(text)
+        datasets = read_points_file(points_path)
+        grids = [GridConfig.from_envelope(datasets, theta),
+                 GridConfig.from_envelope(datasets, theta, bounds=bounds)]
+        if reassigned is not None:  # no longer the reader's slice: the per-dataset pass
+            d = datasets[reassigned]
+            d.points = d.points[::-1] * 0.5
+        fresh = [PointDataset(d.id, d.points.copy()) for d in datasets]
+        for k, g in calls:
+            want = raster_outcome(ref.rasterize, fresh[k], grids[g])
+            assert raster_outcome(rasterize, datasets[k], grids[g]) == want
+            if isinstance(want, list):  # a write to one result reaches no later call
+                rasterize(datasets[k], grids[g]).cells[:] = -1
+        block = datasets[0]._block[0]
+        kept = [d for k, d in enumerate(datasets) if k != reassigned]
+        if kept and len(datasets) < 1 << (63 - 2 * theta):  # the block pass runs on the envelope
+            rasterize(kept[0], grids[0])
+            assert block.cells[0] is grids[0] and block.cells[1] is not None
+        for d in kept:
+            assert d._block[0] is block
+            with pytest.raises(ValueError, match="read-only"):
+                d.points[0, 0] = 0.0
+
+    def test_a_point_outside_falls_back_per_dataset(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("dataset_id,x,y\na,0.5,0.5\nb,0.5,0.5\nb,3.0,0.5\na,1.5,1.5\n")
+        a, b = read_points_file(path)
+        grid = GridConfig.from_envelope([a, b], 2, bounds=(0, 0, 2, 2))
+        assert rasterize(a, grid).cells.tolist() == [3, 15]  # cells (1, 1) and (3, 3)
+        with pytest.raises(RasterizationError, match=r"'b': point \(3.0, 0.5\)") as info:
+            rasterize(b, grid)
+        assert info.value.dataset_id == "b" and a._block[0].cells == (grid, None)
+
+    def test_two_threads_under_two_grids_get_the_reference(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "pts.csv"
+        # 2400 points: the block pass encodes them in three chunks
+        write_points_file(path, [PointDataset(f"d{i}", rng.random((60, 2))) for i in range(40)])
+        datasets = read_points_file(path)
+        grids = [GridConfig.from_envelope(datasets, 4), GridConfig.from_envelope(datasets, 10)]
+        want = [[ref.rasterize(PointDataset(d.id, d.points.copy()), g).cells.tolist()
+                 for d in datasets] for g in grids]
+        got = [[], []]
+        step = threading.Barrier(2)  # the two threads make each call at once
+
+        def run(g):
+            for _ in range(10):
+                for d in datasets:
+                    step.wait(timeout=60)
+                    got[g].append(rasterize(d, grids[g]).cells.tolist())
+
+        threads = [threading.Thread(target=run, args=(g,)) for g in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want[0] * 10, want[1] * 10]
 
 
 class TestCellBasedDataset:
