@@ -250,7 +250,13 @@ def _compact_bits(v):
 
 
 def encode_cell(x: int, y: int, theta: int) -> int:
-    """Interleave cell indices into a z-order cell id (x on even bits)."""
+    """Interleave cell indices into a z-order cell id (x on even bits). A
+    theta that ``GridConfig`` refuses, or an index that is not an integer (a
+    ``bool`` included), is a :class:`GridError`."""
+    _check_theta(theta)
+    for axis, index in (("x", x), ("y", y)):
+        if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+            raise GridError(f"{axis} index must be an integer, got {index!r}")
     side = 1 << theta
     if not 0 <= x < side:
         raise CellRangeError(f"x index {x} outside [0, {side}) at theta={theta}")

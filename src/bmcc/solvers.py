@@ -38,19 +38,19 @@ are sorted only if it can win (:func:`_offer`).
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
 
-* Where a score can only fall -- both ``dsa`` passes and the coverage pass
-  of :func:`budgeted_greedy` -- gains are lazy (Minoux's accelerated greedy,
-  also known as CELF): a heap keyed by (-score, id) holds stale upper
-  bounds, and only its top entry is rescored before being examined. The
-  ``dsa`` ratio pass keys by the int ``-(gain * scale // price)``, ``scale``
-  the largest candidate price squared: two distinct ratios of positive int
-  prices differ by at least 1 / (p1*p2), so their scaled floors never tie or
-  invert (:func:`_ratio_key`). Its first heaps read gains from coverage.
-* Where the incremental path price ``dp`` falls too -- the ratio pass of
-  :func:`budgeted_greedy` and both ``cmc`` variants -- a lazy bound is not
-  valid, since a taken path makes every path sharing its nodes cheaper and
-  its ratio can rise. There one scan, :func:`_grow_paths`, skips the paths
-  that do not fit (they never will) and drops the ends already selected.
+* Both ``dsa`` passes, whose gains only fall, are lazy (Minoux's
+  accelerated greedy, also known as CELF): a heap keyed by (-score, id)
+  holds stale upper bounds, and only its top entry is rescored before being
+  examined. The ratio pass keys by the int ``-(gain * scale // price)``,
+  ``scale`` the largest candidate price squared: two distinct ratios of
+  positive int prices differ by at least 1 / (p1*p2), so their scaled floors
+  never tie or invert; a free dataset ranks first (:func:`_ratio_key`).
+* Every path pass -- both flags of :func:`budgeted_greedy` (the coverage
+  flag over a unit denominator) and both ``cmc`` variants -- runs one exact
+  scan, :func:`_grow_paths`: a taken path makes every path sharing its nodes
+  cheaper, so a ratio over the incremental path price ``dp`` can rise. The
+  scan skips the paths that do not fit (they never will), drops the ends
+  already selected, and stops at the first step where none fits.
   Each path's gain and ``dp`` are kept exact by an inverted index (cell ->
   nodes) and a DFS preorder of the candidates, in which those below a node
   are one contiguous range; taking a path walks up the tree and touches only
@@ -263,13 +263,17 @@ def _lazy_argmax(entries, rescore):
             heapq.heappush(heap, fresh)
 
 
-def _ratio_key(prices):
+def _ratio_key(prices, top):
     """Heap key ``key(gain, price)`` of the ratio ``gain / price``, for prices
-    among ``prices`` (positive int cents): the plain int ``-(gain * scale //
-    price)``, ``scale = max(prices) ** 2``, which orders exactly as
-    ``-Fraction(gain, price)`` (see :func:`solve_dsa`) and compares in C."""
+    among ``prices`` (non-negative int cents) and gains at most ``top``: the
+    plain int ``-(gain * scale // price)``, ``scale = max(prices) ** 2``,
+    which orders exactly as ``-Fraction(gain, price)`` (see
+    :func:`solve_dsa`) and compares in C. A zero price ranks first, by higher
+    gain: its key ``-(top * scale + 1 + gain)`` sorts before every ratio's,
+    which is at least ``-(top * scale)``."""
     scale = max(prices) ** 2
-    return lambda gain, price: -(gain * scale // price)
+    first = -(top * scale + 1)
+    return lambda gain, price: -(gain * scale // price) if price else first - gain
 
 
 class _PathGrowth:
@@ -442,7 +446,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
     price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
     differ by at least scale / (p1*p2) >= 1 and their floors are strictly
-    ordered, while equal ratios give equal floors (:func:`_ratio_key`).
+    ordered, while equal ratios give equal floors. A free dataset ranks
+    before every priced one, by higher gain (:func:`_ratio_key`).
     """
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
@@ -473,7 +478,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             frontier.update(adjacency[did])
         return selected, count + len(covered), spent
 
-    first = one_round(_ratio_key(prices.values()))
+    # no gain exceeds the catalog's count of cells
+    first = one_round(_ratio_key(prices.values(), len(market.cells)))
     second = one_round(lambda gain, price: -gain)
     # the raw-gain pass wins only on strictly higher coverage
     selected, coverage, price = second if second[1] > first[1] else first
@@ -583,12 +589,11 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
     Returns ``(selected, coverage, price)``, read from the growth that ran,
     and ``(set(), 0, 0)`` when the root itself exceeds the budget.
 
-    Raw gains only fall, so the coverage pass is lazy (:func:`_lazy_argmax`).
-    The ratio pass cannot be: a taken path also lowers the incremental price
-    of every path sharing its nodes, which can raise their ratios. It scans
-    the exact scores of :class:`_PathGrowth` instead (:func:`_grow_paths`).
-    Both flags start from a copy of the tree's path set-up, built once per
-    tree; a tree of one or two nodes needs none (:func:`_small_growth`).
+    Both flags run :func:`_grow_paths` over the leaves, on the exact scores
+    of :class:`_PathGrowth`: ``"ratio"`` as ``gain / dp``, ``"coverage"`` as
+    ``gain`` over a unit denominator. Both start from a copy of the tree's
+    path set-up, built once per tree; a tree of one or two nodes needs none
+    (:func:`_small_growth`).
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
@@ -601,14 +606,8 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
         return _small_growth(tuple(tree.parent), tree.root, _market_of(graph)._split,
                              graph.prices, budget_cents)
     growth = tree._growth.copy()
-    gain, dp = growth.gain, growth.dp
-    if flag == "ratio":
-        _grow_paths(growth, tree.leaves, budget_cents, gain, dp)
-    else:
-        for leaf in _lazy_argmax([(-gain[leaf], leaf) for leaf in tree.leaves],
-                                 lambda leaf: -gain[leaf]):
-            if growth.spent + dp[leaf] <= budget_cents:
-                growth.take(leaf)
+    den = growth.dp if flag == "ratio" else dict.fromkeys(tree.leaves, 1)
+    _grow_paths(growth, tree.leaves, budget_cents, growth.gain, den)
     return growth.selected, growth.count, growth.spent
 
 

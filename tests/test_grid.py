@@ -56,6 +56,13 @@ class TestEncodeDecode:
         with pytest.raises(CellRangeError, match="y index"):
             encode_cell(x, y, 2)
 
+    @pytest.mark.parametrize("x,y,theta", [(2 ** 33, 0, 40), (0, 0, 0), (1.5, 0, 3),
+                                           (True, 0, 3), (0, 2.0, 3), (0, False, 3)])
+    def test_bad_index_or_theta_refused(self, x, y, theta):
+        # each of these once read as a valid id: 2**33 at theta 40 as cell (0, 0)
+        with pytest.raises(GridError):
+            encode_cell(x, y, theta)
+
     def test_decode_zero(self):
         assert decode_cells([0]).tolist() == [[0, 0]]
 

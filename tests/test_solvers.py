@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -80,6 +81,17 @@ class TestDsa:
             budget = cents_to_decimal(random_budget_cents(rng, m))
             sol = solve_dsa(m, budget, delta)
             assert sol.coverage == max(sol.round_coverages)
+
+    def test_free_dataset_ranks_first_in_the_ratio_pass(self):
+        # a zero graph price is valid input: the ratio pass ranks it before
+        # every priced dataset instead of dividing by it
+        m = make_reduction_instance(16, [[0, 1], [1, 2], [3], [4, 5, 6]])
+        delta = complete_graph_delta(m.grid)
+        g = build_graph_indexed(m, delta)
+        free = replace(g, prices={**g.prices, "s0": 0})
+        sol = solve("dsa", m, 1, delta, graph=free)
+        assert (sol.selected, sol.coverage, sol.total_price_cents) == (("s0", "s3"), 5, 100)
+        assert verify_solution(free, sol, 1).ok
 
     @pytest.mark.parametrize("label", SOLVER_LABELS)
     def test_bool_budget_rejected(self, example2_market, label):
@@ -215,6 +227,19 @@ class TestBudgetedGreedy:
         scored = [("z", 5, 4), ("c", 3, 3), ("b", 2, 2), ("a", 1, 1)]
         assert self.ratio_takes(scored) == ["z", "a", "b", "c"]
 
+    @pytest.mark.parametrize("share", [50, 3])
+    def test_both_flags_match_reference_on_a_deep_tree(self, synth_giant, share):
+        # 859 members and 418 leaves, against the full-scan reference
+        tree = build_bfs_tree(synth_giant, find_center_exact(synth_giant).center)
+        graph = synth_giant.graph
+        budget = graph.market.total_price_cents // share
+        for flag in ("ratio", "coverage"):
+            selected, coverage, price = budgeted_greedy(tree, budget, flag)
+            assert selected == ref.budgeted_greedy(synth_giant, tree,
+                                                   cents_to_decimal(budget), flag), flag
+            assert coverage == len(ref.covered_cells(graph.market, selected))
+            assert price == sum(graph.prices[u] for u in selected) <= budget
+
     def test_invalid_flag(self, dpsa_market):
         sub = connected_components(_graph_of(dpsa_market, 1))[0]
         tree = build_bfs_tree(sub, "d2")
@@ -242,10 +267,15 @@ class TestRatioKey:
         # (2**53 + 1) / 2**53 rounds to 1.0, the quotient of 1 / 1: the float
         # ties, the exact ratios differ
         assert (big + 1) / big == 1 / 1
-        key = _ratio_key(p for _, p in self.PAIRS)
-        for a in self.PAIRS:
-            for b in self.PAIRS:
-                want = -Fraction(*a), -Fraction(*b)
+        pairs = self.PAIRS + [(0, 0), (1, 0), (3, 0)]
+        key = _ratio_key([p for _, p in pairs], max(g for g, _ in pairs))
+
+        def exact(gain, price):  # a zero price first, by higher gain
+            return (0, -gain) if price == 0 else (1, -Fraction(gain, price))
+
+        for a in pairs:
+            for b in pairs:
+                want = exact(*a), exact(*b)
                 got = key(*a), key(*b)
                 assert type(got[0]) is int
                 assert (got[0] < got[1], got[0] == got[1]) == \
@@ -253,7 +283,7 @@ class TestRatioKey:
 
     def test_lazy_argmax_breaks_float_ties_exactly(self):
         big = self.BIG
-        key = _ratio_key([1, 2, big])
+        key = _ratio_key([1, 2, big], big + 1)
         # "a" is popped first on a stale key; its fresh ratio 1/1 has the same
         # float as b's, but is exactly smaller, so b must come first
         fresh = {"a": key(1, 1), "b": key(big + 1, big)}
