@@ -9,9 +9,9 @@ operates on these cell-id arrays.
 
 Convention: the column index ``x`` occupies the even bit positions of the
 code and the row index ``y`` the odd ones, so ``encode_cell(0, 0) == 0`` and
-``encode_cell(1, 0) == 1``. Encoding spreads each index byte through one
-256-entry table (four lookups per axis cover ``theta <= 31``); decoding
-gathers the bits back with shift-and-mask rounds.
+``encode_cell(1, 0) == 1``. Both ways run the same five shift-and-mask
+rounds in int64 (dilated integers, Raman & Wise, IEEE Trans. Computers 2008):
+encoding spreads each index onto every other bit, decoding gathers them back.
 
 The datasets of one point file share one read-only block of points, which
 :func:`rasterize` encodes in one pass per grid; each call then takes a slice.
@@ -28,13 +28,7 @@ import numbers
 
 import numpy as np
 
-MAX_THETA = 31  # 4**31 - 1 still fits an unsigned 64-bit cell id
-
-# _SPREAD8[b] holds the 8 bits of b on the even bits of a 16-bit value; index
-# byte k of axis a lands at bit offset 16k + a of the cell id.
-_SPREAD8 = ((np.arange(256)[:, None] >> np.arange(8) & 1) << 2 * np.arange(8)).sum(axis=1)
-_BYTE_SHIFTS = np.arange(0, 32, 8)
-_CELL_SHIFTS = np.arange(0, 64, 16) + np.arange(2)[:, None]
+MAX_THETA = 31  # 4**31 - 1 still fits a signed 64-bit cell id
 
 _M1 = 0x5555555555555555
 _M2 = 0x3333333333333333
@@ -42,6 +36,11 @@ _M4 = 0x0F0F0F0F0F0F0F0F
 _M8 = 0x00FF00FF00FF00FF
 _M16 = 0x0000FFFF0000FFFF
 _M32 = 0x00000000FFFFFFFF
+# (shift, spread mask, gathered mask): a round moves blocks of ``shift`` bits
+# between the layouts the two masks keep. Encode runs them last to first. As
+# int64 scalars, numpy need not convert them on every call.
+_ROUNDS = tuple(tuple(map(np.int64, r)) for r in (
+    (1, _M1, _M2), (2, _M2, _M4), (4, _M4, _M8), (8, _M8, _M16), (16, _M16, _M32)))
 
 
 class GridError(ValueError):
@@ -234,19 +233,12 @@ class CellBasedDataset:
 
 
 def _interleave(idx):
-    """Morton codes of an int64 ``(..., 2)`` array of (x, y) indices below 2**32."""
-    return (_SPREAD8[idx[..., None] >> _BYTE_SHIFTS & 255] << _CELL_SHIFTS).sum(axis=(-2, -1))
-
-
-def _compact_bits(v):
-    """Gather the even bits of ``v`` onto its low 32 bits (vectorized)."""
-    v = np.asarray(v, dtype=np.uint64) & np.uint64(_M1)
-    v = (v | (v >> np.uint64(1))) & np.uint64(_M2)
-    v = (v | (v >> np.uint64(2))) & np.uint64(_M4)
-    v = (v | (v >> np.uint64(4))) & np.uint64(_M8)
-    v = (v | (v >> np.uint64(8))) & np.uint64(_M16)
-    v = (v | (v >> np.uint64(16))) & np.uint64(_M32)
-    return v
+    """Morton codes of an int64 ``(..., 2)`` array of (x, y) indices below
+    2**31, which it overwrites with the indices spread onto the even bits."""
+    for shift, spread, _ in reversed(_ROUNDS):
+        idx |= idx << shift
+        idx &= spread
+    return idx[..., 0] | idx[..., 1] << 1
 
 
 def encode_cell(x: int, y: int, theta: int) -> int:
@@ -266,22 +258,25 @@ def encode_cell(x: int, y: int, theta: int) -> int:
 
 
 def encode_cells(xs, ys) -> np.ndarray:
-    """Vectorized Morton encode of index arrays below 2**32, one table lookup
-    per index byte; no range checks."""
+    """Vectorized Morton encode of index arrays below 2**31 (a y index at or
+    above it would wrap the int64); no range checks."""
     return _interleave(np.stack((xs, ys), axis=-1).astype(np.int64, copy=False))
 
 
 def decode_cells(cell_ids) -> np.ndarray:
     """Vectorized Morton decode to an (n, 2) int64 index array."""
-    c = np.asarray(cell_ids, dtype=np.uint64)
-    return np.stack([_compact_bits(c), _compact_bits(c >> np.uint64(1))], axis=1).astype(np.int64)
+    c = np.asarray(cell_ids, dtype=np.int64)
+    v = np.stack((c, c >> 1), -1) & _M1
+    for shift, _, gathered in _ROUNDS:
+        v |= v >> shift
+        v &= gathered
+    return v
 
 
 # A point sitting exactly on the envelope's max corner computes a fractional
 # index of side*(1 +/- one ulp); anything within this relative tolerance of
 # the boundary clamps to the last cell instead of erroring.
 _BOUNDARY_RTOL = 1e-9
-_CHUNK = 1024  # rows per _interleave call, whose temporaries are 8 int64 per row
 
 
 def _cells_by_range(points, grid, starts):
@@ -301,8 +296,7 @@ def _cells_by_range(points, grid, starts):
     idx = f.astype(np.int64)  # truncation is floor on indices >= 0
     del f
     np.minimum(idx, side - 1, out=idx)
-    keys = _interleave(idx) if len(idx) <= _CHUNK else np.concatenate(
-        [_interleave(idx[i:i + _CHUNK]) for i in range(0, len(idx), _CHUNK)])
+    keys = _interleave(idx)
     if n_sets > 1:
         keys |= np.repeat(np.arange(n_sets, dtype=np.int64) << bits, np.diff(starts))
     keys.sort()
@@ -436,8 +430,10 @@ def _read_points_array(text):
     if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
     n = len(lines)
-    tokens = ",".join(lines).split(",")
+    body = ",".join(lines)
     del lines
+    tokens = body.split(",")
+    del body
     pts = np.empty((n, 2))
     try:
         pts[:, 0] = np.fromiter(map(float, tokens[x_col::width]), np.float64, n)

@@ -1,14 +1,13 @@
-"""The shift-and-mask Morton encode, the per-axis ``rasterize`` and the
-point-file reader that :mod:`bmcc.grid` replaced, kept as a differential
-oracle.
+"""The uint64 Morton encode, the per-axis ``rasterize`` and the point-file
+reader that :mod:`bmcc.grid` replaced, kept as a differential oracle.
 
 ``rasterize`` here floors each axis on its own and spreads each index with
-five shift-and-mask rounds; ``read_points_file`` checks every row's id for
-emptiness and whitespace. ``test_grid.py`` checks that the table encode and
-the one-expression ``rasterize`` give the same cells, or the same error
-naming the same point, and ``test_parser_fuzz.py`` that the reader which
-checks each id once gives the same datasets, or the same error on the same
-line."""
+five shift-and-mask rounds in uint64, each a fresh array; ``read_points_file``
+checks every row's id for emptiness and whitespace. ``test_grid.py`` checks
+that the in-place int64 rounds encode as these do and that the
+one-expression ``rasterize`` gives the same cells, or the same error naming
+the same point, and ``test_parser_fuzz.py`` that the reader which checks
+each id once gives the same datasets, or the same error on the same line."""
 
 import csv
 import math

@@ -13,7 +13,10 @@ that the bounded exact center matches the one-BFS-per-node
 connected-set oracle returns the same solutions as :func:`solve_exact` below,
 which walks all 2^n subsets of the affordable datasets (its edits: it calls
 the live ``_prepare``, as this module has its own, and reads cells with
-:func:`_cells_map`). The reference solvers use these BFS loops, not the live
+:func:`_cells_map`). The reference solvers price every dataset from
+``graph.prices``, as the live ones do, so a graph may price a dataset at
+zero; ``solve_dsa``'s ratio pass then ranks free datasets first, by higher
+gain (those two are edits). They use these BFS loops, not the live
 ones, and their own copies of the per-solve cell helpers that the solvers
 replaced, of the ``CenterResult`` that stored every eccentricity, and of the
 double-BFS result that stored the diameter."""
@@ -55,7 +58,8 @@ def _union_len(cells_map, ids):
 
 
 def _prepare(market, budget, delta, graph):
-    """Common front matter: budget in cents, affordable ids, candidate graph."""
+    """Common front matter: budget in cents, ids the graph prices within it,
+    candidate graph."""
     b = to_cents(budget)
     if b < 0:
         raise ValueError("budget must be non-negative")
@@ -67,26 +71,26 @@ def _prepare(market, budget, delta, graph):
         if graph.delta != float(delta):
             raise GraphConfigError(
                 f"graph was built at delta={graph.delta}, solve requested {delta}")
-    afford = sorted(did for did in market.ids if market.price_cents(did) <= b)
+    afford = sorted(did for did in market.ids if graph.prices[did] <= b)
     return b, afford, graph
 
 
-def _solution_from_ids(algorithm, market, ids, cells_map, rounds=None):
+def _solution_from_ids(algorithm, prices, ids, cells_map, rounds=None):
     selected = tuple(sorted(ids))
     return Solution(
         algorithm=algorithm,
         selected=selected,
-        total_price_cents=sum(market.price_cents(d) for d in selected),
+        total_price_cents=sum(prices[d] for d in selected),
         coverage=_union_len(cells_map, selected),
         status=STATUS_OK,
         round_coverages=rounds,
     )
 
 
-def _candidate_order_key(market, cells_map, ids):
+def _candidate_order_key(prices, cells_map, ids):
     """Total order on candidate node sets: coverage desc, price asc, ids."""
     sel = tuple(sorted(ids))
-    price = sum(market.price_cents(d) for d in sel)
+    price = sum(prices[d] for d in sel)
     return (-_union_len(cells_map, sel), price, sel)
 
 
@@ -288,9 +292,12 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
             best_price = 0
             for did in pool:
                 gain = len(cells_map[did] & state.uncovered)
-                price = market.price_cents(did)
+                price = graph.prices[did]
                 if best is None:
                     better = True
+                elif ratio_based and (price == 0 or best_price == 0):
+                    # a free dataset ranks first, by higher gain
+                    better = price == 0 and (best_price != 0 or gain > best_gain)
                 elif ratio_based:
                     better = gain * best_price > best_gain * price
                 else:
@@ -313,7 +320,7 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     cov1 = _union_len(cells_map, sorted(h1))
     cov2 = _union_len(cells_map, sorted(h2))
     chosen = h2 if cov2 > cov1 else h1
-    return _solution_from_ids("dsa", market, chosen, cells_map, rounds=(cov1, cov2))
+    return _solution_from_ids("dsa", graph.prices, chosen, cells_map, rounds=(cov1, cov2))
 
 
 def _pick_leaf_ratio(candidates):
@@ -422,16 +429,16 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     candidates = [c for c in ratio_sets + coverage_sets if c]
     if not candidates:
         best_single = min(afford, key=lambda d: (-len(cells_map[d]),
-                                                 market.price_cents(d), d))
-        return _solution_from_ids(label, market, {best_single}, cells_map,
+                                                 graph.prices[d], d))
+        return _solution_from_ids(label, graph.prices, {best_single}, cells_map,
                                   rounds=(0, 0))
     best1 = min((c for c in ratio_sets if c), default=set(),
-                key=lambda c: _candidate_order_key(market, cells_map, c))
+                key=lambda c: _candidate_order_key(graph.prices, cells_map, c))
     best2 = min((c for c in coverage_sets if c), default=set(),
-                key=lambda c: _candidate_order_key(market, cells_map, c))
+                key=lambda c: _candidate_order_key(graph.prices, cells_map, c))
     rounds = (_union_len(cells_map, sorted(best1)), _union_len(cells_map, sorted(best2)))
-    best = min(candidates, key=lambda c: _candidate_order_key(market, cells_map, c))
-    return _solution_from_ids(label, market, best, cells_map, rounds=rounds)
+    best = min(candidates, key=lambda c: _candidate_order_key(graph.prices, cells_map, c))
+    return _solution_from_ids(label, graph.prices, best, cells_map, rounds=rounds)
 
 
 def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
@@ -510,8 +517,8 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         results.append(state.selected)
     if not results:
         return _empty_solution(label)
-    best = min(results, key=lambda c: _candidate_order_key(market, cells_map, c))
-    return _solution_from_ids(label, market, best, cells_map)
+    best = min(results, key=lambda c: _candidate_order_key(graph.prices, cells_map, c))
+    return _solution_from_ids(label, graph.prices, best, cells_map)
 
 
 def solve_exact(market: Marketplace, budget, delta, cap: int = 15,

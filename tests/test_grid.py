@@ -27,7 +27,7 @@ from bmcc.grid import (
 )
 from bmcc.marketplace import Marketplace, load_catalog, save_catalog
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, _decode_bits
 
 
 class TestEncodeDecode:
@@ -221,9 +221,15 @@ THETA31_CORNERS = [0, 1, 2, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 24) - 1, 1 <
                    1 << 30, (1 << MAX_THETA) - 2, (1 << MAX_THETA) - 1]
 
 
-class TestTableEncodeAgainstShiftAndMask:
-    """The 256-entry table encode against the five-round shift-and-mask
-    spread it replaced (``reference_grid.spread_bits``)."""
+def encode_bits(x, y, theta):
+    """The Morton id of ``(x, y)``, one bit at a time: the mirror of
+    ``conftest._decode_bits``."""
+    return sum((x >> k & 1) << 2 * k | (y >> k & 1) << 2 * k + 1 for k in range(theta))
+
+
+class TestEncodeAgainstReferences:
+    """The in-place int64 shift-and-mask codec against the uint64 rounds of
+    ``reference_grid.spread_bits`` and against one bit at a time."""
 
     def test_every_16_bit_value(self):
         v = np.arange(1 << 16)
@@ -246,6 +252,44 @@ class TestTableEncodeAgainstShiftAndMask:
     def test_shapes_follow_the_inputs(self):
         assert encode_cells(3, 3).shape == ()
         assert encode_cells([[1, 2]], [[0, 1]]).tolist() == [[1, 6]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, (1 << MAX_THETA) - 1),
+                              st.integers(0, (1 << MAX_THETA) - 1)), min_size=1, max_size=20))
+    def test_bit_at_a_time_at_every_theta(self, pairs):
+        for theta in range(1, MAX_THETA + 1):
+            low = [(x & (1 << theta) - 1, y & (1 << theta) - 1) for x, y in pairs]
+            want = [encode_bits(x, y, theta) for x, y in low]
+            xs, ys = np.array(low).T
+            got = encode_cells(xs, ys)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert decode_cells(got).tolist() == [list(p) for p in low]
+            assert [_decode_bits(c, theta) for c in want] == low
+            x, y = low[0]
+            assert encode_cell(x, y, theta) == want[0]
+
+    def test_callers_arrays_untouched(self, tmp_path):
+        xs, ys = np.arange(5, dtype=np.int64), np.arange(5, 0, -1)
+        cells = encode_cells(xs, ys)
+        before = [a.copy() for a in (xs, ys, cells)]
+        decode_cells(cells)
+        encode_cells(xs[:, None], ys[:, None])
+        assert all(map(np.array_equal, (xs, ys, cells), before))
+        grid = GridConfig(theta=3, cell_width=0.5, cell_height=0.5)
+        own = PointDataset("own", [(0.25, 3.75), (1.0, 1.0), (0.25, 3.75)])
+        path = tmp_path / "p.csv"
+        write_points_file(path, [own, PointDataset("b", [(3.5, 0.5)])])
+        datasets = [own, *read_points_file(path)]
+        points = [d.points.copy() for d in datasets]
+        first = [rasterize(d, grid) for d in datasets]
+        assert all(map(np.array_equal, [d.points for d in datasets], points))
+        market = Marketplace.build(grid, first[1:])
+        assert not market.cells.flags.writeable
+        held = market.cells.copy()
+        decode_cells(market.cells)
+        assert np.array_equal(market.cells, held)
+        assert [rasterize(d, grid).cells.tolist() for d in datasets] == \
+            [d.cells.tolist() for d in first]
 
 
 def raster_outcome(fn, dataset, grid):

@@ -82,17 +82,20 @@ def solution_key(sol):
             sol.status)
 
 
+def _compare_solvers(graph, delta, budget_list, seed):
+    for budget in budget_list:
+        for label, (new, old, kwargs) in SOLVERS.items():
+            got = new(graph.market, budget, delta, graph=graph, **kwargs)
+            want = old(graph.market, budget, delta, graph=graph, **kwargs)
+            assert solution_key(got) == solution_key(want), (seed, str(budget), label)
+
+
 @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
 @pytest.mark.parametrize("pricing", ("usage", "table", "float-tie"))
 def test_solvers_match_full_scan_reference(pricing, delta):
     for seed in SEEDS:
         market = differential_market(seed, pricing)
-        graph = build_graph_indexed(market, delta)
-        for budget in budgets(market):
-            for label, (new, old, kwargs) in SOLVERS.items():
-                got = new(market, budget, delta, graph=graph, **kwargs)
-                want = old(market, budget, delta, graph=graph, **kwargs)
-                assert solution_key(got) == solution_key(want), (seed, str(budget), label)
+        _compare_solvers(build_graph_indexed(market, delta), delta, budgets(market), seed)
 
 
 def test_path_solvers_match_full_scan_reference_on_a_chain():
@@ -153,16 +156,32 @@ def test_budgeted_greedy_matches_reference_on_every_component(pricing, delta):
                                            budgets(market))
 
 
+def free_graphs(pricing, delta):
+    """Per seed, the differential market's graph with about 40% of its
+    datasets priced at zero, and budgets at each ratio of its new total."""
+    rng = np.random.default_rng(77)
+    for seed in SEEDS:
+        market = differential_market(seed, pricing)
+        graph = build_graph_indexed(market, delta)
+        prices = {d: (0 if rng.random() < 0.4 else p) for d, p in graph.prices.items()}
+        total = sum(prices.values())
+        yield seed, replace(graph, prices=prices), [
+            cents_to_decimal(int(r * total)) for r in RATIOS]
+
+
 @pytest.mark.parametrize("delta", DELTAS[1:], ids=lambda d: f"delta{d:g}")
 def test_budgeted_greedy_matches_reference_with_zero_cost_paths(delta):
     """Free nodes on the graph make zero incremental-price paths appear
     mid-run, exercising the ratio pass's zero-cost-first rule."""
-    rng = np.random.default_rng(77)
-    for seed in SEEDS:
-        market = differential_market(seed, "table")
-        graph = build_graph_indexed(market, delta)
-        prices = {d: (0 if rng.random() < 0.4 else p) for d, p in graph.prices.items()}
-        free = replace(graph, prices=prices)
-        total = sum(prices.values())
-        budget_list = [cents_to_decimal(int(r * total)) for r in RATIOS]
+    for _, free, budget_list in free_graphs("table", delta):
         _compare_greedy_on_every_component(free, budget_list)
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"delta{d:g}")
+@pytest.mark.parametrize("pricing", ("usage", "table"))
+def test_solvers_match_reference_with_zero_graph_prices(pricing, delta):
+    """Whole solves on graphs that price some datasets at zero: both sides
+    read ``graph.prices``, and ``dsa``'s ratio pass ranks free datasets
+    first, by higher gain."""
+    for seed, free, budget_list in free_graphs(pricing, delta):
+        _compare_solvers(free, delta, budget_list, seed)
