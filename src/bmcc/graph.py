@@ -34,10 +34,15 @@ class GraphConfigError(ValueError):
     """Mismatched grids or index/catalog pairings."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DatasetGraph:
     """Undirected graph over dataset ids with sorted adjacency lists. It holds
-    no cells: solves read them from ``market`` (``None`` if read from a file)."""
+    no cells: solves read them from ``market`` (``None`` if read from a file).
+
+    A graph is a snapshot. Solves key what they reuse (its components and
+    their centers) by the graph's identity, so ``adjacency`` and ``prices``
+    must not be edited in place; build a new graph instead, for example with
+    :meth:`restricted`."""
 
     delta: float
     prices: dict[str, int]  # cents, snapshot of the catalog prices
@@ -86,11 +91,15 @@ class GraphStats:
 class Subgraph:
     """A maximal connected component, members sorted ascending; ``parent`` is
     the BFS parent map from ``members[0]`` that found it, kept only for
-    components of three or more members and ``None`` otherwise."""
+    components of three or more members and ``None`` otherwise. ``centers``
+    keeps the result of each center search run on a component of three or
+    more members, one entry per search (``"exact"``, ``"two_bfs"``), so a
+    repeat search on the same Subgraph runs no BFS."""
 
     members: tuple[str, ...]
     graph: DatasetGraph
     parent: dict[str, str | None] | None = field(default=None, repr=False)
+    centers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.members)

@@ -35,6 +35,13 @@ grown from its root takes the other member exactly when the two prices fit
 together. Its double-BFS center and BFS tree take no BFS. A candidate's ids
 are sorted only if it can win (:func:`_offer`).
 
+What depends on the graph alone is prepared once per graph object and reused
+by every later solve on it, at any budget (:func:`_components`): its
+components, and on each the result of each center search, kept in
+``Subgraph.centers``. A graph is a snapshot (:class:`DatasetGraph`). Nothing
+that depends on the budget is kept, and a restricted candidate graph is
+built afresh by each solve, so it gets no reuse.
+
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
 
@@ -64,6 +71,7 @@ import collections
 import heapq
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -178,6 +186,23 @@ def _market_of(graph):
     if graph.market is None:  # a graph read from an adjacency file
         raise GraphConfigError("graph carries no marketplace; cannot read cells")
     return graph.market
+
+
+# Components of each graph a solve has worked on, keyed weakly by the graph
+# object, so an entry dies with its graph. The Subgraphs reach their graph
+# through a weak proxy: a value that held the graph itself would keep its own
+# key alive. Two threads may both compute an entry, or a center; both results
+# are equal and either may be kept, so no lock is needed.
+_COMPONENTS = weakref.WeakKeyDictionary()
+
+
+def _components(graph):
+    """``connected_components(graph)``, computed once per graph object; later
+    calls return the same Subgraphs, with the centers kept on them."""
+    components = _COMPONENTS.get(graph)
+    if components is None:
+        components = _COMPONENTS[graph] = connected_components(weakref.proxy(graph))
+    return components
 
 
 def _prepare(market, budget, delta, graph):
@@ -504,11 +529,14 @@ def find_center_exact(sub: Subgraph) -> CenterResult:
     the candidate of smallest ``(lo, id)`` and that of largest ``hi``
     (smallest id on ties); each root's own bounds meet, so the loop ends. The
     answer does not depend on the choice of roots, only the number of BFS
-    runs does. Components of one or two members need no BFS.
+    runs does. Components of one or two members need no BFS; on a larger
+    one the result is kept in ``sub.centers``, so a repeat call runs none.
     """
     members = sub.members
     if len(members) <= 2:
         return CenterResult(members[0], len(members) - 1)
+    if "exact" in sub.centers:
+        return sub.centers["exact"]
     adjacency = sub.graph.adjacency
     lo = dict.fromkeys(members, 0)
     hi = dict.fromkeys(members, len(members) - 1)
@@ -534,7 +562,8 @@ def find_center_exact(sub: Subgraph) -> CenterResult:
             if lo[w] == hi[w] and (lo[w], w) < best:
                 best = (lo[w], w)
         candidates = {w for w in candidates if lo[w] < hi[w] and (lo[w], w) < best}
-    return CenterResult(best[1], best[0])
+    sub.centers["exact"] = result = CenterResult(best[1], best[0])
+    return result
 
 
 def find_center_two_bfs(sub: Subgraph) -> CenterResult:
@@ -545,11 +574,14 @@ def find_center_two_bfs(sub: Subgraph) -> CenterResult:
     the path length (rounded up) as radius. That radius is a lower bound on
     the returned center's eccentricity, and equals it, and the exact radius,
     on a tree. A component of one or two members needs no BFS: the walk ends
-    on its last member.
+    on its last member. On a larger one the result is kept in
+    ``sub.centers``, so a repeat call runs no BFS.
     """
     members = sub.members
     if len(members) <= 2:
         return CenterResult(members[-1], len(members) - 1)
+    if "two_bfs" in sub.centers:
+        return sub.centers["two_bfs"]
     adjacency = sub.graph.adjacency
     vj = min(bfs(adjacency, members[0])[1][-1])  # farthest, smallest id
     parent, layers = bfs(adjacency, vj)
@@ -558,7 +590,8 @@ def find_center_two_bfs(sub: Subgraph) -> CenterResult:
     center = vk  # walk up from vk to depth diameter // 2
     for _ in range(diameter - diameter // 2):
         center = parent[center]
-    return CenterResult(center, (diameter + 1) // 2)
+    sub.centers["two_bfs"] = result = CenterResult(center, (diameter + 1) // 2)
+    return result
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
@@ -629,7 +662,7 @@ def solve_dpsa(market: Marketplace, budget, delta, center_mode: str = "exact",
     # every member of the candidate graph fits the budget, so no greedy
     # result is empty; rounds holds the best coverage of each flag
     best, rounds = _NO_CANDIDATE, [0, 0]
-    for sub in connected_components(candidate):
+    for sub in _components(candidate):
         if center_mode == "exact":
             center = find_center_exact(sub).center
         else:
@@ -665,7 +698,7 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         return _empty_solution(label)
     prices, split = candidate.prices, market._split
     best = _NO_CANDIDATE
-    for sub in connected_components(candidate):
+    for sub in _components(candidate):
         members = sub.members
         root = members[0]
         if len(members) <= 2:

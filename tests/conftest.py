@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bmcc.grid import CellBasedDataset, GridConfig, encode_cell, rasterize, read_points_file
-from bmcc.graph import DatasetGraph, build_graph_indexed, connected_components
+from bmcc.graph import DatasetGraph, Subgraph, build_graph_indexed, connected_components
 from bmcc.marketplace import Marketplace, PricingFunction
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -28,14 +28,22 @@ def make_market(index_sets, theta, prices=None):
 
 
 @pytest.fixture(scope="session")
-def synth_giant():
-    """Largest component of the committed 1000-dataset catalog at theta=11,
-    delta=10 (the graph of acceptance criterion 9)."""
+def synth_giant_component():
     datasets = read_points_file(DATA_DIR / "synth1000.csv")
     grid = GridConfig.from_envelope(datasets, theta=11)
     market = Marketplace.build(grid, [rasterize(d, grid) for d in datasets],
                                PricingFunction.usage_based())
     return max(connected_components(build_graph_indexed(market, 10)), key=len)
+
+
+@pytest.fixture
+def synth_giant(synth_giant_component):
+    """Largest component of the committed 1000-dataset catalog at theta=11,
+    delta=10 (the graph of acceptance criterion 9). Each test gets its own
+    Subgraph over the shared graph, so a center search another test ran
+    (kept in ``Subgraph.centers``) cannot change what a test counts."""
+    sub = synth_giant_component
+    return Subgraph(sub.members, sub.graph, sub.parent)
 
 
 @pytest.fixture(scope="session")

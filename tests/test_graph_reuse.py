@@ -1,0 +1,181 @@
+"""Reuse across solves on one query graph.
+
+A solve prepares what depends on the graph alone once per graph object: its
+components (``bmcc.solvers._components``, keyed weakly by the graph) and, on
+each component, the result of each center search (``Subgraph.centers``).
+These tests check that a solve on a graph solved before, at other budgets,
+answers exactly as one on a freshly built graph; that the reuse keeps no
+graph alive; that a repeat center search runs no BFS; and that two threads
+solving one shared graph at once get the single-thread answers.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+
+import pytest
+
+import bmcc.solvers as solvers
+from bmcc.graph import DatasetGraph, Subgraph, build_graph_indexed, connected_components
+from bmcc.marketplace import cents_to_decimal
+from bmcc.solvers import CenterResult, find_center_exact, find_center_two_bfs, solve
+
+from test_solvers_differential import DELTAS, budgets, differential_market
+
+LABELS = ("dsa", "dpsa", "dpsa-ba", "cmc-mc", "cmc-mg")
+DIFFERENTIAL_CASES = [(seed, pricing, delta) for seed in range(3)
+                      for pricing in ("usage", "table", "float-tie") for delta in DELTAS]
+
+
+def _fit_budgets(market):
+    """Two budgets in cents: the largest dataset price, at which every
+    dataset fits on its own and the candidate graph is the query graph, and
+    the median of the prices below it, at which only some do."""
+    prices = sorted(market.price_cents(d) for d in market.ids)
+    below = [p for p in prices if p < prices[-1]]
+    return [prices[-1], below[len(below) // 2]]
+
+
+def _solve_all(market, graph, delta, cents_list):
+    return {(label, cents): solve(label, market, cents_to_decimal(cents), delta, graph=graph)
+            for cents in cents_list for label in LABELS}
+
+
+def _assert_cached_equals_fresh(market, delta, warm_cents, cents_list):
+    graph = build_graph_indexed(market, delta)
+    _solve_all(market, graph, delta, warm_cents)
+    assert graph in solvers._COMPONENTS
+    for cents in cents_list:
+        for label in LABELS:
+            budget = cents_to_decimal(cents)
+            fresh = build_graph_indexed(market, delta)
+            assert solve(label, market, budget, delta, graph=graph) == \
+                solve(label, market, budget, delta, graph=fresh), (label, cents)
+
+
+@pytest.mark.parametrize("seed,pricing,delta", DIFFERENTIAL_CASES,
+                         ids=[f"{p}-seed{s}-delta{d:g}" for s, p, d in DIFFERENTIAL_CASES])
+def test_cached_answers_equal_fresh_ones_on_differential_markets(seed, pricing, delta):
+    market = differential_market(seed, pricing)
+    cents = [int(b * 100) for b in budgets(market)]
+    _assert_cached_equals_fresh(market, delta, _fit_budgets(market), cents)
+
+
+def test_cached_answers_equal_fresh_ones_on_synth1000(synth_giant):
+    market = synth_giant.graph.market
+    fits = _fit_budgets(market)
+    _assert_cached_equals_fresh(market, 10, fits, fits + [market.total_price_cents // 10])
+
+
+def _live_entries():
+    gc.collect()
+    return len(solvers._COMPONENTS)
+
+
+def test_a_solved_graph_leaves_no_entry():
+    market = differential_market(0, "table")
+    graph = build_graph_indexed(market, 10.0)
+    every, some = _fit_budgets(market)
+    base = _live_entries()
+    _solve_all(market, graph, 10.0, [some])
+    # each solve's restricted candidate graph died with its solve
+    assert graph not in solvers._COMPONENTS and _live_entries() == base
+    _solve_all(market, graph, 10.0, [every])
+    assert graph in solvers._COMPONENTS and _live_entries() == base + 1
+    alive = weakref.ref(graph)
+    del graph
+    assert _live_entries() == base
+    assert alive() is None
+
+
+def _path4():
+    """The path n0 - n1 - n2 - n3: the exact center is n1 (smallest id of
+    the two of eccentricity 2), the double-BFS walk ends on n2."""
+    ids = ("n0", "n1", "n2", "n3")
+    adjacency = {u: tuple(v for v in ids if abs(int(v[1]) - int(u[1])) == 1) for u in ids}
+    (sub,) = connected_components(DatasetGraph(1.0, dict.fromkeys(ids, 1), adjacency))
+    return sub
+
+
+def _counting_bfs(monkeypatch):
+    calls = []
+    live = solvers.bfs
+    monkeypatch.setattr(solvers, "bfs", lambda adjacency, root: calls.append(root) or
+                        live(adjacency, root))
+    return calls
+
+
+@pytest.mark.parametrize("search", [find_center_exact, find_center_two_bfs],
+                         ids=["exact", "two_bfs"])
+def test_a_repeat_center_search_runs_no_bfs(synth_giant, monkeypatch, search):
+    calls = _counting_bfs(monkeypatch)
+    first = search(synth_giant)
+    assert calls
+    del calls[:]
+    assert search(synth_giant) is first
+    assert calls == []
+    fresh = Subgraph(synth_giant.members, synth_giant.graph, synth_giant.parent)
+    assert search(fresh) == first
+
+
+@pytest.mark.parametrize("order", [("exact", "two_bfs"), ("two_bfs", "exact")],
+                         ids=["exact-first", "two_bfs-first"])
+def test_the_two_searches_keep_separate_results(order):
+    searches = {"exact": find_center_exact, "two_bfs": find_center_two_bfs}
+    want = {"exact": CenterResult("n1", 2), "two_bfs": CenterResult("n2", 2)}
+    sub = _path4()
+    assert {name: searches[name](sub) for name in order} == want
+    assert sub.centers == want
+    assert {name: searches[name](sub) for name in order} == want
+    fresh = _path4()
+    assert {name: search(fresh) for name, search in searches.items()} == want
+
+
+def test_a_repeat_dpsa_solve_runs_only_its_tree_searches(synth_giant, monkeypatch):
+    """A second ``dpsa`` solve on a graph reuses its components and centers:
+    the only BFS runs left are one tree per component of three or more."""
+    market = synth_giant.graph.market
+    graph = build_graph_indexed(market, 10)
+    budget = cents_to_decimal(max(market.price_cents(d) for d in market.ids))
+    calls = _counting_bfs(monkeypatch)
+    first = solve("dpsa", market, budget, 10, graph=graph)
+    trees = [sub for sub in connected_components(graph) if len(sub) >= 3]
+    assert len(calls) > len(trees)
+    del calls[:]
+    assert solve("dpsa", market, budget, 10, graph=graph) == first
+    assert len(calls) == len(trees)
+
+
+def test_two_threads_solving_one_graph_get_the_single_thread_answers(synth_giant):
+    """Every dataset fits, so each solve's candidate graph is the shared one.
+    Each of the shared graphs starts cold, so the threads race to prepare its
+    components and centers."""
+    graph = synth_giant.graph
+    market = graph.market
+    budget = cents_to_decimal(max(graph.prices.values()))
+    fresh = build_graph_indexed(market, 10)
+    want = [solve(label, market, budget, 10, graph=fresh) for label in LABELS]
+    shared = [DatasetGraph(graph.delta, graph.prices, graph.adjacency, market)
+              for _ in range(40)]
+    got = [[], []]
+    step = threading.Barrier(2)  # the two threads make each call at once
+
+    def run(t):
+        for g in shared:
+            for label in LABELS:
+                step.wait(timeout=60)
+                got[t].append(solve(label, market, budget, 10, graph=g))
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want * len(shared)] * 2
