@@ -109,33 +109,22 @@ class Subgraph:
 class BallTree:
     """Binary bounding-box tree over the catalog; one dataset per leaf.
 
-    Nodes are stored as flat arrays; ``order[start[i]:end[i]]`` lists the
-    dataset indices (into ``market.ids``) beneath node ``i``. ``lo[i]`` and
-    ``hi[i]`` are the smallest and largest cell index on each axis over every
-    cell under the node, so a leaf's box is its dataset's box. ``cells`` is
-    ``market.cells`` decoded, so ``market.starts`` delimits each dataset's rows.
+    Nodes are stored as flat int64 arrays; ``order[start[i]:end[i]]`` lists
+    the dataset indices (into ``market.ids``) beneath node ``i``, and an
+    internal node's children are ``left[i]`` and ``left[i] + 1``. ``lo[i]``
+    and ``hi[i]`` are the smallest and largest cell index on each axis over
+    every cell under the node, so a leaf's box is its dataset's box. ``cells``
+    is ``market.cells`` decoded, so ``market.starts`` delimits each dataset's
+    rows.
     """
 
-    market: Marketplace
-    cells: np.ndarray        # (C, 2) int64 cell indices of market.cells
+    cells: np.ndarray        # (C, 2) cell indices of market.cells
     order: np.ndarray        # (n,) permutation of dataset indices
-    lo: np.ndarray           # (m, 2) int64 box corner
-    hi: np.ndarray           # (m, 2) int64 opposite box corner
-    left: np.ndarray         # (m,) int32, -1 for leaves
-    right: np.ndarray        # (m,) int32
-    start: np.ndarray        # (m,) int32 range into order
-    end: np.ndarray          # (m,) int32
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.lo)
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] < 0
-
-    def datasets_under(self, node: int) -> tuple[str, ...]:
-        ids = self.market.ids
-        return tuple(ids[j] for j in self.order[self.start[node]:self.end[node]])
+    lo: np.ndarray           # (m, 2) box corner
+    hi: np.ndarray           # (m, 2) opposite box corner
+    left: np.ndarray         # (m,) first child, -1 for leaves
+    start: np.ndarray        # (m,) range into order
+    end: np.ndarray          # (m,)
 
 
 def check_delta(delta: float) -> None:
@@ -192,8 +181,8 @@ def _graph_from_pairs(market, delta, ii, jj) -> DatasetGraph:
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     names = np.array(ids, dtype=object)[dst].tolist()
     adjacency = {did: tuple(names[bounds[i]:bounds[i + 1]]) for i, did in enumerate(ids)}
-    prices = {did: market.price_cents(did) for did in ids}
-    return DatasetGraph(delta=float(delta), prices=prices, adjacency=adjacency, market=market)
+    return DatasetGraph(delta=float(delta), prices=dict(market._price_cents),
+                        adjacency=adjacency, market=market)
 
 
 def build_graph_naive(market: Marketplace, delta: float) -> DatasetGraph:
@@ -250,10 +239,7 @@ def build_ball_tree(market: Marketplace) -> BallTree:
         mid = begin + (stop - begin + 1) // 2
         begin, stop = np.column_stack([begin, mid]).ravel(), np.column_stack([mid, stop]).ravel()
     begin, stop, lo, hi, left = (np.concatenate(col) for col in zip(*levels))
-    return BallTree(market=market, cells=cells, order=order, lo=lo, hi=hi,
-                    left=left.astype(np.int32),
-                    right=np.where(left < 0, -1, left + 1).astype(np.int32),
-                    start=begin.astype(np.int32), end=stop.astype(np.int32))
+    return BallTree(cells=cells, order=order, lo=lo, hi=hi, left=left, start=begin, end=stop)
 
 
 def _padded(starts, sizes, datasets, width):
@@ -307,7 +293,7 @@ def _datasets_under(tree: BallTree, a, b):
     """Every dataset pair beneath the node pairs ``(a[k], b[k])``; a self
     pair ``(a, a)`` yields each unordered pair of its datasets once."""
     na, nb = tree.end[a] - tree.start[a], tree.end[b] - tree.start[b]
-    counts = na.astype(np.int64) * nb
+    counts = na * nb
     pair = np.repeat(np.arange(a.size), counts)
     t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     p = tree.start[a][pair] + t // nb[pair]
@@ -320,9 +306,10 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     """Dual-tree construction over a box tree; edge set identical to the
     naive path.
 
-    A frontier of node pairs starts at (root, root) and advances as array
-    operations. A self pair becomes its (left, left), (left, right) and
-    (right, right) pairs, so every unordered dataset pair is reached once. A
+    A frontier of node pairs starts at (root, root) and advances as int64
+    array operations; a node's children are ``left`` and ``right = left + 1``.
+    A self pair becomes its (left, left), (left, right) and (right, right)
+    pairs, so every unordered dataset pair is reached once. A
     pair is pruned when the squared gap between its boxes exceeds the integer
     threshold, accepted whole when the squared distance between their
     farthest corners is within it, and otherwise the side with the larger
@@ -334,7 +321,7 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     tree = build_ball_tree(market)
     (lx, ly), (hx, hy) = tree.lo.T, tree.hi.T
     size = hx - lx + hy - ly  # half-perimeter
-    left, right = tree.left.astype(np.int64), tree.right.astype(np.int64)
+    left, right = tree.left, tree.left + 1
     is_leaf = left < 0
     a = b = np.zeros(1, dtype=np.int64)
     whole, open_leaves = [], []

@@ -465,18 +465,20 @@ def read_points_file(path) -> list[PointDataset]:
     CRLF. The text is read whole, so a file that is not UTF-8 fails as such
     before any of its lines is checked. Plain text, with no quote, lone CR,
     blank or ragged line and no faulty value, takes one array pass (see
-    :func:`_read_points_array`). Any other text goes whole, from line 1, to
-    the csv module's row loop, the only source of point-file errors:
-    malformed rows and non-finite coordinates fail with their line number,
-    the physical line, the last one of a row whose quoted field spans lines.
-    Either way the datasets share one block: their points are read-only row
-    slices of one array, which :func:`rasterize` encodes in one pass.
+    :func:`_read_points_array`). Any other text is read again and goes
+    whole, from line 1, to the csv module's row loop, the only source of
+    point-file errors: malformed rows and non-finite coordinates fail with
+    their line number, the physical line, the last one of a row whose quoted
+    field spans lines. Either way the datasets share one block: their points
+    are read-only row slices of one array, which :func:`rasterize` encodes in
+    one pass.
     """
     with open_text(path, GridError, newline="") as fh:
+        datasets = _read_points_array(fh.read())
+        if datasets is not None:
+            return datasets
+        fh.seek(0)
         text = fh.read()
-    datasets = _read_points_array(text)
-    if datasets is not None:
-        return datasets
     groups: dict[str, list[tuple[float, float]]] = {}
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)

@@ -136,25 +136,30 @@ def scattered_market(seed, n=64, theta=6):
     return Marketplace.build(grid, datasets, PricingFunction.usage_based())
 
 
-def cells_under(tree, node):
+def datasets_under(market, tree, node):
+    """Ids of the datasets beneath ``node``."""
+    return tuple(market.ids[j] for j in tree.order[tree.start[node]:tree.end[node]])
+
+
+def cells_under(market, tree, node):
     """Decoded (n, 2) cell indices of every dataset beneath ``node``."""
-    return np.concatenate([decode_cells(tree.market.dataset(did).cells)
-                           for did in tree.datasets_under(node)])
+    return np.concatenate([decode_cells(market.dataset(did).cells)
+                           for did in datasets_under(market, tree, node)])
 
 
 class TestBallTree:
     def test_single_dataset_single_leaf(self):
         m = make_market({"a": [(0, 0), (2, 2)]}, theta=3)
         tree = build_ball_tree(m)
-        assert tree.n_nodes == 1
-        assert tree.is_leaf(0)
+        assert len(tree.lo) == 1
+        assert tree.left[0] < 0
         assert tree.lo.tolist() == [[0, 0]] and tree.hi.tolist() == [[2, 2]]
 
     def test_one_cell_dataset_point_box(self):
         m = make_market({"a": [(5, 5)], "b": [(1, 6), (3, 2)]}, theta=3)
         tree = build_ball_tree(m)
-        leaf, = (n for n in range(tree.n_nodes) if tree.datasets_under(n) == ("a",))
-        assert tree.is_leaf(leaf)
+        leaf, = (n for n in range(len(tree.lo)) if datasets_under(m, tree, n) == ("a",))
+        assert tree.left[leaf] < 0
         assert tree.lo[leaf].tolist() == tree.hi[leaf].tolist() == [5, 5]
         assert tree.lo.dtype == tree.hi.dtype == np.int64
 
@@ -162,27 +167,64 @@ class TestBallTree:
         rng = np.random.default_rng(13)
         m = random_market(rng, n_max=12)
         tree = build_ball_tree(m)
-        leaves = [n for n in range(tree.n_nodes) if tree.is_leaf(n)]
+        leaves = [n for n in range(len(tree.lo)) if tree.left[n] < 0]
         seen = []
         for n in leaves:
-            under = tree.datasets_under(n)
+            under = datasets_under(m, tree, n)
             assert len(under) == 1
             seen.extend(under)
         assert sorted(seen) == sorted(m.ids)
 
     def test_every_cell_inside_ancestor_boxes(self):
-        tree = build_ball_tree(scattered_market(14))
-        assert tree.n_nodes == 2 * 64 - 1
-        for node in range(tree.n_nodes):
-            cells = cells_under(tree, node)
+        m = scattered_market(14)
+        tree = build_ball_tree(m)
+        assert len(tree.lo) == 2 * 64 - 1
+        for node in range(len(tree.lo)):
+            cells = cells_under(m, tree, node)
             assert (tree.lo[node] <= cells).all() and (cells <= tree.hi[node]).all(), node
 
     def test_each_box_face_touches_a_cell(self):
-        tree = build_ball_tree(scattered_market(15))
-        for node in range(tree.n_nodes):
-            cells = cells_under(tree, node)
+        m = scattered_market(15)
+        tree = build_ball_tree(m)
+        for node in range(len(tree.lo)):
+            cells = cells_under(m, tree, node)
             assert cells.min(axis=0).tolist() == tree.lo[node].tolist(), node
             assert cells.max(axis=0).tolist() == tree.hi[node].tolist(), node
+
+    @pytest.mark.parametrize("market", [scattered_market(14), *(
+        random_market(np.random.default_rng(seed), n_max=20) for seed in range(40, 46))])
+    def test_children_at_left_and_left_plus_one_halve_the_range(self, market):
+        """What the walk derives: an internal node's children are ``left`` and
+        ``left + 1`` and split its ``start:end`` range into two non-empty
+        halves; a leaf holds one dataset; the arrays the walk indexes are
+        int64."""
+        tree = build_ball_tree(market)
+        for arr in (tree.left, tree.start, tree.end, tree.order):
+            assert arr.dtype == np.int64
+        for i in range(len(tree.lo)):
+            a = tree.left[i]
+            if a < 0:
+                assert tree.end[i] - tree.start[i] == 1, i
+                continue
+            assert tree.start[a] == tree.start[i] < tree.end[a], i
+            assert tree.end[a] == tree.start[a + 1] < tree.end[a + 1] == tree.end[i], i
+
+
+@pytest.mark.parametrize("build", [build_graph_naive, build_graph_indexed])
+@pytest.mark.parametrize("priced", [False, True], ids=["usage", "table"])
+def test_graph_prices_are_a_copy_of_the_catalog_prices(build, priced):
+    rng = np.random.default_rng(21)
+    index_sets = {f"d{i:02d}": [tuple(map(int, rng.integers(0, 32, size=2)))]
+                  for i in rng.permutation(12)}
+    prices = {did: int(rng.integers(1, 50)) for did in index_sets} if priced else None
+    m = make_market(index_sets, theta=5, prices=prices)
+    g = build(m, 4)
+    assert list(g.prices.items()) == [(d, m.price_cents(d)) for d in m.ids]
+    assert list(g.prices) == sorted(index_sets)
+    before = {d: m.price_cents(d) for d in m.ids}
+    g.prices["d00"] += 1
+    del g.prices["d01"]
+    assert {d: m.price_cents(d) for d in m.ids} == before
 
 
 class TestIndexedGraph:
