@@ -18,6 +18,7 @@ share one integer threshold, so the edge sets are bit-identical.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,8 +40,8 @@ class DatasetGraph:
     """Undirected graph over dataset ids with sorted adjacency lists. It holds
     no cells: solves read them from ``market`` (``None`` if read from a file).
 
-    A graph is a snapshot. Solves key what they reuse (its components and
-    their centers) by the graph's identity, so ``adjacency`` and ``prices``
+    A graph is a snapshot. Solves and :meth:`stats` key what they reuse (its
+    components, and their centers and BFS trees) by the graph's identity, so ``adjacency`` and ``prices``
     must not be edited in place; build a new graph instead, for example with
     :meth:`restricted`."""
 
@@ -75,7 +76,7 @@ class DatasetGraph:
             nodes=n,
             edges=e,
             average_degree=(2.0 * e / n) if n else 0.0,
-            components=len(connected_components(self)),
+            components=len(_components(self)),
         )
 
 
@@ -91,15 +92,18 @@ class GraphStats:
 class Subgraph:
     """A maximal connected component, members sorted ascending; ``parent`` is
     the BFS parent map from ``members[0]`` that found it, kept only for
-    components of three or more members and ``None`` otherwise. ``centers``
-    keeps the result of each center search run on a component of three or
-    more members, one entry per search (``"exact"``, ``"two_bfs"``), so a
-    repeat search on the same Subgraph runs no BFS."""
+    components of three or more members and ``None`` otherwise. On a
+    component of three or more members, ``centers`` keeps the result of each
+    center search, one entry per search (``"exact"``, ``"two_bfs"``), and
+    ``trees`` each BFS tree built on it, keyed by root, with the path set-ups
+    built from that tree: a repeat search, tree or set-up on the same
+    Subgraph runs no BFS and builds nothing."""
 
     members: tuple[str, ...]
     graph: DatasetGraph
     parent: dict[str, str | None] | None = field(default=None, repr=False)
     centers: dict = field(default_factory=dict, init=False, repr=False)
+    trees: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.members)
@@ -391,6 +395,24 @@ def connected_components(graph: DatasetGraph) -> list[Subgraph]:
             seen.update(reached)
             components.append(Subgraph(tuple(sorted(reached)), graph,
                                        reached if len(reached) > 2 else None))
+    return components
+
+
+# Components of each graph that a solve or ``stats()`` has searched, keyed
+# weakly by the graph object, so an entry dies with its graph. The Subgraphs
+# reach their graph through a weak proxy: a value that held the graph itself
+# would keep its own key alive. Two threads may both compute an entry, a
+# center or a tree; the results are equal and either may be kept, so no lock
+# is needed.
+_COMPONENTS = weakref.WeakKeyDictionary()
+
+
+def _components(graph):
+    """``connected_components(graph)``, computed once per graph object; later
+    calls return the same Subgraphs, with what solves kept on them."""
+    components = _COMPONENTS.get(graph)
+    if components is None:
+        components = _COMPONENTS[graph] = connected_components(weakref.proxy(graph))
     return components
 
 

@@ -36,9 +36,10 @@ together. Its double-BFS center and BFS tree take no BFS. A candidate's ids
 are sorted only if it can win (:func:`_offer`).
 
 What depends on the graph alone is prepared once per graph object and reused
-by every later solve on it, at any budget (:func:`_components`): its
-components, and on each the result of each center search, kept in
-``Subgraph.centers``. A graph is a snapshot (:class:`DatasetGraph`). Nothing
+by every later solve on it, at any budget (``bmcc.graph._components``): its
+components, and on each the result of each center search
+(``Subgraph.centers``) and each BFS tree with its path set-ups
+(``Subgraph.trees``). A graph is a snapshot (:class:`DatasetGraph`). Nothing
 that depends on the budget is kept, and a restricted candidate graph is
 built afresh by each solve, so it gets no reuse.
 
@@ -60,18 +61,20 @@ return exactly what a full rescan would:
   already selected, and stops at the first step where none fits.
   Each path's gain and ``dp`` are kept exact by an inverted index (cell ->
   nodes) and a DFS preorder of the candidates, in which those below a node
-  are one contiguous range; taking a path walks up the tree and touches only
-  what it newly covers or pays for. Initial
-  gains and prices are running sums in parent order, O(n) per tree, and the
-  set-up is built once per :class:`BfsTree`: both flags of
-  :func:`budgeted_greedy` grow a copy of it.
+  are one contiguous range of integer slots; taking a path walks up the
+  tree and touches only what it newly covers or pays for. Initial gains and
+  prices are running sums in parent order, O(n) per tree. The set-up is
+  built once per :class:`BfsTree` and its set of ends, and kept with the
+  tree: both flags of :func:`budgeted_greedy`, and both ``cmc`` variants,
+  grow a copy of it, so it holds no id-keyed dict and keeps its sums in
+  ``array('q')`` (:class:`_PathGrowth`).
 """
 
 import collections
 import heapq
 import itertools
 import math
-import weakref
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -83,9 +86,10 @@ from .graph import (
     GraphConfigError,
     Subgraph,
     bfs,
+    _components,
     build_graph_indexed,
     check_delta,
-    connected_components,
+    connected_components,  # re-exported as bmcc.solvers.connected_components
 )
 from .grid import CellRangeError, GridConfig, GridError, CellBasedDataset, _exact_integers
 from .marketplace import (
@@ -132,9 +136,12 @@ class BfsTree:
     """BFS tree of one component and its leaves.
 
     ``parent`` lists the nodes in visit order; a leaf's root path is found by
-    walking it up. The path set-up that both flags of :func:`budgeted_greedy`
-    start from is built from ``component`` once, on first use; a tree without
-    leaves needs none.
+    walking it up. The path set-ups are built from ``component`` on first use
+    and kept with the tree, which :func:`build_bfs_tree` keeps on the
+    component: ``_growth``, over the leaves, that both flags of
+    :func:`budgeted_greedy` grow a copy of, and ``_node_paths``, over every
+    node below the root, with the depth of each slot's end, that both
+    ``cmc`` variants grow a copy of. A tree of one or two nodes needs none.
     """
 
     root: str
@@ -142,10 +149,21 @@ class BfsTree:
     leaves: tuple[str, ...]
     component: Subgraph = field(repr=False, compare=False)
 
+    def _setup(self, ends) -> "_PathGrowth":
+        graph = self.component.graph
+        return _PathGrowth(self.parent, _market_of(graph)._split, graph.prices, ends)
+
     @cached_property
     def _growth(self) -> "_PathGrowth":
-        graph = self.component.graph
-        return _PathGrowth(self.parent, _market_of(graph)._split, graph.prices, set(self.leaves))
+        return self._setup(set(self.leaves))
+
+    @cached_property
+    def _node_paths(self) -> tuple["_PathGrowth", array]:
+        growth = self._setup(set(itertools.islice(self.parent, 1, None)))
+        depth = [0] * len(growth._up)
+        for v in range(1, len(depth)):
+            depth[v] = depth[growth._up[v]] + 1
+        return growth, array("q", [depth[v] for v in growth._node])
 
 
 @dataclass(frozen=True)
@@ -186,23 +204,6 @@ def _market_of(graph):
     if graph.market is None:  # a graph read from an adjacency file
         raise GraphConfigError("graph carries no marketplace; cannot read cells")
     return graph.market
-
-
-# Components of each graph a solve has worked on, keyed weakly by the graph
-# object, so an entry dies with its graph. The Subgraphs reach their graph
-# through a weak proxy: a value that held the graph itself would keep its own
-# key alive. Two threads may both compute an entry, or a center; both results
-# are equal and either may be kept, so no lock is needed.
-_COMPONENTS = weakref.WeakKeyDictionary()
-
-
-def _components(graph):
-    """``connected_components(graph)``, computed once per graph object; later
-    calls return the same Subgraphs, with the centers kept on them."""
-    components = _COMPONENTS.get(graph)
-    if components is None:
-        components = _COMPONENTS[graph] = connected_components(weakref.proxy(graph))
-    return components
 
 
 def _prepare(market, budget, delta, graph):
@@ -301,142 +302,177 @@ def _ratio_key(prices, top):
     return lambda gain, price: -(gain * scale // price) if price else first - gain
 
 
+def _pristine(values):
+    """``values`` as an ``array('q')``, which holds no int objects; a tuple
+    if a value does not fit in 64 bits."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return tuple(values)
+
+
 class _PathGrowth:
-    """A connected set grown from a BFS-tree root by whole candidate paths.
+    """The path set-up of a BFS tree, and a connected set grown from its root
+    by whole candidate paths.
 
     ``parent`` maps every tree node to its parent (the root to ``None``) in
-    BFS order; candidate ``k``, for each ``k`` in the set ``ends``, is the
-    path from below the root down to ``k``. ``split`` is the catalog's
+    BFS order; the candidates are the paths from below the root down to each
+    node of ``ends``: the leaves, or every node but the root, so each node
+    below the root has an end at or below it. ``split`` is the catalog's
     ``(solo, shared)``: solo cells are only counted, so the cell sets below
     are shared cells; ``covered`` holds the selection's, and ``count`` all
-    its cells. The exact marginal gain ``gain[k]`` (cells not yet covered)
-    and incremental price ``dp[k]`` (price of nodes not yet selected) of
+    its cells. The exact marginal gain ``gain[s]`` (cells not yet covered)
+    and incremental price ``dp[s]`` (price of nodes not yet selected) of
     every candidate are kept up to date, so a step costs only what it touches:
 
     * a node's *new cells* are those that no ancestor below the root holds.
-      Along a path they partition its cells, so ``reach[k]`` (the distinct
-      cells of path ``k``), its initial gain (``reach[k]`` less the root's
+      Along a path they partition its cells, so ``reach[s]`` (the distinct
+      cells of the path), its initial gain (``reach[s]`` less the root's
       cells) and its initial ``dp`` are running sums down the path: one pass
       in parent order, which carries the shared cells (of two or more nodes)
       above each node, so it never walks up the tree;
-    * the candidates are numbered in DFS preorder, so those below node ``v``
-      are the slice ``_order[_span[v]]``, and cell -> nodes is built for the
-      shared cells. Taking a path walks up from its end to the selection, and
-      lowers the gain and price of every candidate below each node it pays
-      for or whose new cells it covers.
+    * everything is integer-indexed. Nodes are numbered in BFS order, the
+      root 0, with per-node lists of the parent, price, solo count and
+      cells. The candidates, or *slots*, are numbered in DFS preorder, so
+      the slots below node ``i`` are ``range(_lo[i], _hi[i])``, and an end's
+      own slot is its ``_lo``. ``_holders`` maps each cell held by two or
+      more nodes to the nodes where it is new. Taking a path walks up from
+      its end to the selection, and lowers the gain and price of every slot
+      below each node it pays for or whose new cells it covers.
 
-    The indexes are read-only after set-up, so :meth:`copy` starts another
-    growth from the same state without rebuilding them.
+    The set-up is read-only: its sums are kept in ``array('q')``, and each
+    growth is a :meth:`copy`, whose ``gain`` and ``dp`` are fresh lists
+    (``reach`` never changes). Ids are read only by :attr:`selected`.
     """
 
     def __init__(self, parent, split, prices, ends):
-        root = next(iter(parent))
-        solo, cells_map = split
-        self.parent, self.prices, self._solo = parent, prices, solo
-        self.selected = {root}
-        self.spent = prices[root]
-        self.covered = set(cells_map[root])
-        self.count = solo[root] + len(cells_map[root])
+        solo_of, cells_of = split
+        self._ids = ids = tuple(parent)
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        up = [index.get(u, -1) for u in parent.values()]
+        cells = list(map(cells_of.__getitem__, ids))
         # Cells held by one node are new there; a shared cell is new at each
-        # holder with no holder above it below the root. The candidates in
-        # each subtree are counted in the same pass, up from the leaves.
-        size = dict.fromkeys(parent, 0)
-        size.update(dict.fromkeys(ends, 1))
+        # holder with no holder above it below the root. The ends in each
+        # subtree are counted in the same pass, up from the leaves.
+        size = list(map(ends.__contains__, ids))
         seen, shared = set(), set()
-        for v, u in itertools.islice(reversed(parent.items()), len(parent) - 1):
-            cells = cells_map[v]
-            if cells:
-                shared |= seen & cells
-                seen |= cells
-            size[u] += size[v]
-        rooted = cells_map[root] & seen
+        for i in range(n - 1, 0, -1):
+            mine = cells[i]
+            if mine:
+                shared |= seen & mine
+                seen |= mine
+            size[up[i]] += size[i]
+        rooted = cells[0] & seen
         shared |= rooted
-        self._shared = shared
+        slots = size[0]
+        self._up = up
+        self._price = price = list(map(prices.__getitem__, ids))
+        self._solo = solo = list(map(solo_of.__getitem__, ids))
+        self._cells = cells
+        self._lo, self._hi = lo, hi = [0] * n, [slots] * n
         self._holders = holders = {}
-        self._new_cells = new_cells = {}
-        # each node's slice of the preorder, and the next free slot below it
-        self._order = order = [None] * len(ends)
-        self._span = span = {}
-        slot = {root: 0}
+        node, reach, gain, dp = ([0] * slots for _ in range(4))
+        free = [0] * n  # the next free slot below each node
         # (node, shared cells held above it, reach, gain and dp down to it),
         # dropped once the node's children are done: parents come in BFS order
-        above = collections.deque([(root, frozenset(), 0, 0, 0)])
-        self.gain, self.dp, self.reach = {}, {}, {}
-        for v, u in itertools.islice(parent.items(), 1, None):
+        above = collections.deque([(0, frozenset(), 0, 0, 0)])
+        for v in range(1, n):
+            u = up[v]
             while above[0][0] != u:
                 above.popleft()
-            _, held, reach, gain, dp = above[0]
-            cells = cells_map[v]
-            mine = cells & shared
-            if mine:
-                for c in mine - held:
+            _, held, r, g, d = above[0]
+            mine = cells[v]
+            tree_shared = mine & shared
+            if tree_shared:
+                for c in tree_shared - held:
                     holders.setdefault(c, []).append(v)
-                cells = cells - held
-                held = held | mine
-                gain -= len(cells & rooted)
-            new_cells[v] = cells
-            n = solo[v] + len(cells)
-            reach, gain, dp = reach + n, gain + n, dp + prices[v]
-            above.append((v, held, reach, gain, dp))
-            lo = slot[u]
-            slot[u] = hi = lo + size[v]
-            span[v] = slice(lo, hi)
-            if v in ends:
-                order[lo] = v
-                lo += 1
-                self.reach[v], self.gain[v], self.dp[v] = reach, gain, dp
-            slot[v] = lo
+                mine = mine - held
+                held = held | tree_shared
+                g -= len(mine & rooted)
+            k = solo[v] + len(mine)
+            r, g, d = r + k, g + k, d + price[v]
+            above.append((v, held, r, g, d))
+            a = lo[v] = free[u]
+            free[u] = hi[v] = a + size[v]
+            if ids[v] in ends:
+                node[a], reach[a], gain[a], dp[a] = v, r, g, d
+                a += 1
+            free[v] = a
+        self._node = array("q", node)
+        self._scan = array("q", sorted(range(slots), key=lambda s: ids[node[s]]))
+        self._gain0, self._dp0, self.reach = _pristine(gain), _pristine(dp), _pristine(reach)
+        self._covered0, self._count0, self._spent0 = cells[0], solo[0] + len(cells[0]), price[0]
 
     def copy(self):
-        """A growth in this one's state, sharing its read-only indexes."""
-        other = object.__new__(_PathGrowth)
+        """A growth from the root alone, in fresh lists; the set-up it reads
+        is shared and never written."""
+        other = object.__new__(type(self))
         vars(other).update(vars(self))
-        other.gain, other.dp = dict(self.gain), dict(self.dp)
-        other.selected, other.covered = set(self.selected), set(self.covered)
+        other.gain, other.dp = list(self._gain0), list(self._dp0)
+        other.covered, other._sel = set(self._covered0), {0}
+        other.count, other.spent = self._count0, self._spent0
         return other
 
-    def take(self, k):
-        """Add path ``k`` to the set and pay its incremental price. The set
-        holds every ancestor of its nodes, so the path's unselected nodes are
-        those from ``k`` up to the first selected one."""
-        gain, dp, covered, selected = self.gain, self.dp, self.covered, self.selected
-        order, span = self._order, self._span
-        self.spent += dp[k]
-        lost = {}
-        u = k
+    @property
+    def selected(self):
+        """The ids of the selected nodes."""
+        ids = self._ids
+        return {ids[i] for i in self._sel}
+
+    def take(self, s):
+        """Add the path of slot ``s`` to the set, pay its incremental price
+        and return its newly selected nodes, from its end up. The set holds
+        every ancestor of its nodes, so those are the nodes from the slot's
+        end up to the first selected one. They are added from the top down:
+        when a node's turn comes its ancestors are covered, so its cells
+        less the covered ones are its new cells less them."""
+        gain, dp, covered, selected = self.gain, self.dp, self.covered, self._sel
+        up, lo, hi, price, solo, cells = (
+            self._up, self._lo, self._hi, self._price, self._solo, self._cells)
+        holders = self._holders
+        self.spent += dp[s]
+        path = []
+        u = self._node[s]
         while u not in selected:
-            selected.add(u)
-            price = self.prices[u]
-            for j in order[span[u]]:
-                dp[j] -= price
-            fresh = self._new_cells[u] - covered
-            n = self._solo[u] + len(fresh)
+            path.append(u)
+            u = up[u]
+        selected.update(path)
+        lost = {}
+        for u in reversed(path):
+            p = price[u]
+            if p:
+                for j in range(lo[u], hi[u]):
+                    dp[j] -= p
+            fresh = cells[u] - covered
+            n = solo[u] + len(fresh)
             if n:
                 self.count += n
                 lost[u] = lost.get(u, 0) + n
             if fresh:
                 covered |= fresh
-                for c in fresh & self._shared:
-                    for h in self._holders[c]:
+                for c in fresh & holders.keys():
+                    for h in holders[c]:
                         if h != u:
                             lost[h] = lost.get(h, 0) + 1
-            u = self.parent[u]
         for h, n in lost.items():
-            for j in order[span[h]]:
+            for j in range(lo[h], hi[h]):
                 gain[j] -= n
+        return path
 
 
-def _grow_paths(growth, ends, b, num, den):
-    """Grow ``growth`` within ``b`` cents by whole paths to ``ends``, given
-    in ascending id. Each step takes, of the paths that fit the room left,
-    the largest exact ratio ``num[k] / den[k]`` of the live scores, by
-    integer cross-multiplication: a zero ``den`` ranks first, by ``num``, and
-    ties go to the smallest id. A take drops from the pool every end it
-    selects; the growth stops when no path fits. A take raises ``spent`` by
-    ``dp[pick]`` and lowers no ``dp[k]`` by more, so ``dp[k] + spent`` never
-    falls: a path that does not fit now never will."""
-    dp, parent, selected = growth.dp, growth.parent, growth.selected
-    pool = dict.fromkeys(ends)
+def _grow_paths(growth, b, num, den):
+    """Grow ``growth`` within ``b`` cents by whole paths to its ends. Each
+    step takes, of the paths that fit the room left, the largest exact ratio
+    ``num[s] / den[s]`` of the live scores, by integer cross-multiplication:
+    a zero ``den`` ranks first, by ``num``, and ties go to the smallest id,
+    as the slots are scanned in ascending id of their ends. A take drops
+    from the pool every end it selects; the growth stops when no path fits.
+    A take raises ``spent`` by ``dp[pick]`` and lowers no ``dp[s]`` by more,
+    so ``dp[s] + spent`` never falls: a path that does not fit now never
+    will."""
+    dp, lo, node = growth.dp, growth._lo, growth._node
+    pool = dict.fromkeys(growth._scan)
     while True:
         room = b - growth.spent
         pick, bn, bd = None, -1, 1  # -1/1 ranks below every ratio
@@ -448,11 +484,9 @@ def _grow_paths(growth, ends, b, num, den):
                 pick, bn, bd = k, n, d
         if pick is None:
             return
-        u = pick
-        while u not in selected:
-            pool.pop(u, None)
-            u = parent[u]
-        growth.take(pick)
+        for u in growth.take(pick):
+            if node[lo[u]] == u:
+                del pool[lo[u]]
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +630,23 @@ def find_center_two_bfs(sub: Subgraph) -> CenterResult:
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     """Layerwise BFS tree from ``root``; the root is never a leaf, so a
-    one-node component has none."""
+    one-node component has none. On a component of three or more members the
+    tree is kept in ``sub.trees``, so a repeat call returns it, with its path
+    set-ups, and runs no BFS; the tree from the root of the component search
+    is that search's parent map (``sub.parent``)."""
     if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
         leaves = tuple(u for u in sub.members if u != root)
         return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
                        leaves=leaves, component=sub)
-    parent = bfs(sub.graph.adjacency, root)[0]
-    inner = set(parent.values())
-    leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
-    return BfsTree(root=root, parent=parent, leaves=leaves, component=sub)
+    tree = sub.trees.get(root)
+    if tree is None:
+        parent = sub.parent
+        if parent is None or next(iter(parent)) != root:
+            parent = bfs(sub.graph.adjacency, root)[0]
+        inner = set(parent.values())
+        leaves = tuple(sorted(u for u in itertools.islice(parent, 1, None) if u not in inner))
+        tree = sub.trees[root] = BfsTree(root=root, parent=parent, leaves=leaves, component=sub)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +666,9 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
 
     Both flags run :func:`_grow_paths` over the leaves, on the exact scores
     of :class:`_PathGrowth`: ``"ratio"`` as ``gain / dp``, ``"coverage"`` as
-    ``gain`` over a unit denominator. Both start from a copy of the tree's
-    path set-up, built once per tree; a tree of one or two nodes needs none
-    (:func:`_small_growth`).
+    ``gain`` over a unit denominator. Both grow a copy of the tree's path
+    set-up, built once per tree and kept with it; a tree of one or two nodes
+    needs none (:func:`_small_growth`).
     """
     if flag not in ("ratio", "coverage"):
         raise ValueError(f"flag must be 'ratio' or 'coverage', got {flag!r}")
@@ -639,8 +681,8 @@ def budgeted_greedy(tree: BfsTree, budget_cents: int, flag: str) -> tuple[set[st
         return _small_growth(tuple(tree.parent), tree.root, _market_of(graph)._split,
                              graph.prices, budget_cents)
     growth = tree._growth.copy()
-    den = growth.dp if flag == "ratio" else dict.fromkeys(tree.leaves, 1)
-    _grow_paths(growth, tree.leaves, budget_cents, growth.gain, den)
+    den = growth.dp if flag == "ratio" else [1] * len(growth.dp)
+    _grow_paths(growth, budget_cents, growth.gain, den)
     return growth.selected, growth.count, growth.spent
 
 
@@ -688,7 +730,8 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     candidate; each step selects, among the paths whose incremental price
     still fits, the one maximizing average coverage per path node (``mc``) or
     average marginal gain per path node (``mg``), and never a path already
-    selected (:func:`_grow_paths`).
+    selected (:func:`_grow_paths`). Both variants grow a copy of one path
+    set-up per tree, kept with it (``BfsTree._node_paths``).
     """
     if variant not in ("mc", "mg"):
         raise ValueError(f"unknown cmc variant {variant!r}")
@@ -704,12 +747,9 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         if len(members) <= 2:
             best = _offer(best, *_small_growth(members, root, split, prices, b))
             continue
-        growth = _PathGrowth(sub.parent, split, prices, set(members[1:]))
-        depth = {root: 0}
-        for v, u in itertools.islice(sub.parent.items(), 1, None):
-            depth[v] = depth[u] + 1
-        _grow_paths(growth, members[1:], b, growth.gain if variant == "mg" else growth.reach,
-                    depth)
+        setup, depth = build_bfs_tree(sub, root)._node_paths
+        growth = setup.copy()
+        _grow_paths(growth, b, growth.gain if variant == "mg" else growth.reach, depth)
         best = _offer(best, growth.selected, growth.count, growth.spent)
     return _solution(label, best)
 

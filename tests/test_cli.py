@@ -211,6 +211,20 @@ def test_pricing_config_key_is_usage_error_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def _count_component_searches(monkeypatch):
+    """Record the delta of the graph of every component search from now on,
+    wherever the library binds ``connected_components``."""
+    import bmcc.graph
+    import bmcc.solvers
+
+    searched = []
+    search = bmcc.graph.connected_components
+    for module in (bmcc.graph, bmcc.solvers):
+        monkeypatch.setattr(module, "connected_components",
+                            lambda graph: searched.append(graph.delta) or search(graph))
+    return searched
+
+
 class TestSolve:
     def test_exact_dominates_dsa_and_exit_zero(self, tmp_path, capsys, example2_catalog):
         out_json = tmp_path / "report.json"
@@ -223,6 +237,18 @@ class TestSolve:
         assert by_algo["exact"]["coverage"] >= by_algo["dsa"]["coverage"]
         assert all(e["verified"] for e in payload["solutions"])
         assert by_algo["exact"]["selected"] == ["d1", "d2", "d4"]
+
+    @pytest.mark.parametrize("command", ["solve", "build-graph"])
+    def test_one_component_search_per_graph(self, capsys, monkeypatch, example2_catalog,
+                                            command):
+        """The graph stats and every solve on the graph share one component
+        search: every dataset fits, so no solve restricts the graph."""
+        searched = _count_component_searches(monkeypatch)
+        argv = ["--delta", "2"]
+        if command == "solve":
+            argv += ["--solvers", "dsa,dpsa,dpsa-ba,cmc-mc,cmc-mg", "--budget-ratio", "1"]
+        assert run(capsys, command, example2_catalog, *argv)[0] == 0
+        assert searched == [2.0]
 
     def test_budget_ratio_zero_reports_below_minimum(self, tmp_path, capsys,
                                                      example2_catalog):
@@ -557,6 +583,15 @@ class TestBench:
         cols = [rows[0].index(c) for c in ("delta", "budget_ratio", "budget")]
         assert [[r[i] for i in cols] for r in rows[1:]] == [
             ["10.0", "-", "5.00"], ["10.0", "-", "10.00"]]
+
+    def test_one_component_search_per_graph(self, tmp_path, capsys, monkeypatch,
+                                            small_points):
+        searched = _count_component_searches(monkeypatch)
+        code, _, _ = run(capsys, "bench", small_points, "--solvers", "dpsa,dpsa-ba,cmc-mc,cmc-mg",
+                         "--theta", "7", "--delta", "5,10", "--budget-ratio", "1",
+                         "--out", str(tmp_path / "bench.tsv"))
+        assert code == 0
+        assert searched == [5.0, 10.0]
 
     def test_sweep_builds_each_catalog_and_graph_once(self, tmp_path, capsys, monkeypatch,
                                                       small_points):

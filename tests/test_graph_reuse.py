@@ -1,25 +1,38 @@
 """Reuse across solves on one query graph.
 
 A solve prepares what depends on the graph alone once per graph object: its
-components (``bmcc.solvers._components``, keyed weakly by the graph) and, on
-each component, the result of each center search (``Subgraph.centers``).
+components (``bmcc.graph._components``, keyed weakly by the graph) and, on
+each component, the result of each center search (``Subgraph.centers``) and
+each BFS tree with its path set-ups (``Subgraph.trees``).
 These tests check that a solve on a graph solved before, at other budgets,
-answers exactly as one on a freshly built graph; that the reuse keeps no
-graph alive; that a repeat center search runs no BFS; and that two threads
-solving one shared graph at once get the single-thread answers.
+answers exactly as one on a freshly built graph; that no solve writes to
+what is kept; that the reuse keeps no graph alive; that a repeat center
+search or tree runs no BFS; that what is kept per tree node stays small; and
+that two threads solving one shared graph at once get the single-thread
+answers.
 """
 
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
+from array import array
 
 import pytest
 
+import bmcc.graph as graph_module
 import bmcc.solvers as solvers
 from bmcc.graph import DatasetGraph, Subgraph, build_graph_indexed, connected_components
 from bmcc.marketplace import cents_to_decimal
-from bmcc.solvers import CenterResult, find_center_exact, find_center_two_bfs, solve
+from bmcc.solvers import (
+    CenterResult,
+    budgeted_greedy,
+    build_bfs_tree,
+    find_center_exact,
+    find_center_two_bfs,
+    solve,
+)
 
 from test_solvers_differential import DELTAS, budgets, differential_market
 
@@ -45,7 +58,7 @@ def _solve_all(market, graph, delta, cents_list):
 def _assert_cached_equals_fresh(market, delta, warm_cents, cents_list):
     graph = build_graph_indexed(market, delta)
     _solve_all(market, graph, delta, warm_cents)
-    assert graph in solvers._COMPONENTS
+    assert graph in graph_module._COMPONENTS
     for cents in cents_list:
         for label in LABELS:
             budget = cents_to_decimal(cents)
@@ -68,9 +81,110 @@ def test_cached_answers_equal_fresh_ones_on_synth1000(synth_giant):
     _assert_cached_equals_fresh(market, 10, fits, fits + [market.total_price_cents // 10])
 
 
+def _plain(value):
+    """``value`` with every list, tuple, array and dict copied, recursively."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, array)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _kept(graph):
+    """A deep copy of every tree kept on the graph's components and of the
+    path set-ups kept with each, and the set-up objects themselves."""
+    copies, objects = [], []
+    for sub in graph_module._components(graph):
+        for root, tree in sub.trees.items():
+            setups = {name: vars(tree)[name] for name in ("_growth", "_node_paths")
+                      if name in vars(tree)}
+            objects += setups.values()
+            copies.append((sub.members, root, _plain(tree.parent), tree.leaves,
+                           {name: _plain(vars(setup) if name == "_growth" else
+                                         (vars(setup[0]), setup[1]))
+                            for name, setup in setups.items()}))
+    return copies, objects
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_setups_are_unchanged_by_solves_at_any_budget(seed):
+    """Solve one graph at budgets up and then down, some of which restrict
+    it: one below the price of a kept tree's root, and one below every
+    price. Every answer is the fresh graph's, and after the first solve
+    that keeps them, no tree or set-up is added, rebuilt or written."""
+    market = differential_market(seed, "table")
+    graph = build_graph_indexed(market, 10.0)
+    prices = sorted(graph.prices.values())
+    every, total = prices[-1], market.total_price_cents
+    giant = max(graph_module._components(graph), key=len)
+    assert len(giant) >= 3
+    _solve_all(market, graph, 10.0, [every])
+    before, objects = _kept(graph)
+    root = build_bfs_tree(giant, find_center_exact(giant).center).root
+    assert root in giant.trees and before
+    below_root = graph.prices[root] - 1
+    ups = [every, every + 1, 2 * every, total // 2, total]
+    sequence = [prices[0] - 1, below_root, prices[len(prices) // 2], *ups, *ups[::-1],
+                below_root, every]
+    for cents in sequence:
+        for label in LABELS:
+            budget = cents_to_decimal(cents)
+            fresh = build_graph_indexed(market, 10.0)
+            assert solve(label, market, budget, 10.0, graph=graph) == \
+                solve(label, market, budget, 10.0, graph=fresh), (label, cents)
+        for flag in ("ratio", "coverage"):
+            assert budgeted_greedy(giant.trees[root], below_root, flag) == (set(), 0, 0)
+    after, kept_objects = _kept(graph)
+    assert after == before
+    assert len(kept_objects) == len(objects)
+    assert all(a is b for a, b in zip(kept_objects, objects))
+
+
+# Bytes that solving synth1000's query graph with all five solvers keeps on
+# its components, per node of a kept BFS tree, measured by tracemalloc: the
+# trees, their path set-ups and the center results. The integer-slot layout
+# kept 165 bytes per node when pinned (Python 3.11.7); the same trees kept
+# with set-ups of id-keyed dicts and slice objects came to 314, and one more
+# id -> node dict per set-up comes to 206. The gate allows 10% over the pin,
+# so even that one dict fails it.
+KEPT_BYTES_PER_TREE_NODE = 165
+
+
+def test_what_solves_keep_per_tree_node_stays_small(synth_giant):
+    market = synth_giant.graph.market
+    graph = build_graph_indexed(market, 10)
+    budget = cents_to_decimal(max(graph.prices.values()))
+    components = graph_module._components(graph)
+    market._split  # the catalog's cell split, built once per catalog
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for label in LABELS:
+            solve(label, market, budget, 10, graph=graph)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(tree.parent) for sub in components for tree in sub.trees.values())
+    assert nodes > 2 * len(synth_giant)
+    assert kept / nodes <= 1.1 * KEPT_BYTES_PER_TREE_NODE, kept / nodes
+
+
+def test_the_tree_of_the_component_search_runs_no_bfs(synth_giant, monkeypatch):
+    calls = _counting_bfs(monkeypatch)
+    tree = build_bfs_tree(synth_giant, synth_giant.members[0])
+    assert calls == [] and tree.parent is synth_giant.parent
+    center = find_center_exact(synth_giant).center
+    del calls[:]
+    first = build_bfs_tree(synth_giant, center)
+    assert calls == [center]
+    assert build_bfs_tree(synth_giant, center) is first and calls == [center]
+    assert synth_giant.trees == {synth_giant.members[0]: tree, center: first}
+
+
 def _live_entries():
     gc.collect()
-    return len(solvers._COMPONENTS)
+    return len(graph_module._COMPONENTS)
 
 
 def test_a_solved_graph_leaves_no_entry():
@@ -80,9 +194,9 @@ def test_a_solved_graph_leaves_no_entry():
     base = _live_entries()
     _solve_all(market, graph, 10.0, [some])
     # each solve's restricted candidate graph died with its solve
-    assert graph not in solvers._COMPONENTS and _live_entries() == base
+    assert graph not in graph_module._COMPONENTS and _live_entries() == base
     _solve_all(market, graph, 10.0, [every])
-    assert graph in solvers._COMPONENTS and _live_entries() == base + 1
+    assert graph in graph_module._COMPONENTS and _live_entries() == base + 1
     alive = weakref.ref(graph)
     del graph
     assert _live_entries() == base
@@ -132,19 +246,20 @@ def test_the_two_searches_keep_separate_results(order):
     assert {name: search(fresh) for name, search in searches.items()} == want
 
 
-def test_a_repeat_dpsa_solve_runs_only_its_tree_searches(synth_giant, monkeypatch):
-    """A second ``dpsa`` solve on a graph reuses its components and centers:
-    the only BFS runs left are one tree per component of three or more."""
+@pytest.mark.parametrize("label", ["dpsa", "dpsa-ba"])
+def test_a_repeat_dpsa_solve_runs_no_bfs(synth_giant, monkeypatch, label):
+    """A second ``dpsa`` solve on a graph reuses its components, centers and
+    BFS trees, so it runs no BFS at all."""
     market = synth_giant.graph.market
     graph = build_graph_indexed(market, 10)
     budget = cents_to_decimal(max(market.price_cents(d) for d in market.ids))
     calls = _counting_bfs(monkeypatch)
-    first = solve("dpsa", market, budget, 10, graph=graph)
+    first = solve(label, market, budget, 10, graph=graph)
     trees = [sub for sub in connected_components(graph) if len(sub) >= 3]
     assert len(calls) > len(trees)
     del calls[:]
-    assert solve("dpsa", market, budget, 10, graph=graph) == first
-    assert len(calls) == len(trees)
+    assert solve(label, market, budget, 10, graph=graph) == first
+    assert calls == []
 
 
 def test_two_threads_solving_one_graph_get_the_single_thread_answers(synth_giant):

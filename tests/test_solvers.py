@@ -36,6 +36,7 @@ from bmcc.solvers import (
     _ratio_key,
 )
 
+from test_solvers_differential import differential_market
 from conftest import (
     floyd_warshall,
     make_market,
@@ -202,16 +203,16 @@ class TestBudgetedGreedy:
         taken = []
 
         class Recording(_PathGrowth):
-            def take(self, k):
-                taken.append(k)
-                super().take(k)
+            def take(self, s):
+                taken.append(_slot_ids(self)[s])
+                return super().take(s)
 
         parent = {"root": None, **{leaf: "root" for leaf, _, _ in scored}}
         solo = {"root": 0, **{leaf: g for leaf, g, _ in scored}}
         prices = {"root": 0, **{leaf: p for leaf, _, p in scored}}
         growth = Recording(parent, (solo, dict.fromkeys(parent, frozenset())), prices,
-                           set(solo) - {"root"})
-        _grow_paths(growth, sorted(growth.gain), sum(prices.values()), growth.gain, growth.dp)
+                           set(solo) - {"root"}).copy()
+        _grow_paths(growth, sum(prices.values()), growth.gain, growth.dp)
         return taken
 
     def test_zero_cost_paths_rank_first(self):
@@ -377,7 +378,43 @@ class TestPathSetup:
         affordable = graph.restricted(d for d, p in graph.prices.items() if p <= cents)
         roots = [sub.members[0] for sub in connected_components(affordable) if len(sub) >= 3]
         assert len(roots) == SYNTH_CMC_PATH_SETUPS
-        assert built == roots + roots
+        # every dataset fits, so the candidate graph is the query graph: mg
+        # grows a copy of the set-up that mc built and kept on it
+        assert affordable.adjacency == graph.adjacency
+        assert built == roots
+
+    def test_cmc_builds_its_setups_afresh_on_a_restricted_graph(self, monkeypatch):
+        """Below the largest price each solve restricts the graph afresh, so
+        each builds its own set-ups, and keeps none beyond its solve."""
+        graph = build_graph_indexed(differential_market(0, "table"), 10)
+        cents = sorted(graph.prices.values())[len(graph.prices) * 3 // 4]
+        built = _count_path_setups(monkeypatch)
+        for variant in ("mc", "mg"):
+            solve_cmc(graph.market, cents_to_decimal(cents), 10, variant=variant, graph=graph)
+        affordable = graph.restricted(d for d, p in graph.prices.items() if p <= cents)
+        roots = [sub.members[0] for sub in connected_components(affordable) if len(sub) >= 3]
+        assert roots and built == roots + roots
+
+
+    @pytest.mark.parametrize("label", ["dpsa", "dpsa-ba", "cmc-mc", "cmc-mg"])
+    def test_path_prices_beyond_64_bits_match_reference(self, label):
+        """A set-up keeps its sums in int64 arrays, or in tuples when a sum
+        overflows: a chain priced at 10**17 a dataset has path prices past
+        2**63 cents, and must still solve as the reference does."""
+        ids = [f"d{i}" for i in range(6)]
+        m = make_market({d: [(i, 0), (i, 1)] for i, d in enumerate(ids)}, theta=3,
+                        prices={d: 10 ** 17 + i for i, d in enumerate(ids)})
+        graph = _graph_of(m, 1)
+        sub = connected_components(graph)[0]
+        setup = build_bfs_tree(sub, find_center_exact(sub).center)._growth
+        assert max(setup._dp0) > 2 ** 63 and type(setup._dp0) is tuple
+        reference, kwargs = TestTinyComponents.REFERENCE[label]
+        for cents in (3 * 10 ** 19, 5 * 10 ** 19, m.total_price_cents):
+            budget = cents_to_decimal(cents)
+            got = solve(label, m, budget, 1, graph=graph)
+            want = reference(m, budget, 1, graph=graph, **kwargs)
+            assert (got.selected, got.coverage, got.total_price_cents) == \
+                (want.selected, want.coverage, want.total_price_cents), cents
 
 
 def _hand_tree():
@@ -401,6 +438,17 @@ def _random_tree(rng, n, universe):
              for v in parent}
     prices = {v: int(rng.integers(0, 4)) for v in parent}
     return parent, cells, prices
+
+
+def _slot_ids(growth):
+    """The id of each slot's end: the id view of a growth's slot lists."""
+    return [growth._ids[v] for v in growth._node]
+
+
+def _id_view(growth, values):
+    """A growth's per-slot ``values`` (``gain``, ``dp`` or ``reach``), keyed by
+    the id of each slot's end."""
+    return dict(zip(_slot_ids(growth), values))
 
 
 def _path_below_root(parent, k):
@@ -442,13 +490,14 @@ class TestPathGrowthInvariants:
         assert growth.covered == covered & set().union(*split[1].values())
         assert growth.count == len(covered)
         assert growth.spent == sum(prices[u] for u in growth.selected)
-        assert growth.gain.keys() == growth.dp.keys() == growth.reach.keys() == paths.keys()
+        gain, dp, reach = (_id_view(growth, v) for v in (growth.gain, growth.dp, growth.reach))
+        assert gain.keys() == dp.keys() == reach.keys() == paths.keys()
+        assert len(growth.gain) == len(growth.dp) == len(growth.reach) == len(paths)
         for k, nodes in paths.items():
             path_cells = set().union(*(cells_map[u] for u in nodes))
-            assert growth.reach[k] == len(path_cells), k
-            assert growth.gain[k] == len(path_cells - covered), k
-            assert growth.dp[k] == sum(prices[u] for u in nodes
-                                       if u not in growth.selected), k
+            assert reach[k] == len(path_cells), k
+            assert gain[k] == len(path_cells - covered), k
+            assert dp[k] == sum(prices[u] for u in nodes if u not in growth.selected), k
 
     def grow(self, parent, cells_map, prices, rng, split=None):
         split = split or (dict.fromkeys(cells_map, 0), cells_map)
@@ -456,15 +505,19 @@ class TestPathGrowthInvariants:
         below_root = list(parent)[1:]
         for ends in ({v for v in below_root if v not in inner}, set(below_root)):
             paths = {k: _path_below_root(parent, k) for k in ends}
-            growth = _PathGrowth(parent, split, prices, ends)
+            growth = _PathGrowth(parent, split, prices, ends).copy()
+            slot = {k: s for s, k in enumerate(_slot_ids(growth))}
             self.check(growth, cells_map, split, prices, paths)
             for k in rng.permutation(sorted(ends)).tolist():
-                before = {j: growth.dp[j] + growth.spent for j in ends}
-                growth.take(k)
+                selected = growth.selected
+                before = {j: d + growth.spent for j, d in _id_view(growth, growth.dp).items()}
+                newly = growth.take(slot[k])
+                assert {growth._ids[v] for v in newly} == growth.selected - selected, k
                 self.check(growth, cells_map, split, prices, paths)
                 # a take lowers no dp by more than it spends, so a path that
                 # does not fit the room left never fits later (_grow_paths)
-                assert all(growth.dp[j] + growth.spent >= before[j] for j in ends), k
+                after = _id_view(growth, growth.dp)
+                assert all(after[j] + growth.spent >= before[j] for j in ends), k
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_tree(self, seed):
@@ -692,11 +745,12 @@ class TestCmc:
         taken, repeated = [], []
         take = solvers._PathGrowth.take
 
-        def checked_take(self, k):
-            taken.append(k)
-            if k in self.selected:
-                repeated.append(k)
-            take(self, k)
+        def checked_take(self, s):
+            end = _slot_ids(self)[s]
+            taken.append(end)
+            if end in self.selected:
+                repeated.append(end)
+            return take(self, s)
 
         monkeypatch.setattr(solvers._PathGrowth, "take", checked_take)
         budget = cents_to_decimal(graph.market.total_price_cents // 10)
