@@ -6,6 +6,7 @@ Usage-based pricing charges one unit per covered cell, matching the default
 used throughout the benchmark harness.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -161,11 +162,7 @@ class Marketplace:
     def __len__(self):
         return len(self.ids)
 
-    @cached_property  # lazy: loading, saving and graph building never read it
-    def _slices(self) -> dict[str, slice]:  # id -> its rows of cells
-        return dict(zip(self.ids, map(slice, self.starts[:-1].tolist(), self.starts[1:].tolist())))
-
-    @cached_property  # lazy like _slices: only solves read it
+    @cached_property  # lazy: only solves read it
     def _split(self) -> tuple[dict[str, int], dict[str, frozenset[int]]]:
         """``(solo, shared)``: ``solo[id]`` counts the dataset's cells that no
         other dataset holds, ``shared[id]`` is the frozenset of its others (one
@@ -183,11 +180,12 @@ class Marketplace:
         return dict(zip(self.ids, (sizes - n_shared).tolist())), shared
 
     def dataset(self, dataset_id: str) -> CellBasedDataset:
-        """A view of the dataset's slice of ``cells``, read-only like it."""
-        rows = self._slices.get(dataset_id)
-        if rows is None:
+        """A read-only view of its rows of ``cells``, found by bisecting the sorted ``ids``."""
+        if dataset_id not in self._price_cents:
             raise UnknownDatasetError(dataset_id)
-        return CellBasedDataset._unchecked(dataset_id, self.cells[rows], self.grid)
+        j = bisect.bisect_left(self.ids, dataset_id)
+        rows = self.cells[self.starts[j]:self.starts[j + 1]]
+        return CellBasedDataset._unchecked(dataset_id, rows, self.grid)
 
     def price_cents(self, dataset_id: str) -> int:
         price = self._price_cents.get(dataset_id)

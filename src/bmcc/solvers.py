@@ -629,11 +629,13 @@ def find_center_two_bfs(sub: Subgraph) -> CenterResult:
 
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
-    """Layerwise BFS tree from ``root``; the root is never a leaf, so a
-    one-node component has none. On a component of three or more members the
-    tree is kept in ``sub.trees``, so a repeat call returns it, with its path
-    set-ups, and runs no BFS; the tree from the root of the component search
-    is that search's parent map (``sub.parent``)."""
+    """Layerwise BFS tree from ``root``, a member of ``sub`` (else ValueError);
+    the root is never a leaf, so a one-node component has none. On a component
+    of three or more members the tree is kept in ``sub.trees``, so a repeat
+    call returns it, with its path set-ups, and runs no BFS; the tree from the
+    root of the component search is that search's parent map (``sub.parent``)."""
+    if root not in sub.trees and root not in sub.members:  # only a kept tree skips the scan
+        raise ValueError(f"root {root!r} is not a member of the component")
     if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
         leaves = tuple(u for u in sub.members if u != root)
         return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
@@ -810,8 +812,8 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
 
 
 def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> VerificationReport:
-    """Recompute price, connectivity and coverage (the distinct values of the
-    catalog's cell array in the selected slices) of a solution from scratch.
+    """Recompute price, connectivity and coverage (the distinct cells of the
+    selected datasets' rows, read by ``market.dataset``) of a solution from scratch.
     An id the graph lacks, one selected twice or a graph with no catalog is refused."""
     for did, times in collections.Counter(solution.selected).items():
         if did not in graph.adjacency:
@@ -828,7 +830,7 @@ def verify_solution(graph: DatasetGraph, solution: Solution, budget) -> Verifica
         connected = len(reached) == len(solution.selected)
     market = _market_of(graph)
     cells = np.sort(np.concatenate(
-        [market.cells[:0], *(market.cells[market._slices[d]] for d in solution.selected)]))
+        [market.cells[:0], *(market.dataset(d).cells for d in solution.selected)]))
     coverage = int(cells.size - np.count_nonzero(cells[1:] == cells[:-1]))
     return VerificationReport(
         within_budget=price <= b,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import bmcc.solvers as solvers
 import reference_solvers as ref
-from bmcc.graph import bfs, build_graph_indexed, build_graph_naive, connected_components
+from bmcc.graph import Subgraph, bfs, build_graph_indexed, build_graph_naive, connected_components
 from bmcc.grid import CellBasedDataset, CellRangeError, GridConfig, GridError
 from bmcc.marketplace import Marketplace, MarketplaceError, PricingFunction, cents_to_decimal
 from bmcc.solvers import (
@@ -194,6 +194,25 @@ class TestBudgetedGreedy:
         for v, u in list(tree.parent.items())[1:]:
             depth[v] = depth[u] + 1
         assert max(depth.values()) == res.radius
+
+    def test_root_outside_the_component_is_refused(self):
+        """A root of another component, or one the graph lacks, would give a
+        tree that is not the component's; it is refused before anything is
+        built or kept, on the closed form of a pair and on a tree to build."""
+        m = make_market({f"d{i}": [(i + i // 3, 0)] for i in range(6)}, theta=4)
+        graph = _graph_of(m, 1)
+        a, b = connected_components(graph)
+        assert (a.members, b.members) == (("d0", "d1", "d2"), ("d3", "d4", "d5"))
+        kept = build_bfs_tree(a, "d1")
+        pair = Subgraph(("d0", "d1"), graph)
+        for sub, root in [(a, "d4"), (a, "zz"), (pair, "d5"), (pair, "d2"), (pair, "zz")]:
+            before = dict(sub.trees)
+            with pytest.raises(ValueError, match=f"root '{root}' is not a member"):
+                build_bfs_tree(sub, root)
+            assert sub.trees == before
+        assert a.trees == {"d1": kept} and pair.trees == {}
+        assert budgeted_greedy(build_bfs_tree(a, "d1"), 1000, "coverage") == \
+            ({"d0", "d1", "d2"}, 3, 300)
 
     @staticmethod
     def ratio_takes(scored):
