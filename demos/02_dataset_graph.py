@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Dataset graphs: exact minimum distances, threshold edges, and the
 indexed construction matching the naive one bit for bit. The index is a tree
-of integer bounding boxes (``build_ball_tree``); the walk prunes and accepts
-node pairs by exact box-gap and far-corner tests, with no rounding margin."""
+of integer bounding boxes (``build_ball_tree``); each dataset's box walks
+down it, pruning and accepting whole the nodes after it by exact box-gap and
+far-corner tests, with no rounding margin."""
 
 import time
 

@@ -4,13 +4,14 @@ Two datasets are directly connected when the minimum Euclidean distance
 between their decoded cell indices is at most the threshold ``delta``; the
 dataset graph has one node per catalog entry and an edge per directly
 connected pair. Construction comes in two flavours with identical output: a
-naive all-pairs evaluation, and a dual-tree walk over a tree of integer
-bounding boxes of the datasets (Gray & Moore, "'N-Body' Problems in
-Statistical Learning", 2000). The walk advances a frontier of node pairs with
-array operations, pruning pairs whose boxes are farther apart than ``delta``
-and accepting whole those whose farthest corners are within it. Both builders
-decide their open dataset pairs (all pairs, for the naive one) with one exact
-kernel and assemble edges with one helper; no distance is cached.
+naive all-pairs evaluation, and a single-tree walk of each dataset's box
+down a tree of integer bounding boxes of the datasets (Gray & Moore,
+"'N-Body' Problems in Statistical Learning", 2000). The walk advances a
+frontier of (leaf, node) pairs with array operations, pruning pairs whose
+boxes are farther apart than ``delta`` and accepting whole those whose
+farthest corners are within it. Both builders decide their open dataset
+pairs (all pairs, for the naive one) with one exact kernel and assemble
+edges with one helper; no distance is cached.
 
 Distances are exact: squared distances, box bounds included, are int64
 arithmetic on cell indices (below 2**63 even at theta=31), and both paths
@@ -200,10 +201,10 @@ def build_graph_naive(market: Marketplace, delta: float) -> DatasetGraph:
 
 
 def _ranges(lo, hi):
-    """Concatenation of ``arange(lo[k], hi[k])`` over k; every range non-empty."""
+    """Concatenation of ``arange(lo[k], hi[k])`` over k; every ``hi[k] >= lo[k]``."""
     counts = hi - lo
     ends = np.cumsum(counts)
-    return np.arange(ends[-1]) - np.repeat(ends - counts - lo, counts)
+    return np.arange(counts.sum()) - np.repeat(ends - counts - lo, counts)
 
 
 def build_ball_tree(market: Marketplace) -> BallTree:
@@ -293,67 +294,53 @@ def _min_sqdist_pairs(cells, starts, ii, jj) -> np.ndarray:
     return out
 
 
-def _datasets_under(tree: BallTree, a, b):
-    """Every dataset pair beneath the node pairs ``(a[k], b[k])``; a self
-    pair ``(a, a)`` yields each unordered pair of its datasets once."""
-    na, nb = tree.end[a] - tree.start[a], tree.end[b] - tree.start[b]
-    counts = na * nb
-    pair = np.repeat(np.arange(a.size), counts)
-    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    p = tree.start[a][pair] + t // nb[pair]
-    q = tree.start[b][pair] + t % nb[pair]
-    keep = (a != b)[pair] | (p < q)
-    return tree.order[p[keep]], tree.order[q[keep]]
+def _datasets_under(tree: BallTree, q, n):
+    """Leaf ``q[k]``'s dataset paired with every dataset beneath node
+    ``n[k]`` that comes after it in ``tree.order``."""
+    first, end = np.maximum(tree.start[n], tree.start[q] + 1), tree.end[n]
+    return np.repeat(tree.order[tree.start[q]], end - first), tree.order[_ranges(first, end)]
 
 
 def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
-    """Dual-tree construction over a box tree; edge set identical to the
+    """Single-tree construction over a box tree; edge set identical to the
     naive path.
 
-    A frontier of node pairs starts at (root, root) and advances as int64
-    array operations; a node's children are ``left`` and ``right = left + 1``.
-    A self pair becomes its (left, left), (left, right) and (right, right)
-    pairs, so every unordered dataset pair is reached once. A
-    pair is pruned when the squared gap between its boxes exceeds the integer
-    threshold, accepted whole when the squared distance between their
-    farthest corners is within it, and otherwise the side with the larger
-    half-perimeter is split, leaves never. Both tests are exact int64, so no
+    Each leaf's box walks down the tree from the root as a frontier of
+    (leaf, node) pairs advanced by int64 array operations. A pair stays only
+    while its node holds a dataset after the leaf's own in ``tree.order``,
+    so every unordered dataset pair is reached once and no leaf meets
+    itself. A pair is pruned when the squared gap between the two boxes
+    exceeds the integer threshold, accepted whole when the squared distance
+    between their farthest corners is within it, and otherwise its node is
+    split into ``left`` and ``left + 1``. Both tests are exact int64, so no
     margin is needed. Leaf boxes are dataset boxes: the leaf pairs left open
     are box-near, and one exact integer kernel decides them together.
     """
     thr = _sq_threshold(delta)
     tree = build_ball_tree(market)
-    (lx, ly), (hx, hy) = tree.lo.T, tree.hi.T
-    size = hx - lx + hy - ly  # half-perimeter
-    left, right = tree.left, tree.left + 1
-    is_leaf = left < 0
-    a = b = np.zeros(1, dtype=np.int64)
+    (lx, ly), (hx, hy) = np.ascontiguousarray(tree.lo.T), np.ascontiguousarray(tree.hi.T)
+    left = tree.left
+    q = np.flatnonzero(left < 0)
+    n = np.zeros_like(q)
     whole, open_leaves = [], []
-    while a.size:
+    while q.size:
         # per axis, the larger offset between facing box faces is the gap if
-        # positive, and the smaller one is minus the span of the far corners
-        ex, fx, ey, fy = lx[a] - hx[b], lx[b] - hx[a], ly[a] - hy[b], ly[b] - hy[a]
+        # positive, and the smaller one is minus the span of the far corners;
+        # a node holding no dataset after the leaf's own counts as far
+        ex, fx, ey, fy = lx[q] - hx[n], lx[n] - hx[q], ly[q] - hy[n], ly[n] - hy[q]
         gx, gy = np.maximum(np.maximum(ex, fx), 0), np.maximum(np.maximum(ey, fy), 0)
         cx, cy = np.minimum(ex, fx), np.minimum(ey, fy)
-        near = gx * gx + gy * gy <= thr
+        near = (gx * gx + gy * gy <= thr) & (tree.end[n] > tree.start[q] + 1)
         inside = near & (cx * cx + cy * cy <= thr)
-        whole.append((a[inside], b[inside]))
-        same = a == b
-        undecided = near & ~inside & ~(same & is_leaf[a])
-        a, b, same = a[undecided], b[undecided], same[undecided]
-        leaves = is_leaf[a] & is_leaf[b]
-        open_leaves.append((a[leaves], b[leaves]))
-        cross = ~same & ~leaves
-        split_a = cross & ~is_leaf[a] & (is_leaf[b] | (size[a] >= size[b]))
-        split_b = cross & ~split_a
-        s, sa, sb = a[same], a[split_a], b[split_b]
-        a = np.concatenate([left[s], left[s], right[s],
-                            left[sa], right[sa], a[split_b], a[split_b]])
-        b = np.concatenate([left[s], right[s], right[s],
-                            b[split_a], b[split_a], left[sb], right[sb]])
+        whole.append((q[inside], n[inside]))
+        undecided = near & ~inside
+        q, n = q[undecided], n[undecided]
+        leaf = left[n] < 0
+        open_leaves.append((q[leaf], n[leaf]))
+        q, n = q[~leaf], left[n[~leaf]]
+        q, n = np.concatenate([q, q]), np.concatenate([n, n + 1])
 
-    la, lb = (np.concatenate(side) for side in zip(*open_leaves))
-    li, lj = tree.order[tree.start[la]], tree.order[tree.start[lb]]
+    li, lj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*open_leaves)))
     close = _min_sqdist_pairs(tree.cells, market.starts, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
     return _graph_from_pairs(market, delta, np.concatenate([li[close], wi]),

@@ -5,7 +5,9 @@ datasets fall in one component, so every solver grows long paths there.
 
 Each solver's coverage, price in cents and a digest of its selected ids were
 recorded before the solvers moved to per-dataset solo counts, and must not
-change."""
+change. So must the graph's edge count at delta 0, 10, 40 and 150 and a
+digest of its delta=10 edge set, recorded with the node-pair tree walk that
+the single-tree walk replaced."""
 
 import hashlib
 
@@ -25,6 +27,11 @@ PINNED = {
     "cmc-mc": (17919, 1796000, 898, "a473b15deeb2517f"),
     "cmc-mg": (17919, 1796000, 899, "cdfe2b9ddbd52584"),
 }
+
+# delta -> number of edges
+PINNED_EDGES = {0: 499, 10: 24586, 40: 51080, 150: 175367}
+# sha256 prefix of the delta=10 edges, one "u v" line per edge with u < v
+PINNED_EDGES_DIGEST = "63e0ab9dbcc6a4fd"
 
 
 def ids_digest(selected):
@@ -47,3 +54,16 @@ def test_giant_market_answers_are_pinned(giant, label):
     assert verify_solution(graph, sol, budget).ok
     got = (sol.coverage, sol.total_price_cents, len(sol.selected), ids_digest(sol.selected))
     assert got == PINNED[label]
+
+
+@pytest.mark.parametrize("delta", PINNED_EDGES)
+def test_giant_market_edge_counts_are_pinned(giant, delta):
+    graph, _ = giant
+    built = graph if delta == 10 else build_graph_indexed(graph.market, delta)
+    assert built.n_edges == PINNED_EDGES[delta]
+
+
+def test_giant_market_edge_set_is_pinned(giant):
+    graph, _ = giant
+    text = "\n".join(f"{u} {v}" for u in graph.nodes for v in graph.adjacency[u] if u < v)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_EDGES_DIGEST

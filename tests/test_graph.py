@@ -449,6 +449,53 @@ class TestDualTreeWalk:
             assert ((gap * gap).sum(axis=1) <= delta * delta).all(), delta
 
 
+@st.composite
+def deep_tree_sets(draw):
+    """``(theta, sets)``: 1 to 60 cell lists on a small grid, some of them
+    repeats of an earlier dataset, subsets of one (a nested box) or its two
+    box corners (an identical box)."""
+    theta = draw(st.integers(2, 8))
+    coord = st.integers(0, (1 << theta) - 1)
+    fresh = st.lists(st.tuples(coord, coord), min_size=1, max_size=6, unique=True)
+    sets = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "subset", "corners"])) if sets else "fresh"
+        if kind == "fresh":
+            cells = draw(fresh)
+        else:
+            base = draw(st.sampled_from(sets))
+            if kind == "repeat":
+                cells = base
+            elif kind == "subset":
+                cells = draw(st.lists(st.sampled_from(base), min_size=1, unique=True))
+            else:
+                xs, ys = zip(*base)
+                cells = [(min(xs), min(ys)), (max(xs), max(ys))]
+        sets.append(sorted(set(cells)))
+    return theta, sets
+
+
+class TestDeepTreeWalk:
+    """Up to 60 datasets build trees deep enough that the walk accepts whole
+    internal nodes holding datasets on both sides of the walking leaf in
+    ``tree.order``; only those after it may pair with it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), drawn=deep_tree_sets())
+    def test_indexed_equals_naive(self, data, drawn):
+        theta, sets = drawn
+        m = make_market({f"d{i:02d}": cells for i, cells in enumerate(sets)}, theta=theta)
+        deltas = [0, complete_graph_delta(m.grid)]
+        if len(sets) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(sets) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            d = math.sqrt(min((ax - bx) ** 2 + (ay - by) ** 2
+                              for ax, ay in sets[i] for bx, by in sets[j]))
+            deltas += [d, math.nextafter(d, 0), math.nextafter(d, math.inf)]
+        delta = data.draw(st.sampled_from(deltas))
+        assert build_graph_indexed(m, delta).adjacency == build_graph_naive(m, delta).adjacency
+
+
 THETA31_MAX = (1 << 31) - 1  # largest cell index at theta=31
 
 
