@@ -92,13 +92,13 @@ class GraphStats:
 @dataclass(eq=False)
 class Subgraph:
     """A maximal connected component, members sorted ascending; ``parent`` is
-    the BFS parent map from ``members[0]`` that found it, kept only for
-    components of three or more members and ``None`` otherwise. On a
-    component of three or more members, ``centers`` keeps the result of each
-    center search, one entry per search (``"exact"``, ``"two_bfs"``), and
-    ``trees`` each BFS tree built on it, keyed by root, with the path set-ups
-    built from that tree: a repeat search, tree or set-up on the same
-    Subgraph runs no BFS and builds nothing."""
+    the BFS parent map from ``members[0]`` that found it (``None`` on a
+    Subgraph built by hand). ``trees`` keeps each BFS tree built on it, keyed
+    by root, with the path set-ups built from that tree, and on a component
+    of three or more members ``centers`` keeps the result of each center
+    search, one entry per search (``"exact"``, ``"two_bfs"``): a repeat
+    search, tree or set-up on the same Subgraph runs no BFS and builds
+    nothing."""
 
     members: tuple[str, ...]
     graph: DatasetGraph
@@ -372,16 +372,15 @@ def bfs(adjacency, root):
 
 def connected_components(graph: DatasetGraph) -> list[Subgraph]:
     """Maximal components via :func:`bfs`, ordered by their smallest member;
-    a component of three or more members keeps the parent map of the search
-    from that member (``solve_cmc`` grows its paths from it)."""
+    each keeps the parent map of the search from that member, the BFS tree
+    rooted there."""
     seen = set()
     components = []
     for root in graph.nodes:
         if root not in seen:
             reached, _ = bfs(graph.adjacency, root)
             seen.update(reached)
-            components.append(Subgraph(tuple(sorted(reached)), graph,
-                                       reached if len(reached) > 2 else None))
+            components.append(Subgraph(tuple(sorted(reached)), graph, reached))
     return components
 
 

@@ -32,8 +32,8 @@ heuristic reads a candidate's coverage (a running count) and price from the
 state that grew it. A component of one or two members has a closed form in :func:`budgeted_greedy`
 and ``cmc`` (:func:`_small_growth`), with no path set-up: every path greedy
 grown from its root takes the other member exactly when the two prices fit
-together. Its double-BFS center and BFS tree take no BFS. A candidate's ids
-are sorted only if it can win (:func:`_offer`).
+together. Its two center searches take no BFS either. A candidate's ids are
+sorted only if it can win (:func:`_offer`).
 
 What depends on the graph alone is prepared once per graph object and reused
 by every later solve on it, at any budget (``bmcc.graph._components``): its
@@ -206,22 +206,26 @@ def _market_of(graph):
     return graph.market
 
 
-def _prepare(market, budget, delta, graph):
+def _prepare(market, budget, delta, graph, cap=None):
     """Common front matter: the budget in cents and the candidate graph, the
     graph induced by the datasets priced within the budget; that is the query
-    graph itself when every dataset fits. No solve writes to it."""
+    graph itself when every dataset fits. No solve writes to it. A given
+    graph must carry ``market``; a catalog above ``cap`` datasets, if given,
+    is refused before any graph is built."""
     b = to_cents(budget)
     if b < 0:
         raise ValueError("budget must be non-negative")
-    if graph is None:
-        graph = build_graph_indexed(market, delta)
-    else:
-        if graph.market is not market:
+    if graph is not None:
+        if _market_of(graph) is not market:
             raise GraphConfigError("graph was built over a different marketplace")
         check_delta(delta)
         if graph.delta != float(delta):
             raise GraphConfigError(
                 f"graph was built at delta={graph.delta}, solve requested {delta}")
+    if cap is not None and len(market) > cap:
+        raise OracleCapError(f"exact oracle capped at {cap} datasets, catalog has {len(market)}")
+    if graph is None:
+        graph = build_graph_indexed(market, delta)
     if max(graph.prices.values(), default=0) <= b:
         return b, graph
     return b, graph.restricted(did for did, price in graph.prices.items() if price <= b)
@@ -630,18 +634,14 @@ def find_center_two_bfs(sub: Subgraph) -> CenterResult:
 
 def build_bfs_tree(sub: Subgraph, root: str) -> BfsTree:
     """Layerwise BFS tree from ``root``, a member of ``sub`` (else ValueError);
-    the root is never a leaf, so a one-node component has none. On a component
-    of three or more members the tree is kept in ``sub.trees``, so a repeat
-    call returns it, with its path set-ups, and runs no BFS; the tree from the
-    root of the component search is that search's parent map (``sub.parent``)."""
-    if root not in sub.trees and root not in sub.members:  # only a kept tree skips the scan
-        raise ValueError(f"root {root!r} is not a member of the component")
-    if len(sub.members) <= 2:  # no BFS: the other member is the one leaf
-        leaves = tuple(u for u in sub.members if u != root)
-        return BfsTree(root=root, parent={root: None, **dict.fromkeys(leaves, root)},
-                       leaves=leaves, component=sub)
+    the root is never a leaf, so a one-node component has none. The tree is
+    kept in ``sub.trees``, so a repeat call returns it, with its path set-ups,
+    and runs no BFS; the tree from the root of the component search is that
+    search's parent map (``sub.parent``)."""
     tree = sub.trees.get(root)
     if tree is None:
+        if root not in sub.members:
+            raise ValueError(f"root {root!r} is not a member of the component")
         parent = sub.parent
         if parent is None or next(iter(parent)) != root:
             parent = bfs(sub.graph.adjacency, root)[0]
@@ -795,10 +795,7 @@ def solve_exact(market: Marketplace, budget, delta, cap: int = ORACLE_CAP,
     candidate graph, each enumerated once (:func:`_connected_sets`); ties
     prefer lower total price, then lexicographically smaller id tuples.
     Refuses catalogs larger than ``cap``."""
-    if len(market) > cap:
-        raise OracleCapError(
-            f"exact oracle capped at {cap} datasets, catalog has {len(market)}")
-    b, candidate = _prepare(market, budget, delta, graph)
+    b, candidate = _prepare(market, budget, delta, graph, cap)
     if not candidate.nodes:
         return _empty_solution("exact")
     best = (0, 0, ())  # the key of the empty set

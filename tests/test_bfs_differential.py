@@ -26,14 +26,11 @@ def _graphs(market, delta):
 
 def _compare_component(sub, ref_sub):
     assert sub.members == ref_sub.members
-    # the search that found the component, kept in visit order for solve_cmc,
-    # which answers components of one or two members without it
+    # the search that found the component, kept in visit order whatever its
+    # size: the BFS tree from its smallest member
     root = sub.members[0]
     want = list(bfs(sub.graph.adjacency, root)[0].items())
-    if len(sub) <= 2:
-        assert sub.parent is None
-    else:
-        assert list(sub.parent.items()) == want
+    assert list(sub.parent.items()) == want
     assert list(ref.build_bfs_tree(ref_sub, root).parent.items()) == want
     got, want = find_center_exact(sub), ref.find_center_exact(ref_sub)
     assert (got.center, got.radius) == (want.center, want.radius)

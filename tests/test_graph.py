@@ -22,6 +22,7 @@ from bmcc.graph import (
 )
 from bmcc.marketplace import Marketplace, PricingFunction
 from bmcc.solvers import (
+    SOLVER_LABELS,
     budgeted_greedy,
     build_bfs_tree,
     complete_graph_delta,
@@ -596,6 +597,13 @@ class TestCellMap:
             tree = build_bfs_tree(sub, sub.members[0])
             with pytest.raises(GraphConfigError, match="no marketplace"):
                 budgeted_greedy(tree, 10 ** 6, "coverage")
+
+    @pytest.mark.parametrize("label", SOLVER_LABELS)
+    def test_every_solver_refuses_a_graph_without_market(self, tmp_path, label):
+        write_adjacency(build_graph_indexed(scattered_market(4, n=24), 2), tmp_path / "g.txt")
+        read = read_adjacency(tmp_path / "g.txt")
+        with pytest.raises(GraphConfigError, match="no marketplace"):
+            solve(label, read.market, 10 ** 6, read.delta, graph=read)
 
 
 class TestThresholdMonotonicity:

@@ -170,6 +170,35 @@ def test_what_solves_keep_per_tree_node_stays_small(synth_giant):
     assert kept / nodes <= 1.1 * KEPT_BYTES_PER_TREE_NODE, kept / nodes
 
 
+# Bytes that one solve with each of the five solvers keeps per component of
+# synth1000's delta=0 graph, where 963 of 965 components have one or two
+# members, measured by tracemalloc from before the component search: each
+# component, the parent map of the search that found it, its BFS trees and
+# its center results. They came to 730-735 bytes when pinned (Python
+# 3.11.7); keeping neither the trees nor the search map of a component of
+# one or two members came to 312. The gate allows 10% over the pin.
+KEPT_BYTES_PER_TINY_COMPONENT = 735
+
+
+def test_what_solves_keep_per_tiny_component_stays_small(synth_giant):
+    market = synth_giant.graph.market
+    graph = build_graph_indexed(market, 0)
+    budget = cents_to_decimal(max(graph.prices.values()))
+    market._split  # the catalog's cell split, built once per catalog
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for label in LABELS:
+            solve(label, market, budget, 0, graph=graph)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    components = graph_module._components(graph)
+    assert sum(len(sub) <= 2 for sub in components) > 0.95 * len(components)
+    assert kept / len(components) <= 1.1 * KEPT_BYTES_PER_TINY_COMPONENT, kept / len(components)
+
+
 def test_the_tree_of_the_component_search_runs_no_bfs(synth_giant, monkeypatch):
     calls = _counting_bfs(monkeypatch)
     tree = build_bfs_tree(synth_giant, synth_giant.members[0])
@@ -180,6 +209,28 @@ def test_the_tree_of_the_component_search_runs_no_bfs(synth_giant, monkeypatch):
     assert calls == [center]
     assert build_bfs_tree(synth_giant, center) is first and calls == [center]
     assert synth_giant.trees == {synth_giant.members[0]: tree, center: first}
+
+
+@pytest.mark.parametrize("label", ["dpsa", "dpsa-ba"])
+def test_tiny_components_keep_their_trees(monkeypatch, label):
+    """At delta=0 most components of a differential market have one or two
+    members. Their BFS trees are kept like any other's: a repeat solve runs
+    no BFS, a repeat tree is the same object, and the tree from the smallest
+    member is the component search's own parent map."""
+    market = differential_market(0, "usage")
+    graph = build_graph_indexed(market, 0.0)
+    budget = cents_to_decimal(max(graph.prices.values()))
+    calls = _counting_bfs(monkeypatch)
+    first = solve(label, market, budget, 0.0, graph=graph)
+    del calls[:]
+    assert solve(label, market, budget, 0.0, graph=graph) == first
+    assert calls == []
+    components = graph_module._components(graph)
+    assert {1, 2} <= {len(sub) for sub in components}
+    for sub in components:
+        assert build_bfs_tree(sub, sub.members[0]).parent is sub.parent
+        for root in sub.members:
+            assert build_bfs_tree(sub, root) is build_bfs_tree(sub, root), (sub.members, root)
 
 
 def _live_entries():
