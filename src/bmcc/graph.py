@@ -296,7 +296,8 @@ def _min_sqdist_pairs(cells, starts, ii, jj) -> np.ndarray:
 
 def _datasets_under(tree: BallTree, q, n):
     """Leaf ``q[k]``'s dataset paired with every dataset beneath node
-    ``n[k]`` that comes after it in ``tree.order``."""
+    ``n[k]`` that comes after it in ``tree.order``: the dataset pairs of the
+    (leaf, node) pairs accepted whole."""
     first, end = np.maximum(tree.start[n], tree.start[q] + 1), tree.end[n]
     return np.repeat(tree.order[tree.start[q]], end - first), tree.order[_ranges(first, end)]
 
@@ -340,7 +341,8 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
         q, n = q[~leaf], left[n[~leaf]]
         q, n = np.concatenate([q, q]), np.concatenate([n, n + 1])
 
-    li, lj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*open_leaves)))
+    oq, on = (np.concatenate(side) for side in zip(*open_leaves))
+    li, lj = tree.order[tree.start[oq]], tree.order[tree.start[on]]  # one dataset each
     close = _min_sqdist_pairs(tree.cells, market.starts, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
     return _graph_from_pairs(market, delta, np.concatenate([li[close], wi]),

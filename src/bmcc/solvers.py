@@ -49,16 +49,19 @@ return exactly what a full rescan would:
 * Both ``dsa`` passes, whose gains only fall, are lazy (Minoux's
   accelerated greedy, also known as CELF): a heap keyed by (-score, id)
   holds stale upper bounds, and only its top entry is rescored before being
-  examined. The ratio pass keys by the int ``-(gain * scale // price)``,
-  ``scale`` the largest candidate price squared: two distinct ratios of
-  positive int prices differ by at least 1 / (p1*p2), so their scaled floors
-  never tie or invert; a free dataset ranks first (:func:`_ratio_key`).
-* Every path pass -- both flags of :func:`budgeted_greedy` (the coverage
-  flag over a unit denominator) and both ``cmc`` variants -- runs one exact
-  scan, :func:`_grow_paths`: a taken path makes every path sharing its nodes
-  cheaper, so a ratio over the incremental path price ``dp`` can rise. The
-  scan skips the paths that do not fit (they never will), drops the ends
-  already selected, and stops at the first step where none fits.
+  examined, unless it has no shared cell or no longer fits. The ratio pass
+  keys by the int ``-(gain * scale // price)``, ``scale`` the largest
+  candidate price squared: two distinct ratios of positive int prices differ
+  by at least 1 / (p1*p2), so their scaled floors never tie or invert; a
+  free dataset ranks first (:func:`_ratio_key`).
+* Both flags of :func:`budgeted_greedy` (the coverage flag over a unit
+  denominator) and ``cmc-mg`` run one exact scan, :func:`_grow_paths`: a
+  taken path makes every path sharing its nodes cheaper, so a ratio over the
+  incremental path price ``dp`` can rise. The scan skips the paths that do
+  not fit (they never will), drops the ends already selected, and stops at
+  the first step where none fits. ``cmc-mc``'s score, a path's distinct
+  cells over its depth, never changes, so it takes its paths in one pass
+  over an order sorted once per tree (:func:`_take_in_order`).
   Each path's gain and ``dp`` are kept exact by an inverted index (cell ->
   nodes) and a DFS preorder of the candidates, in which those below a node
   are one contiguous range of integer slots; taking a path walks up the
@@ -141,7 +144,8 @@ class BfsTree:
     component: ``_growth``, over the leaves, that both flags of
     :func:`budgeted_greedy` grow a copy of, and ``_node_paths``, over every
     node below the root, with the depth of each slot's end, that both
-    ``cmc`` variants grow a copy of. A tree of one or two nodes needs none.
+    ``cmc`` variants grow a copy of; ``_mc_order`` ranks its slots for
+    ``cmc-mc`` (:func:`_take_in_order`). A tree of one or two nodes needs none.
     """
 
     root: str
@@ -164,6 +168,12 @@ class BfsTree:
         for v in range(1, len(depth)):
             depth[v] = depth[growth._up[v]] + 1
         return growth, array("q", [depth[v] for v in growth._node])
+
+    @cached_property
+    def _mc_order(self) -> array:
+        growth, depth = self._node_paths
+        keys = list(map(_ratio_key(depth, 0), growth.reach, depth))
+        return array("q", sorted(growth._scan, key=keys.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -281,16 +291,19 @@ def _lazy_argmax(entries, rescore):
     still sorts at or before the heap top is the exact best remaining one:
     Minoux's accelerated greedy. Ids are the second tuple element, so equal
     scores yield the smallest id first, exactly as a full scan in id order.
+    ``rescore`` returns ``None`` instead of a key when the candidate may be
+    yielded as popped: its stale key is still exact, or the caller drops it
+    whenever it is examined, without changing its state.
     """
     heap = list(entries)
     heapq.heapify(heap)
     while heap:
         cid = heapq.heappop(heap)[1]
-        fresh = (rescore(cid), cid)
-        if not heap or fresh <= heap[0]:
+        key = rescore(cid)
+        if key is None or not heap or (key, cid) <= heap[0]:
             yield cid
         else:
-            heapq.heappush(heap, fresh)
+            heapq.heappush(heap, (key, cid))
 
 
 def _ratio_key(prices, top):
@@ -493,6 +506,21 @@ def _grow_paths(growth, b, num, den):
                 del pool[lo[u]]
 
 
+def _take_in_order(growth, b, order):
+    """Grow ``growth`` within ``b`` cents by taking, in one pass over
+    ``order``, each path whose end is not selected and whose ``dp`` fits the
+    room left. If ``order`` ranks fixed scores, ties in ascending id of the
+    ends (``BfsTree._mc_order``: ``reach / depth`` by :func:`_ratio_key`),
+    each take is :func:`_grow_paths`' pick: a slot passed over is selected,
+    or did not fit and never will."""
+    node, selected, dp = growth._node, growth._sel, growth.dp
+    room = b - growth.spent
+    for s in order:
+        if dp[s] <= room and node[s] not in selected:
+            growth.take(s)
+            room = b - growth.spent
+
+
 # ---------------------------------------------------------------------------
 # DSA: dual greedy over individual datasets
 
@@ -505,6 +533,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     candidate is acceptable only if it keeps the growing set connected and
     within budget. A gain, ``solo + len(shared - covered)``, only falls, so
     both passes run on :func:`_lazy_argmax`, first keyed by coverage.
+    A pop with no shared cell keeps its first gain, and one over the budget
+    left never fits, as ``spent`` only rises: neither is rescored.
     The ratio pass keys by the int ``-(gain * scale // price)``, ``scale =
     max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
     price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
@@ -525,6 +555,8 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
         spent = count = 0
 
         def rescore(did):
+            if not shared[did] or spent + prices[did] > b:
+                return None
             return key(solo[did] + len(shared[did].difference(covered)), prices[did])
 
         # before anything is covered, a dataset's gain is its coverage
@@ -732,8 +764,9 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
     candidate; each step selects, among the paths whose incremental price
     still fits, the one maximizing average coverage per path node (``mc``) or
     average marginal gain per path node (``mg``), and never a path already
-    selected (:func:`_grow_paths`). Both variants grow a copy of one path
-    set-up per tree, kept with it (``BfsTree._node_paths``).
+    selected. Both variants grow a copy of one path set-up per tree, kept
+    with it (``BfsTree._node_paths``): ``mg`` by :func:`_grow_paths`, ``mc``,
+    whose scores never change, by one pass over ``BfsTree._mc_order``.
     """
     if variant not in ("mc", "mg"):
         raise ValueError(f"unknown cmc variant {variant!r}")
@@ -749,9 +782,13 @@ def solve_cmc(market: Marketplace, budget, delta, variant: str = "mg",
         if len(members) <= 2:
             best = _offer(best, *_small_growth(members, root, split, prices, b))
             continue
-        setup, depth = build_bfs_tree(sub, root)._node_paths
+        tree = build_bfs_tree(sub, root)
+        setup, depth = tree._node_paths
         growth = setup.copy()
-        _grow_paths(growth, b, growth.gain if variant == "mg" else growth.reach, depth)
+        if variant == "mg":
+            _grow_paths(growth, b, growth.gain, depth)
+        else:
+            _take_in_order(growth, b, tree._mc_order)
         best = _offer(best, growth.selected, growth.count, growth.spent)
     return _solution(label, best)
 

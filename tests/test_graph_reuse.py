@@ -92,16 +92,18 @@ def _plain(value):
 
 def _kept(graph):
     """A deep copy of every tree kept on the graph's components and of the
-    path set-ups kept with each, and the set-up objects themselves."""
+    path set-ups and ``cmc-mc`` order kept with each, and those objects
+    themselves."""
     copies, objects = [], []
     for sub in graph_module._components(graph):
         for root, tree in sub.trees.items():
-            setups = {name: vars(tree)[name] for name in ("_growth", "_node_paths")
-                      if name in vars(tree)}
+            setups = {name: vars(tree)[name]
+                      for name in ("_growth", "_node_paths", "_mc_order") if name in vars(tree)}
             objects += setups.values()
             copies.append((sub.members, root, _plain(tree.parent), tree.leaves,
                            {name: _plain(vars(setup) if name == "_growth" else
-                                         (vars(setup[0]), setup[1]))
+                                         (vars(setup[0]), setup[1]) if name == "_node_paths"
+                                         else setup)
                             for name, setup in setups.items()}))
     return copies, objects
 
@@ -122,6 +124,7 @@ def test_kept_setups_are_unchanged_by_solves_at_any_budget(seed):
     before, objects = _kept(graph)
     root = build_bfs_tree(giant, find_center_exact(giant).center).root
     assert root in giant.trees and before
+    assert any(type(kept) is array for kept in objects)  # cmc-mc's order
     below_root = graph.prices[root] - 1
     ups = [every, every + 1, 2 * every, total // 2, total]
     sequence = [prices[0] - 1, below_root, prices[len(prices) // 2], *ups, *ups[::-1],
