@@ -39,7 +39,8 @@ What depends on the graph alone is prepared once per graph object and reused
 by every later solve on it, at any budget (``bmcc.graph._components``): its
 components, and on each the result of each center search
 (``Subgraph.centers``) and each BFS tree with its path set-ups
-(``Subgraph.trees``). A graph is a snapshot (:class:`DatasetGraph`). Nothing
+(``Subgraph.trees``); and the order of each ``dsa`` pass's first keys
+(``_DSA_ORDERS``). A graph is a snapshot (:class:`DatasetGraph`). Nothing
 that depends on the budget is kept, and a restricted candidate graph is
 built afresh by each solve, so it gets no reuse.
 
@@ -47,9 +48,10 @@ The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
 
 * Both ``dsa`` passes, whose gains only fall, are lazy (Minoux's
-  accelerated greedy, also known as CELF): a heap keyed by (-score, id)
-  holds stale upper bounds, and only its top entry is rescored before being
-  examined, unless it has no shared cell or no longer fits. The ratio pass
+  accelerated greedy, also known as CELF): each walks its candidates in the
+  order of their first keys (-score, id), kept per graph, beside a side heap
+  of the candidates a rescore demoted, and rescores a candidate only before
+  examining it, and only if it has shared cells and still fits. The ratio pass
   keys by the int ``-(gain * scale // price)``, ``scale`` the largest
   candidate price squared: two distinct ratios of positive int prices differ
   by at least 1 / (p1*p2), so their scaled floors never tie or invert; a
@@ -77,6 +79,7 @@ import collections
 import heapq
 import itertools
 import math
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -280,34 +283,8 @@ def _small_growth(members, root, split, prices, b):
 # Greedy engine shared by the solvers
 
 
-def _lazy_argmax(entries, rescore):
-    """Yield candidate ids best first, rescoring only the top of a heap.
-
-    ``entries`` holds one ``(key, id)`` pair per candidate, a smaller key
-    being better; ``rescore(id)`` returns the key under the caller's current
-    state. Between two yields the caller may change that state, but only so
-    that no key decreases (a marginal gain that can only fall). A stale key is
-    then a lower bound on the fresh one, so a popped candidate whose fresh key
-    still sorts at or before the heap top is the exact best remaining one:
-    Minoux's accelerated greedy. Ids are the second tuple element, so equal
-    scores yield the smallest id first, exactly as a full scan in id order.
-    ``rescore`` returns ``None`` instead of a key when the candidate may be
-    yielded as popped: its stale key is still exact, or the caller drops it
-    whenever it is examined, without changing its state.
-    """
-    heap = list(entries)
-    heapq.heapify(heap)
-    while heap:
-        cid = heapq.heappop(heap)[1]
-        key = rescore(cid)
-        if key is None or not heap or (key, cid) <= heap[0]:
-            yield cid
-        else:
-            heapq.heappush(heap, (key, cid))
-
-
 def _ratio_key(prices, top):
-    """Heap key ``key(gain, price)`` of the ratio ``gain / price``, for prices
+    """Sort key ``key(gain, price)`` of the ratio ``gain / price``, for prices
     among ``prices`` (non-negative int cents) and gains at most ``top``: the
     plain int ``-(gain * scale // price)``, ``scale = max(prices) ** 2``,
     which orders exactly as ``-Fraction(gain, price)`` (see
@@ -525,6 +502,13 @@ def _take_in_order(growth, b, order):
 # DSA: dual greedy over individual datasets
 
 
+# Each candidate graph's two ``dsa`` orders, keyed weakly by the graph
+# object, so an entry dies with its graph (as ``bmcc.graph._COMPONENTS``):
+# two tuples of ids, which hold no reference to the graph. Two threads may
+# both build an entry; the orders are equal and either may be kept.
+_DSA_ORDERS = weakref.WeakKeyDictionary()
+
+
 def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = None) -> Solution:
     """Two-pass greedy: gain-per-price pass, raw-gain pass, best of the two.
 
@@ -532,9 +516,17 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     dropped from the pass's pool whether or not it was accepted, and a
     candidate is acceptable only if it keeps the growing set connected and
     within budget. A gain, ``solo + len(shared - covered)``, only falls, so
-    both passes run on :func:`_lazy_argmax`, first keyed by coverage.
-    A pop with no shared cell keeps its first gain, and one over the budget
-    left never fits, as ``spent`` only rises: neither is rescored.
+    both passes are lazy (Minoux's accelerated greedy): a stale key is a
+    lower bound on the fresh one. Before anything is covered a gain is the
+    dataset's coverage, so each pass's first keys depend on the candidate
+    graph alone, and its ids sorted by ``(first key, id)`` are kept per graph
+    (``_DSA_ORDERS``). A pass walks that order beside a side heap of the
+    ``(fresh key, id)`` entries of demoted candidates, and at each step
+    takes whichever of the side top and the next order entry sorts first.
+    A candidate over the budget left is dropped: ``spent`` only rises. One
+    with shared cells is rescored, and pushed on the side heap if its fresh
+    entry sorts after the side top or the next order entry; one without
+    keeps its first gain. So each examination is that of a full rescan.
     The ratio pass keys by the int ``-(gain * scale // price)``, ``scale =
     max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
     price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
@@ -547,35 +539,47 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
         return _empty_solution("dsa", rounds=(0, 0))
     adjacency, prices = candidate.adjacency, candidate.prices
     solo, shared = market._split
+    # no gain exceeds the catalog's count of cells
+    keys = (_ratio_key(prices.values(), len(market.cells)), lambda gain, price: -gain)
+    # before anything is covered, a dataset's gain is its coverage
+    entries = [lambda d, key=key: (key(solo[d] + len(shared[d]), prices[d]), d) for key in keys]
+    orders = _DSA_ORDERS.get(candidate)
+    if orders is None:
+        orders = _DSA_ORDERS[candidate] = tuple(
+            tuple(sorted(adjacency, key=entry)) for entry in entries)
 
-    def one_round(key) -> tuple[set[str], int, int]:
+    def one_round(order, key, entry) -> tuple[set[str], int, int]:
         covered: set[int] = set()  # shared cells only
         selected: set[str] = set()
         frontier: set[str] = set()
+        side = []  # (fresh key, id) of each demoted candidate
         spent = count = 0
-
-        def rescore(did):
-            if not shared[did] or spent + prices[did] > b:
-                return None
-            return key(solo[did] + len(shared[did].difference(covered)), prices[did])
-
-        # before anything is covered, a dataset's gain is its coverage
-        entries = [(key(solo[d] + len(shared[d]), prices[d]), d) for d in adjacency]
-        for did in _lazy_argmax(entries, rescore):
+        i, n = 0, len(order)
+        while i < n or side:
+            if i == n or side and side[0] < entry(order[i]):
+                did = heapq.heappop(side)[1]
+            else:
+                did = order[i]
+                i += 1
+            price = prices[did]
+            if spent + price > b:
+                continue
+            cells = shared[did]
+            if cells:
+                fresh = (key(solo[did] + len(cells - covered), price), did)
+                if side and side[0] < fresh or i < n and entry(order[i]) < fresh:
+                    heapq.heappush(side, fresh)
+                    continue
             if selected and did not in frontier:
                 continue
-            if spent + prices[did] > b:
-                continue
             selected.add(did)
-            spent += prices[did]
+            spent += price
             count += solo[did]
-            covered.update(shared[did])
+            covered |= cells
             frontier.update(adjacency[did])
         return selected, count + len(covered), spent
 
-    # no gain exceeds the catalog's count of cells
-    first = one_round(_ratio_key(prices.values(), len(market.cells)))
-    second = one_round(lambda gain, price: -gain)
+    first, second = map(one_round, orders, keys, entries)
     # the raw-gain pass wins only on strictly higher coverage
     selected, coverage, price = second if second[1] > first[1] else first
     return Solution("dsa", tuple(sorted(selected)), price, coverage,

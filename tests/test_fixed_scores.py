@@ -5,10 +5,10 @@ against the full scans they replace.
 takes its paths in one pass over an order sorted once per tree
 (``BfsTree._mc_order``, :func:`_take_in_order`) instead of rescanning every
 live end at each take (:func:`_grow_paths`, which ``cmc-mg`` and ``dpsa``
-still run). ``dsa``'s lazy heap (:func:`_lazy_argmax`) yields a pop at once
-when its stale key needs no rescore: a dataset with no shared cell, whose
-gain never falls, or one over the budget left, which is dropped whenever it
-is examined.
+still run). ``dsa`` walks a kept order of each pass's first keys beside a
+side heap of demoted candidates, and rescores only a candidate with shared
+cells that fits the budget left: one with no shared cell keeps its gain, and
+one over the budget left is dropped whenever it is examined.
 """
 
 import collections
@@ -16,6 +16,7 @@ import collections
 import numpy as np
 import pytest
 
+import bmcc.solvers as solvers
 import reference_solvers as ref
 from bmcc.graph import DatasetGraph, Subgraph, build_graph_indexed, connected_components
 from bmcc.grid import GridConfig
@@ -26,7 +27,6 @@ from bmcc.solvers import (
     solve_cmc,
     solve_dsa,
     _grow_paths,
-    _lazy_argmax,
     _take_in_order,
 )
 
@@ -158,28 +158,6 @@ def test_a_cheaper_path_fits_after_a_better_one_did_not():
     assert (sol.selected, sol.coverage, sol.total_price_cents) == (("a", "c"), 2, 2)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_lazy_argmax_yields_exact_keys_without_a_second_rescore(seed):
-    """Stale keys, and fresh ones at or above them or ``None`` (exact): the
-    ids come out in (exact key, id) order, as a full scan would take them,
-    and no id whose rescore reports ``None`` is rescored twice."""
-    rng = np.random.default_rng(seed)
-    ids = [f"d{i:02d}" for i in range(int(rng.integers(1, 30)))]
-    stale = {c: int(rng.integers(0, 8)) for c in ids}
-    fresh = {c: None if rng.random() < 0.5 else stale[c] + int(rng.integers(0, 4))
-             for c in ids}
-    calls = collections.Counter()
-
-    def rescore(cid):
-        calls[cid] += 1
-        return fresh[cid]
-
-    got = list(_lazy_argmax([(stale[c], c) for c in ids], rescore))
-    exact = {c: stale[c] if fresh[c] is None else fresh[c] for c in ids}
-    assert got == sorted(ids, key=lambda c: (exact[c], c))
-    assert all(calls[c] == 1 for c in ids if fresh[c] is None)
-
-
 def test_a_shared_pop_that_is_not_adjacent_is_rescored_and_taken_later():
     """``x`` shares ten cells with ``a`` and has one of its own; ``b`` has
     five. The hand-built edges are a-b and b-x. Both passes take ``a``, then
@@ -195,3 +173,86 @@ def test_a_shared_pop_that_is_not_adjacent_is_rescored_and_taken_later():
     sol = solve_dsa(graph.market, budget, 0, graph=graph)
     assert (sol.selected, sol.coverage, sol.round_coverages) == (("a", "b", "x"), 26, (26, 26))
     assert sol == ref.solve_dsa(graph.market, budget, 0, graph=graph)
+
+
+def _star_dsa(cells, budget_cents):
+    """``solve_dsa`` on the star whose centre is ``a`` over datasets of one
+    cent each, checked against the full-scan reference."""
+    graph = _hand_graph(cells, dict.fromkeys(cells, 1), [("a", u) for u in cells if u != "a"])
+    budget = cents_to_decimal(budget_cents)
+    sol = solve_dsa(graph.market, budget, 0, graph=graph)
+    assert sol == ref.solve_dsa(graph.market, budget, 0, graph=graph)
+    return sol
+
+
+def test_a_demoted_candidate_waits_while_static_candidates_pass_it():
+    """``x`` shares ten cells with ``a`` and has one of its own; ``b`` and
+    ``c``, with five and three cells of their own, have no shared cell. Both
+    passes take ``a``, then rescore ``x`` to a gain of 1 and demote it; ``b``
+    and ``c`` pass it on their first keys and fill the budget."""
+    cells = {"a": range(0, 20), "b": range(30, 35), "c": range(50, 53), "x": [*range(10), 40]}
+    sol = _star_dsa(cells, 3)
+    assert (sol.selected, sol.coverage, sol.round_coverages) == (("a", "b", "c"), 28, (28, 28))
+
+
+@pytest.mark.parametrize("first", ["x", "y"])
+def test_demoted_candidates_with_equal_keys_come_out_in_ascending_id(first):
+    """``first`` shares ten cells with ``a``, the other of ``x`` and ``y``
+    nine; each has one of its own, so both are rescored to a gain of 1 and
+    demoted below ``z`` (five cells), ``first`` before the other. The budget
+    has room for ``z`` and one of them: ``x``, whichever was demoted first."""
+    other = "y" if first == "x" else "x"
+    cells = {"a": range(0, 20), first: [*range(10), 40], other: [*range(9), 41],
+             "z": range(50, 55)}
+    sol = _star_dsa(cells, 3)
+    assert (sol.selected, sol.coverage) == (("a", "x", "z"), 26)
+
+
+def test_equal_first_keys_are_kept_in_ascending_id():
+    """Three datasets of one cell at one cent tie on both first keys, on a
+    graph that lists its nodes in descending id: each kept order ascends by
+    id, so both passes take ``a`` first and then find no neighbour of it."""
+    hand = _hand_graph({"a": [0], "b": [1], "c": [2]}, dict.fromkeys("abc", 1), [("b", "c")])
+    graph = DatasetGraph(0.0, hand.prices, {u: hand.adjacency[u] for u in "cba"}, hand.market)
+    budget = cents_to_decimal(2)
+    sol = solve_dsa(graph.market, budget, 0, graph=graph)
+    assert solvers._DSA_ORDERS[graph] == (("a", "b", "c"), ("a", "b", "c"))
+    assert (sol.selected, sol.round_coverages) == (("a",), (1, 1))
+    assert sol == ref.solve_dsa(graph.market, budget, 0, graph=graph)
+
+
+class _CountedCells(frozenset):
+    """A dataset's shared cells that count each set difference taken of
+    them, which is how ``dsa`` rescores a candidate."""
+
+    def __sub__(self, other):
+        self.rescores[self.owner] += 1
+        return frozenset(self) - other
+
+    difference = __sub__
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_no_candidate_without_shared_cells_is_rescored(seed):
+    """Random catalogs of up to 14 datasets on 60 cell positions, so that
+    cells are often shared, with random prices (ties common), random
+    hand-built edges and a random budget: ``dsa`` answers as the full-scan
+    reference, and only datasets with shared cells are rescored."""
+    rng = np.random.default_rng(seed)
+    ids = [f"d{i:02d}" for i in range(int(rng.integers(3, 15)))]
+    cells = {u: rng.choice(60, size=int(rng.integers(1, 13)), replace=False).tolist()
+             for u in ids}
+    prices = {u: int(rng.integers(1, 6)) for u in ids}
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < 0.4]
+    graph = _hand_graph(cells, prices, edges)
+    budget = cents_to_decimal(int(rng.integers(min(prices.values()), sum(prices.values()) + 1)))
+    want = ref.solve_dsa(graph.market, budget, 0, graph=graph)
+    solo, shared = graph.market._split
+    rescores = collections.Counter()
+    counted = {}
+    for u, mine in shared.items():
+        counted[u] = _CountedCells(mine)
+        counted[u].owner, counted[u].rescores = u, rescores
+    vars(graph.market)["_split"] = solo, counted
+    assert solve_dsa(graph.market, budget, 0, graph=graph) == want
+    assert set(rescores) <= {u for u in ids if shared[u]}, rescores

@@ -3,11 +3,14 @@
 A solve prepares what depends on the graph alone once per graph object: its
 components (``bmcc.graph._components``, keyed weakly by the graph) and, on
 each component, the result of each center search (``Subgraph.centers``) and
-each BFS tree with its path set-ups (``Subgraph.trees``).
+each BFS tree with its path set-ups (``Subgraph.trees``); ``dsa`` keeps the
+order of each pass's first keys (``bmcc.solvers._DSA_ORDERS``, keyed weakly
+by the candidate graph).
 These tests check that a solve on a graph solved before, at other budgets,
 answers exactly as one on a freshly built graph; that no solve writes to
 what is kept; that the reuse keeps no graph alive; that a repeat center
-search or tree runs no BFS; that what is kept per tree node stays small; and
+search or tree runs no BFS; that what is kept per tree node and per graph
+node stays small; and
 that two threads solving one shared graph at once get the single-thread
 answers.
 """
@@ -91,10 +94,11 @@ def _plain(value):
 
 
 def _kept(graph):
-    """A deep copy of every tree kept on the graph's components and of the
-    path set-ups and ``cmc-mc`` order kept with each, and those objects
-    themselves."""
-    copies, objects = [], []
+    """A deep copy of the ``dsa`` orders kept for the graph, of every tree
+    kept on its components and of the path set-ups and ``cmc-mc`` order kept
+    with each, and those objects themselves."""
+    orders = solvers._DSA_ORDERS.get(graph)
+    copies, objects = [_plain(orders)], [orders]
     for sub in graph_module._components(graph):
         for root, tree in sub.trees.items():
             setups = {name: vars(tree)[name]
@@ -113,7 +117,7 @@ def test_kept_setups_are_unchanged_by_solves_at_any_budget(seed):
     """Solve one graph at budgets up and then down, some of which restrict
     it: one below the price of a kept tree's root, and one below every
     price. Every answer is the fresh graph's, and after the first solve
-    that keeps them, no tree or set-up is added, rebuilt or written."""
+    that keeps them, no order, tree or set-up is added, rebuilt or written."""
     market = differential_market(seed, "table")
     graph = build_graph_indexed(market, 10.0)
     prices = sorted(graph.prices.values())
@@ -125,6 +129,7 @@ def test_kept_setups_are_unchanged_by_solves_at_any_budget(seed):
     root = build_bfs_tree(giant, find_center_exact(giant).center).root
     assert root in giant.trees and before
     assert any(type(kept) is array for kept in objects)  # cmc-mc's order
+    assert len(objects[0]) == 2 and all(map(len, objects[0]))  # dsa's orders
     below_root = graph.prices[root] - 1
     ups = [every, every + 1, 2 * every, total // 2, total]
     sequence = [prices[0] - 1, below_root, prices[len(prices) // 2], *ups, *ups[::-1],
@@ -171,6 +176,32 @@ def test_what_solves_keep_per_tree_node_stays_small(synth_giant):
     nodes = sum(len(tree.parent) for sub in components for tree in sub.trees.values())
     assert nodes > 2 * len(synth_giant)
     assert kept / nodes <= 1.1 * KEPT_BYTES_PER_TREE_NODE, kept / nodes
+
+
+# Bytes that a ``dsa`` solve keeps per node of synth1000's query graph,
+# measured by tracemalloc: the graph's entry in ``_DSA_ORDERS``, two tuples of
+# ids. They came to 16.2 bytes when pinned (Python 3.11.7); keeping each
+# pass's first keys beside its ids, as an ``array('q')``, comes to 32.4. The
+# gate allows 10% over the pin.
+KEPT_DSA_BYTES_PER_GRAPH_NODE = 16.2
+
+
+def test_what_dsa_keeps_per_graph_node_stays_small(synth_giant):
+    market = synth_giant.graph.market
+    graph = build_graph_indexed(market, 10)
+    budget = cents_to_decimal(max(graph.prices.values()))
+    market._split  # the catalog's cell split, built once per catalog
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve("dsa", market, budget, 10, graph=graph)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph in solvers._DSA_ORDERS
+    nodes = len(graph.adjacency)
+    assert kept / nodes <= 1.1 * KEPT_DSA_BYTES_PER_GRAPH_NODE, kept / nodes
 
 
 # Bytes that one solve with each of the five solvers keeps per component of
@@ -237,23 +268,26 @@ def test_tiny_components_keep_their_trees(monkeypatch, label):
 
 
 def _live_entries():
+    """Entries of the components and of the ``dsa`` orders kept per graph."""
     gc.collect()
-    return len(graph_module._COMPONENTS)
+    return len(graph_module._COMPONENTS), len(solvers._DSA_ORDERS)
 
 
 def test_a_solved_graph_leaves_no_entry():
     market = differential_market(0, "table")
     graph = build_graph_indexed(market, 10.0)
     every, some = _fit_budgets(market)
-    base = _live_entries()
+    components, orders = _live_entries()
     _solve_all(market, graph, 10.0, [some])
     # each solve's restricted candidate graph died with its solve
-    assert graph not in graph_module._COMPONENTS and _live_entries() == base
+    assert graph not in graph_module._COMPONENTS and graph not in solvers._DSA_ORDERS
+    assert _live_entries() == (components, orders)
     _solve_all(market, graph, 10.0, [every])
-    assert graph in graph_module._COMPONENTS and _live_entries() == base + 1
+    assert graph in graph_module._COMPONENTS and graph in solvers._DSA_ORDERS
+    assert _live_entries() == (components + 1, orders + 1)
     alive = weakref.ref(graph)
     del graph
-    assert _live_entries() == base
+    assert _live_entries() == (components, orders)
     assert alive() is None
 
 

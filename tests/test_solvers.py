@@ -32,10 +32,10 @@ from bmcc.solvers import (
     verify_solution,
     _PathGrowth,
     _grow_paths,
-    _lazy_argmax,
     _ratio_key,
 )
 
+from test_fixed_scores import _hand_graph
 from test_solvers_differential import differential_market
 from conftest import (
     floyd_warshall,
@@ -301,18 +301,20 @@ class TestRatioKey:
                 assert (got[0] < got[1], got[0] == got[1]) == \
                     (want[0] < want[1], want[0] == want[1]), (a, b)
 
-    def test_lazy_argmax_breaks_float_ties_exactly(self):
+    def test_dsa_breaks_float_ties_exactly(self):
+        """``c`` (one cent, two cells) is taken first; ``a`` shares both with
+        it and has one of its own, so its stale ratio 3/P beats b's
+        2/(2P - 1) but its fresh ratio 1/P is exactly below it, though
+        equal as a float. Only one of ``a`` and ``b`` fits beside ``c``: the
+        ratio pass must take ``b``."""
         big = self.BIG
-        key = _ratio_key([1, 2, big], big + 1)
-        # "a" is popped first on a stale key; its fresh ratio 1/1 has the same
-        # float as b's, but is exactly smaller, so b must come first
-        fresh = {"a": key(1, 1), "b": key(big + 1, big)}
-        entries = [(key(2, 1), "a"), (fresh["b"], "b")]
-        assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["b", "a"]
-        # exactly equal ratios fall back to the smaller id
-        fresh = {"a": key(2, 2), "b": key(1, 1)}
-        entries = [(key(2, 1), "b"), (fresh["a"], "a")]
-        assert list(_lazy_argmax(entries, fresh.__getitem__)) == ["a", "b"]
+        assert 1 / big == 2 / (2 * big - 1)
+        graph = _hand_graph({"a": [0, 1, 2], "b": [10, 11], "c": [0, 1]},
+                            {"a": big, "b": 2 * big - 1, "c": 1}, [("c", "a"), ("c", "b")])
+        budget = cents_to_decimal(2 * big)
+        sol = solve_dsa(graph.market, budget, 0, graph=graph)
+        assert (sol.selected, sol.coverage, sol.round_coverages) == (("b", "c"), 4, (4, 3))
+        assert sol == ref.solve_dsa(graph.market, budget, 0, graph=graph)
 
 
 def _count_path_setups(monkeypatch):
