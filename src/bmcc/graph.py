@@ -13,9 +13,17 @@ farthest corners are within it. Both builders decide their open dataset
 pairs (all pairs, for the naive one) with one exact kernel and assemble
 edges with one helper; no distance is cached.
 
-Distances are exact: squared distances, box bounds included, are int64
-arithmetic on cell indices (below 2**63 even at theta=31), and both paths
-share one integer threshold, so the edge sets are bit-identical.
+Distances are exact: squared distances, box bounds included, are integer
+arithmetic on cell indices, and both paths share one integer threshold, so
+the edge sets are bit-identical. That arithmetic is int64 (below 2**63
+even at theta=31), except in the exact kernel on a catalog whose cell
+indices are all below 2**15: there no squared distance exceeds
+2 (2**15 - 1)**2 < 2**31, and the kernel runs in int32.
+
+The box tree depends on the catalog alone, and a catalog is immutable, so
+the tree built last is kept in one slot with a weak reference to its
+catalog: a δ sweep over one catalog builds one tree, and a build on another
+catalog replaces it.
 """
 
 import math
@@ -29,7 +37,7 @@ from .grid import decode_cells, read_counted_file
 from .marketplace import Marketplace, MarketplaceError, cents_to_decimal, to_cents
 
 _CHUNK_ELEMS = 4_000_000  # cap on temporary (cells_a x cells_b) matrices
-_PAIR_CHUNK = 1 << 14  # cell pairs per batched leaf-kernel step: 128 KB of int64
+_PAIR_CHUNK = 1 << 14  # int64 cell pairs per batched leaf-kernel step: 128 KB
 
 
 class GraphConfigError(ValueError):
@@ -120,7 +128,8 @@ class BallTree:
     and ``hi[i]`` are the smallest and largest cell index on each axis over
     every cell under the node, so a leaf's box is its dataset's box. ``cells``
     is ``market.cells`` decoded, so ``market.starts`` delimits each dataset's
-    rows.
+    rows. Every array is read-only: :func:`build_ball_tree` hands the same
+    tree to every build on its catalog.
     """
 
     cells: np.ndarray        # (C, 2) cell indices of market.cells
@@ -207,6 +216,18 @@ def _ranges(lo, hi):
     return np.arange(counts.sum()) - np.repeat(ends - counts - lo, counts)
 
 
+# The box tree built last, as (weak reference to its catalog, tree), or None.
+_kept_tree = None
+
+
+def _forget_tree(ref):
+    """Empty the slot when its catalog is collected."""
+    global _kept_tree
+    kept = _kept_tree
+    if kept is not None and kept[0] is ref:
+        _kept_tree = None
+
+
 def build_ball_tree(market: Marketplace) -> BallTree:
     """Top-down box tree with one dataset per leaf, built a level at a time.
 
@@ -216,7 +237,16 @@ def build_ball_tree(market: Marketplace) -> BallTree:
     the node's box, ties going to the smaller id; one ``lexsort`` over (node,
     centre, id) orders every node of a level. Nodes are numbered level by
     level.
+
+    One slot keeps the tree last built and a weak reference to its catalog:
+    a call on that catalog returns the kept tree, a call on another replaces
+    it, and the slot empties when its catalog is collected. Two threads may
+    both build; the trees are equal and either may be kept.
     """
+    global _kept_tree
+    kept = _kept_tree
+    if kept is not None and kept[0]() is market:
+        return kept[1]
     cells, starts = decode_cells(market.cells), market.starts
     box_lo = np.minimum.reduceat(cells, starts[:-1], axis=0)
     box_hi = np.maximum.reduceat(cells, starts[:-1], axis=0)
@@ -244,7 +274,11 @@ def build_ball_tree(market: Marketplace) -> BallTree:
         mid = begin + (stop - begin + 1) // 2
         begin, stop = np.column_stack([begin, mid]).ravel(), np.column_stack([mid, stop]).ravel()
     begin, stop, lo, hi, left = (np.concatenate(col) for col in zip(*levels))
-    return BallTree(cells=cells, order=order, lo=lo, hi=hi, left=left, start=begin, end=stop)
+    tree = BallTree(cells=cells, order=order, lo=lo, hi=hi, left=left, start=begin, end=stop)
+    for array in vars(tree).values():
+        array.setflags(write=False)
+    _kept_tree = weakref.ref(market, _forget_tree), tree
+    return tree
 
 
 def _padded(starts, sizes, datasets, width):
@@ -258,11 +292,15 @@ def _min_sqdist_pairs(cells, starts, ii, jj) -> np.ndarray:
 
     Datasets fall into power-of-two size classes and are padded to their
     class's largest size with copies of their own first cell, which cannot
-    change a minimum. Pairs of one class pair are evaluated together, at most
-    ``_PAIR_CHUNK`` cell pairs at a time; a pair larger than that goes to
-    :func:`_min_sqdist_coords`.
+    change a minimum. Pairs of one class pair are evaluated together, one
+    step of 128 KB at a time: ``_PAIR_CHUNK`` cell pairs in int64, or twice
+    as many in int32, which the steps use when every (non-negative) cell
+    index is below 2**15, so that no squared distance reaches 2**31. A pair
+    larger than one step goes to :func:`_min_sqdist_coords`. The result is
+    int64 either way.
     """
-    xs, ys = cells[:, 0].copy(), cells[:, 1].copy()
+    dtype, chunk = (np.int32, 2 * _PAIR_CHUNK) if cells.max() < 1 << 15 else (np.int64, _PAIR_CHUNK)
+    xs, ys = cells[:, 0].astype(dtype), cells[:, 1].astype(dtype)
     sizes = np.diff(starts)
     size_class = np.frexp(sizes - 1)[1]
     class_max = np.zeros(size_class.max() + 1, dtype=np.int64)
@@ -276,12 +314,12 @@ def _min_sqdist_pairs(cells, starts, ii, jj) -> np.ndarray:
         if not sel.size:
             continue
         wa, wb = class_max[size_class[a[sel[0]]]], class_max[size_class[b[sel[0]]]]
-        if wa * wb > _PAIR_CHUNK:
+        if wa * wb > chunk:
             for k in sel.tolist():
                 out[k] = _min_sqdist_coords(cells[starts[a[k]]:starts[a[k] + 1]],
                                             cells[starts[b[k]]:starts[b[k] + 1]])
             continue
-        step = _PAIR_CHUNK // (wa * wb)
+        step = chunk // (wa * wb)
         for lo in range(0, sel.size, step):
             ks = sel[lo:lo + step]
             ra, rb = _padded(starts, sizes, a[ks], wa), _padded(starts, sizes, b[ks], wb)
@@ -303,8 +341,9 @@ def _datasets_under(tree: BallTree, q, n):
 
 
 def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
-    """Single-tree construction over a box tree; edge set identical to the
-    naive path.
+    """Single-tree construction over the catalog's box tree, which
+    :func:`build_ball_tree` keeps for the next build on the same catalog;
+    edge set identical to the naive path.
 
     Each leaf's box walks down the tree from the root as a frontier of
     (leaf, node) pairs advanced by int64 array operations. A pair stays only

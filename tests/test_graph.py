@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -122,7 +126,7 @@ class TestNaiveGraph:
                     brute_force_min_distance(a, b, m.grid.theta), abs=1e-12), (seed, i, j)
 
 
-def scattered_market(seed, n=64, theta=6):
+def scattered_datasets(seed, n=64, theta=6):
     """``n`` datasets of up to five cells clustered around random spots."""
     rng = np.random.default_rng(seed)
     grid = GridConfig(theta=theta)
@@ -134,7 +138,11 @@ def scattered_market(seed, n=64, theta=6):
                          int(np.clip(cy + dy, 0, side - 1)))
                         for dx, dy in rng.integers(-2, 3, size=(5, 2))})
         datasets.append(make_dataset(f"d{i:02d}", pairs, grid))
-    return Marketplace.build(grid, datasets, PricingFunction.usage_based())
+    return grid, datasets
+
+
+def scattered_market(seed, n=64, theta=6):
+    return Marketplace(*scattered_datasets(seed, n, theta))
 
 
 def datasets_under(market, tree, node):
@@ -146,6 +154,82 @@ def cells_under(market, tree, node):
     """Decoded (n, 2) cell indices of every dataset beneath ``node``."""
     return np.concatenate([decode_cells(market.dataset(did).cells)
                            for did in datasets_under(market, tree, node)])
+
+
+class TestKeptTree:
+    """``build_ball_tree`` keeps the tree of the catalog it built for last,
+    in one slot that holds the catalog weakly."""
+
+    def test_same_catalog_same_tree_another_replaces_it(self):
+        a, b = scattered_market(40), scattered_market(41)
+        tree = build_ball_tree(a)
+        assert build_ball_tree(a) is tree
+        old = weakref.ref(tree)
+        del tree
+        assert build_ball_tree(b) is build_ball_tree(b)
+        gc.collect()
+        assert old() is None  # one slot: a's tree went when b's took it
+        assert build_ball_tree(a) is not build_ball_tree(b)
+
+    def test_tree_arrays_are_read_only(self):
+        tree = build_ball_tree(scattered_market(42))
+        with pytest.raises(ValueError):
+            tree.lo[0, 0] = 1
+        for name, array in vars(tree).items():
+            assert not array.flags.writeable, name
+
+    def test_tree_dies_with_its_catalog(self):
+        m = scattered_market(43)
+        tree = weakref.ref(build_ball_tree(m))
+        assert tree() is not None
+        del m
+        gc.collect()
+        assert tree() is None
+
+    @pytest.mark.parametrize("delta", [0, 3, 10])
+    def test_sweep_interleaved_over_two_catalogs_matches_naive(self, delta):
+        a, b = scattered_market(44), skewed_market(45, n=30)
+        for m in (a, b, a, b):
+            assert build_graph_indexed(m, delta).adjacency == \
+                build_graph_naive(m, delta).adjacency
+
+    def test_two_threads_each_get_their_own_catalogs_tree(self):
+        """The threads take the one slot from each other; a call must never
+        return the other catalog's tree, which has another leaf count."""
+        markets = scattered_market(52, n=4), scattered_market(53, n=5)
+        wrong = [0, 0]
+
+        def run(t):
+            for _ in range(50_000):
+                wrong[t] += len(build_ball_tree(markets[t]).order) != len(markets[t])
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0, 0]
+
+    def test_catalog_after_a_collected_one_matches_naive(self):
+        """A catalog made right after another was collected may get its
+        ``id()``; it must get a tree of its own."""
+        for seed in range(46, 52):
+            m = scattered_market(seed)
+            build_graph_indexed(m, 3)
+            grid, datasets = scattered_datasets(seed + 100)
+            del m
+            gc.collect()
+            m = Marketplace(grid, datasets)
+            for delta in (0, 3, 10):
+                assert build_graph_indexed(m, delta).adjacency == \
+                    build_graph_naive(m, delta).adjacency
+            del m
 
 
 class TestBallTree:
@@ -299,6 +383,7 @@ def test_delta_beyond_float_range_is_graph_config_error(build, delta):
 
 
 SKEWED_SIZES = (1, 2, 3, 7, 40, 300, 5000)
+INT32_TOP = (1 << 15) - 1  # largest cell index the exact kernel runs in int32
 
 
 def blob(rng, size, side):
@@ -341,11 +426,13 @@ class TestBatchedLeafKernel:
     def test_mixed_size_classes_match_reference(self):
         rng = np.random.default_rng(31)
         # two sizes inside one power-of-two class (3/4, 5/7, 33/40, 260/300)
-        # pad the smaller one; pairs with 300 or 5000 cells exceed one chunk
-        sizes = (1, 2, 3, 4, 5, 7, 33, 40, 260, 300, 5000)
+        # pad the smaller one; pairs with 300 or 5000 cells exceed one chunk;
+        # 128 x 200 exceeds an int64 step but fits one of int32, which these
+        # indices, all below 2**9, take
+        sizes = (1, 2, 3, 4, 5, 7, 33, 40, 128, 200, 260, 300, 5000)
         coords = [blob(rng, size, 1 << 9) for size in sizes]
         products = [a * b for a in sizes for b in sizes]
-        assert min(products) < _PAIR_CHUNK < max(products)
+        assert min(products) < _PAIR_CHUNK < 128 * 200 <= 2 * _PAIR_CHUNK < max(products)
         got = self.check_all_pairs(coords)
         assert (got == 0).any() and (got > 0).any()
 
@@ -354,22 +441,64 @@ class TestBatchedLeafKernel:
         coords = [blob(rng, int(size), 64) for size in rng.choice(SKEWED_SIZES[:4], size=40)]
         self.check_all_pairs(coords)
 
-    def test_theta31_corners_exact(self):
-        corners = [(0, 0), (THETA31_MAX, THETA31_MAX), (0, THETA31_MAX), (THETA31_MAX, 0),
-                   (1, 0), (THETA31_MAX - 1, THETA31_MAX)]
-        rng = np.random.default_rng(33)
+    def check_corners(self, top, seed):
+        """Every pair of one-cell datasets on the corners of the square
+        ``[0, top]**2`` and of padded ones with a corner and cells drawn
+        inside it, against Python-int brute force; returns the kernel's d2."""
+        corners = [(0, 0), (top, top), (0, top), (top, 0), (1, 0), (top - 1, top)]
+        rng = np.random.default_rng(seed)
         coords = [np.array([corner], dtype=np.int64) for corner in corners]
         for size in (2, 3, 7, 40):
-            far = rng.integers(0, THETA31_MAX + 1, size=(size - 1, 2))
+            far = rng.integers(0, top + 1, size=(size - 1, 2))
             coords.append(np.vstack([[corners[size % 4]], far]).astype(np.int64))
         got = self.check_all_pairs(coords)
-        # the two opposite corners: d2 = 2 (2**31 - 1)**2, within 2**33 of 2**63
-        assert int(got.max()) == 2 * THETA31_MAX ** 2 > (1 << 63) - (1 << 33)
         for k, (i, j) in enumerate(zip(*(a.ravel() for a in np.meshgrid(
                 np.arange(len(coords)), np.arange(len(coords)))))):
             exact = min((int(ax) - int(bx)) ** 2 + (int(ay) - int(by)) ** 2
                         for ax, ay in coords[i].tolist() for bx, by in coords[j].tolist())
             assert int(got[k]) == exact
+        return got
+
+    def test_theta31_corners_exact(self):
+        got = self.check_corners(THETA31_MAX, 33)
+        # the two opposite corners: d2 = 2 (2**31 - 1)**2, within 2**33 of 2**63
+        assert int(got.max()) == 2 * THETA31_MAX ** 2 > (1 << 63) - (1 << 33)
+
+    @pytest.mark.parametrize("top", [INT32_TOP, INT32_TOP + 1], ids=["int32", "int64"])
+    def test_int32_boundary_corners_exact(self, top):
+        """Cell indices up to 2**15 - 1 run in int32, where the opposite
+        corners' d2 = 2 (2**15 - 1)**2 is the largest below 2**31; one index
+        of 2**15 takes int64, where those corners are 2**31 apart."""
+        got = self.check_corners(top, 35)
+        assert int(got.max()) == 2 * top ** 2
+        assert (2 * top ** 2 < 1 << 31) == (top < 1 << 15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_theta14_to_16_naive_indexed_and_exact_truth_agree(self, data):
+        """Around the int32 limit: theta 14 and 15 hold every index below
+        2**15, theta 16 reaches past it."""
+        theta = data.draw(st.integers(14, 16))
+        top = (1 << theta) - 1
+        coord = st.one_of(st.sampled_from([0, 1, top - 1, top, min(top, INT32_TOP),
+                                           min(top, INT32_TOP + 1)]),
+                          st.integers(0, top))
+        cells = st.lists(st.tuples(coord, coord), min_size=1, max_size=6, unique=True)
+        sets = data.draw(st.lists(cells, min_size=2, max_size=5))
+        m = make_market({f"d{i}": pairs for i, pairs in enumerate(sets)}, theta=theta)
+        exact = [[min((ax - bx) ** 2 + (ay - by) ** 2 for ax, ay in a for bx, by in b)
+                  for b in sets] for a in sets]
+        ii, jj = np.triu_indices(len(sets), 1)
+        d2 = _min_sqdist_pairs(decode_cells(m.cells), m.starts, ii, jj).tolist()
+        assert d2 == [exact[i][j] for i, j in zip(ii.tolist(), jj.tolist())]
+        d2 = data.draw(st.sampled_from(sorted({v for row in exact for v in row})))
+        delta = data.draw(st.sampled_from([math.sqrt(d2), math.nextafter(math.sqrt(d2), 0),
+                                           math.nextafter(math.sqrt(d2), math.inf)]))
+        truth = {f"d{i}": tuple(f"d{j}" for j in range(len(sets))
+                                if j != i and exact[i][j] <= Fraction(delta) ** 2)
+                 for i in range(len(sets))}
+        assert build_graph_naive(m, delta).adjacency == truth
+        assert build_graph_indexed(m, delta).adjacency == truth
 
     def test_empty_pair_list(self):
         cells, starts = kernel_inputs([np.zeros((1, 2), dtype=np.int64)])
@@ -405,7 +534,8 @@ class TestDualTreeWalk:
             assert all(i != j for i, j in pairs)
             assert len({frozenset(pair) for pair in pairs}) == len(pairs), delta
 
-    def test_catalog_decoded_once_per_build(self, market, monkeypatch):
+    def test_catalog_decoded_once_per_sweep(self, monkeypatch):
+        market, other = skewed_market(34), scattered_market(36)
         calls = []
 
         def counting(cell_ids):
@@ -414,9 +544,12 @@ class TestDualTreeWalk:
 
         monkeypatch.setattr(graph_module, "decode_cells", counting)
         for delta in (0, 10, 200):
-            calls.clear()
             build_graph_indexed(market, delta)
-            assert calls == [sum(market.dataset(did).coverage for did in market.ids)], delta
+        assert calls == [len(market.cells)]
+        # a build on another catalog takes the one slot: the next build decodes again
+        build_graph_indexed(other, 10)
+        build_graph_indexed(market, 10)
+        assert calls == [len(market.cells), len(other.cells), len(market.cells)]
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
