@@ -3,8 +3,10 @@
 indexed construction matching the naive one bit for bit. The index is a tree
 of integer bounding boxes (``build_ball_tree``); each dataset's box walks
 down it, pruning and accepting whole the nodes after it by exact box-gap and
-far-corner tests, with no rounding margin. The tree is kept for the
-catalog, so the threshold sweep at the end reuses the first indexed build's."""
+far-corner tests, with no rounding margin. The tree and the dataset pairs
+the exact kernel has decided are kept for the catalog, so the threshold
+sweep at the end reuses the first indexed build's tree and decides each
+pair once."""
 
 import time
 

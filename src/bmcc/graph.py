@@ -11,7 +11,7 @@ frontier of (leaf, node) pairs with array operations, pruning pairs whose
 boxes are farther apart than ``delta`` and accepting whole those whose
 farthest corners are within it. Both builders decide their open dataset
 pairs (all pairs, for the naive one) with one exact kernel and assemble
-edges with one helper; no distance is cached.
+edges with one helper.
 
 Distances are exact: squared distances, box bounds included, are integer
 arithmetic on cell indices, and both paths share one integer threshold, so
@@ -20,10 +20,12 @@ even at theta=31), except in the exact kernel on a catalog whose cell
 indices are all below 2**15: there no squared distance exceeds
 2 (2**15 - 1)**2 < 2**31, and the kernel runs in int32.
 
-The box tree depends on the catalog alone, and a catalog is immutable, so
-the tree built last is kept in one slot with a weak reference to its
-catalog: a δ sweep over one catalog builds one tree, and a build on another
-catalog replaces it.
+The box tree and a pair's exact distance depend on the catalog alone, and
+a catalog is immutable, so one slot keeps, with a weak reference to the
+catalog built for last, its tree and every pair the indexed builder's
+kernel has decided on it: a δ sweep over one catalog, in any order of δ,
+builds one tree and decides each pair once, and a build on another catalog
+replaces the slot.
 """
 
 import math
@@ -216,8 +218,16 @@ def _ranges(lo, hi):
     return np.arange(counts.sum()) - np.repeat(ends - counts - lo, counts)
 
 
-# The box tree built last, as (weak reference to its catalog, tree), or None.
+# The catalog built for last, as (weak reference to it, its box tree, keys,
+# d2), or None. ``keys`` are the sorted int64 keys ``min(i, j) * n + max(i,
+# j)`` (dataset indices, ``n = len(catalog)``) of every pair the exact kernel
+# has decided on it, ``d2`` their squared distances; both end in a sentinel
+# above every key, so a ``searchsorted`` position always indexes them. Kept
+# arrays are read-only: a build stores a new tuple.
 _kept_tree = None
+_NO_PAIRS = np.array([np.iinfo(np.int64).max]), np.zeros(1, dtype=np.int64)
+for _array in _NO_PAIRS:
+    _array.setflags(write=False)
 
 
 def _forget_tree(ref):
@@ -240,8 +250,9 @@ def build_ball_tree(market: Marketplace) -> BallTree:
 
     One slot keeps the tree last built and a weak reference to its catalog:
     a call on that catalog returns the kept tree, a call on another replaces
-    it, and the slot empties when its catalog is collected. Two threads may
-    both build; the trees are equal and either may be kept.
+    it and the decided pairs kept with it, and the slot empties when its
+    catalog is collected. Two threads may both build; the trees are equal
+    and either may be kept.
     """
     global _kept_tree
     kept = _kept_tree
@@ -277,7 +288,7 @@ def build_ball_tree(market: Marketplace) -> BallTree:
     tree = BallTree(cells=cells, order=order, lo=lo, hi=hi, left=left, start=begin, end=stop)
     for array in vars(tree).values():
         array.setflags(write=False)
-    _kept_tree = weakref.ref(market, _forget_tree), tree
+    _kept_tree = weakref.ref(market, _forget_tree), tree, *_NO_PAIRS
     return tree
 
 
@@ -340,6 +351,35 @@ def _datasets_under(tree: BallTree, q, n):
     return np.repeat(tree.order[tree.start[q]], end - first), tree.order[_ranges(first, end)]
 
 
+def _decided_sqdist(market, tree, ii, jj) -> np.ndarray:
+    """Exact squared distance of every dataset pair ``(ii[k], jj[k])`` of
+    ``market``, each unordered pair given once.
+
+    Pairs the slot has decided are looked up there; only the others go to
+    :func:`_min_sqdist_pairs`, and the slot gets a new tuple with them
+    merged in, under the same weak reference. The slot is read once: if
+    another thread has given it to another catalog, every pair goes to the
+    kernel and nothing is stored.
+    """
+    global _kept_tree
+    kept = _kept_tree
+    if kept is None or kept[0]() is not market:
+        return _min_sqdist_pairs(tree.cells, market.starts, ii, jj)
+    ref, kept_tree, keys, d2 = kept
+    key = np.minimum(ii, jj) * len(market) + np.maximum(ii, jj)
+    pos = np.searchsorted(keys, key)
+    out = d2[pos]
+    new = np.flatnonzero(keys[pos] != key)
+    out[new] = _min_sqdist_pairs(tree.cells, market.starts, ii[new], jj[new])
+    keys = np.concatenate([keys, key[new]])
+    order = np.argsort(keys)
+    keys, d2 = keys[order], np.concatenate([d2, out[new]])[order]
+    keys.setflags(write=False)
+    d2.setflags(write=False)
+    _kept_tree = ref, kept_tree, keys, d2
+    return out
+
+
 def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     """Single-tree construction over the catalog's box tree, which
     :func:`build_ball_tree` keeps for the next build on the same catalog;
@@ -354,7 +394,10 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
     between their farthest corners is within it, and otherwise its node is
     split into ``left`` and ``left + 1``. Both tests are exact int64, so no
     margin is needed. Leaf boxes are dataset boxes: the leaf pairs left open
-    are box-near, and one exact integer kernel decides them together.
+    are box-near, and one exact integer kernel decides them together, once
+    per catalog: a pair's squared distance does not depend on ``delta``, so
+    a later build at any ``delta`` looks up what an earlier one decided
+    (:func:`_decided_sqdist`).
     """
     thr = _sq_threshold(delta)
     tree = build_ball_tree(market)
@@ -382,7 +425,7 @@ def build_graph_indexed(market: Marketplace, delta: float) -> DatasetGraph:
 
     oq, on = (np.concatenate(side) for side in zip(*open_leaves))
     li, lj = tree.order[tree.start[oq]], tree.order[tree.start[on]]  # one dataset each
-    close = _min_sqdist_pairs(tree.cells, market.starts, li, lj) <= thr
+    close = _decided_sqdist(market, tree, li, lj) <= thr
     wi, wj = _datasets_under(tree, *(np.concatenate(side) for side in zip(*whole)))
     return _graph_from_pairs(market, delta, np.concatenate([li[close], wi]),
                              np.concatenate([lj[close], wj]))

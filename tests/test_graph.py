@@ -506,6 +506,33 @@ class TestBatchedLeafKernel:
         assert _min_sqdist_pairs(cells, starts, none, none).shape == (0,)
 
 
+def forget_decided_pairs():
+    """Give the kept slot to a throwaway catalog, so the next build on any
+    other catalog starts with no decided pair."""
+    build_graph_indexed(make_market({"a": [(0, 0)]}, theta=2), 0)
+
+
+def sent_pairs(calls):
+    """The ``(ii, jj)`` arrays of every recorded kernel call, concatenated."""
+    none = np.zeros(0, dtype=np.int64)
+    return (np.concatenate([none, *(call[side] for call in calls)]) for side in (0, 1))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The ``(ii, jj)`` dataset pairs of every call to the exact kernel,
+    from a slot holding no catalog's decided pairs."""
+    forget_decided_pairs()
+    calls = []
+
+    def recording(cells, starts, ii, jj):
+        calls.append((ii.copy(), jj.copy()))
+        return _min_sqdist_pairs(cells, starts, ii, jj)
+
+    monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
+    return calls
+
+
 class TestDualTreeWalk:
     @pytest.fixture(scope="class")
     def market(self):
@@ -518,21 +545,19 @@ class TestDualTreeWalk:
         assert build_graph_indexed(market, delta).adjacency == \
             build_graph_naive(market, delta).adjacency
 
-    def test_no_pair_reaches_kernel_twice(self, market, monkeypatch):
-        seen = []
-
-        def recording(cells, starts, ii, jj):
-            seen.append(list(zip(ii.tolist(), jj.tolist())))
-            return _min_sqdist_pairs(cells, starts, ii, jj)
-
-        monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
+    def test_no_pair_reaches_kernel_twice(self, market, kernel_calls):
+        """Within a build the walk reaches each unordered pair once, and the
+        kept slot remembers what the kernel decided, so over a whole sweep of
+        a catalog no pair reaches the kernel twice."""
+        sent = []
         for delta in (0, 3, 10, 40, 200):
-            seen.clear()
+            kernel_calls.clear()
             build_graph_indexed(market, delta)
-            pairs = [pair for call in seen for pair in call]
-            assert pairs, delta
-            assert all(i != j for i, j in pairs)
-            assert len({frozenset(pair) for pair in pairs}) == len(pairs), delta
+            ii, jj = sent_pairs(kernel_calls)
+            assert ii.size or sent, delta  # the first build sends pairs
+            assert (ii != jj).all(), delta
+            sent += [frozenset(pair) for pair in zip(ii.tolist(), jj.tolist())]
+        assert len(set(sent)) == len(sent)
 
     def test_catalog_decoded_once_per_sweep(self, monkeypatch):
         market, other = skewed_market(34), scattered_market(36)
@@ -551,18 +576,6 @@ class TestDualTreeWalk:
         build_graph_indexed(market, 10)
         assert calls == [len(market.cells), len(other.cells), len(market.cells)]
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        """The ``(ii, jj)`` dataset pairs of every call to the exact kernel."""
-        calls = []
-
-        def recording(cells, starts, ii, jj):
-            calls.append((ii.copy(), jj.copy()))
-            return _min_sqdist_pairs(cells, starts, ii, jj)
-
-        monkeypatch.setattr(graph_module, "_min_sqdist_pairs", recording)
-        return calls
-
     def test_far_corners_exactly_delta_apart_accepted_whole(self, kernel_calls):
         # 3-4-5: both datasets' cells fit in one box whose diagonal is delta
         m = make_market({"a": [(0, 0)], "b": [(3, 4)]}, theta=3)
@@ -576,9 +589,11 @@ class TestDualTreeWalk:
         lo = np.array([c.min(axis=0) for c in coords])
         hi = np.array([c.max(axis=0) for c in coords])
         for delta in (0, 3, 10, 40, 200):
+            forget_decided_pairs()  # so the kernel sees every open pair
             kernel_calls.clear()
             build_graph_indexed(market, delta)
-            ii, jj = (np.concatenate(side) for side in zip(*kernel_calls))
+            ii, jj = sent_pairs(kernel_calls)
+            assert ii.size, delta
             gap = np.maximum(np.maximum(lo[ii] - hi[jj], lo[jj] - hi[ii]), 0)
             assert ((gap * gap).sum(axis=1) <= delta * delta).all(), delta
 
@@ -628,6 +643,95 @@ class TestDeepTreeWalk:
             deltas += [d, math.nextafter(d, 0), math.nextafter(d, math.inf)]
         delta = data.draw(st.sampled_from(deltas))
         assert build_graph_indexed(m, delta).adjacency == build_graph_naive(m, delta).adjacency
+
+
+class TestDecidedPairs:
+    """The slot that keeps the last catalog's box tree also keeps every pair
+    the exact kernel decided on that catalog, as sorted keys and their d2; a
+    later build on it, at any delta, looks them up."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), a=deep_tree_sets(), b=deep_tree_sets())
+    def test_sweeps_in_any_order_over_two_catalogs_match_naive(self, data, a, b):
+        """Sweeps over catalogs A, B, A, each at a shuffled delta list with 0,
+        the complete-graph delta and a repeat."""
+        markets = [make_market({f"d{i:02d}": cells for i, cells in enumerate(sets)}, theta=theta)
+                   for theta, sets in (a, b)]
+        for m in (markets[0], markets[1], markets[0]):
+            top = complete_graph_delta(m.grid)
+            delta = st.one_of(st.integers(0, 2 * (m.grid.side - 1) ** 2).map(math.sqrt),
+                              st.floats(0, top))
+            deltas = [0, top, *data.draw(st.lists(delta, max_size=5))]
+            deltas.append(data.draw(st.sampled_from(deltas)))
+            for d in data.draw(st.permutations(deltas)):
+                assert build_graph_indexed(m, d).adjacency == build_graph_naive(m, d).adjacency
+
+    def test_two_threads_each_sweep_their_own_catalog(self):
+        """The threads take the one slot from each other; a build that mixed
+        one catalog's tree or decided pairs with the other's would give
+        wrong edges. Both catalogs have 24 datasets, so either's keys are
+        valid pair keys of the other."""
+        markets = scattered_market(54, n=24), scattered_market(55, n=24)
+        deltas = (0, 3, 10, 6, 0, 40)
+        truth = [{d: build_graph_naive(m, d).adjacency for d in deltas} for m in markets]
+        wrong = [0, 0]
+
+        def run(t):
+            for _ in range(200):
+                for d in deltas:
+                    wrong[t] += build_graph_indexed(markets[t], d).adjacency != truth[t][d]
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [0, 0]
+
+    def test_kept_pairs_are_sorted_exact_and_read_only(self, kernel_calls):
+        m = skewed_market(56, n=30)
+        for delta in (10, 0, 3, 40, 10):
+            build_graph_indexed(m, delta)
+        ref, tree, keys, d2 = graph_module._kept_tree
+        assert ref() is m and tree is build_ball_tree(m)
+        assert keys.dtype == d2.dtype == np.int64
+        assert not keys.flags.writeable and not d2.flags.writeable
+        assert keys[-1] == np.iinfo(np.int64).max  # the sentinel
+        keys, d2 = keys[:-1], d2[:-1]
+        assert (np.diff(keys) > 0).all()
+        ii, jj = sent_pairs(kernel_calls)
+        n = len(m)
+        assert sorted(keys.tolist()) == sorted((np.minimum(ii, jj) * n + np.maximum(ii, jj)).tolist())
+        assert d2.tolist() == _min_sqdist_pairs(decode_cells(m.cells), m.starts,
+                                                keys // n, keys % n).tolist()
+
+    def test_kept_pairs_die_with_their_catalog(self):
+        m = scattered_market(57)
+        build_graph_indexed(m, 3)
+        arrays = [weakref.ref(a) for a in graph_module._kept_tree[2:]]
+        build_graph_indexed(m, 10)  # stores merged copies; the old arrays go
+        gc.collect()
+        assert all(a() is None for a in arrays)
+        arrays = [weakref.ref(a) for a in graph_module._kept_tree[2:]]
+        del m
+        gc.collect()
+        assert graph_module._kept_tree is None
+        assert all(a() is None for a in arrays)
+
+    def test_another_catalogs_build_drops_the_kept_pairs(self):
+        a, b = scattered_market(58), scattered_market(59)
+        build_graph_indexed(a, 10)
+        arrays = [weakref.ref(x) for x in graph_module._kept_tree[2:]]
+        build_graph_indexed(b, 10)
+        gc.collect()
+        assert all(x() is None for x in arrays)  # a is alive, its pairs are not
+        assert build_graph_indexed(a, 10).adjacency == build_graph_naive(a, 10).adjacency
 
 
 THETA31_MAX = (1 << 31) - 1  # largest cell index at theta=31
