@@ -51,15 +51,22 @@ class DatasetGraph:
     """Undirected graph over dataset ids with sorted adjacency lists. It holds
     no cells: solves read them from ``market`` (``None`` if read from a file).
 
-    A graph is a snapshot. Solves and :meth:`stats` key what they reuse (its
-    components, and their centers and BFS trees) by the graph's identity, so ``adjacency`` and ``prices``
-    must not be edited in place; build a new graph instead, for example with
-    :meth:`restricted`."""
+    A graph is a snapshot: ``adjacency`` and ``prices`` must not be edited in
+    place; build a new graph instead, for example with :meth:`restricted`.
+    What solves and :meth:`stats` reuse lives on the object it depends on:
+    ``kept`` holds the graph's components (``"components"``, see
+    :func:`_components`) and ``dsa``'s orders (``"dsa"``), each component
+    its centers and trees (:class:`Subgraph`), each tree its path set-ups.
+    A component reaches its graph through a weak proxy, so nothing kept
+    holds the graph alive, and all of it dies with the graph. Two threads
+    may both compute an entry; the results are equal and either may be
+    kept, so no lock is needed."""
 
     delta: float
     prices: dict[str, int]  # cents, snapshot of the catalog prices
     adjacency: dict[str, tuple[str, ...]]
     market: Marketplace | None = field(default=None, repr=False)
+    kept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -468,21 +475,13 @@ def connected_components(graph: DatasetGraph) -> list[Subgraph]:
     return components
 
 
-# Components of each graph that a solve or ``stats()`` has searched, keyed
-# weakly by the graph object, so an entry dies with its graph. The Subgraphs
-# reach their graph through a weak proxy: a value that held the graph itself
-# would keep its own key alive. Two threads may both compute an entry, a
-# center or a tree; the results are equal and either may be kept, so no lock
-# is needed.
-_COMPONENTS = weakref.WeakKeyDictionary()
-
-
 def _components(graph):
-    """``connected_components(graph)``, computed once per graph object; later
-    calls return the same Subgraphs, with what solves kept on them."""
-    components = _COMPONENTS.get(graph)
+    """``connected_components(graph)``, computed once per graph and kept in
+    ``graph.kept`` (:class:`DatasetGraph`); later calls return the same
+    Subgraphs, with what solves kept on them."""
+    components = graph.kept.get("components")
     if components is None:
-        components = _COMPONENTS[graph] = connected_components(weakref.proxy(graph))
+        components = graph.kept["components"] = connected_components(weakref.proxy(graph))
     return components
 
 

@@ -35,14 +35,11 @@ grown from its root takes the other member exactly when the two prices fit
 together. Its two center searches take no BFS either. A candidate's ids are
 sorted only if it can win (:func:`_offer`).
 
-What depends on the graph alone is prepared once per graph object and reused
-by every later solve on it, at any budget (``bmcc.graph._components``): its
-components, and on each the result of each center search
-(``Subgraph.centers``) and each BFS tree with its path set-ups
-(``Subgraph.trees``); and the order of each ``dsa`` pass's first keys
-(``_DSA_ORDERS``). A graph is a snapshot (:class:`DatasetGraph`). Nothing
-that depends on the budget is kept, and a restricted candidate graph is
-built afresh by each solve, so it gets no reuse.
+What depends on the graph alone (components, center results, BFS trees and
+their path set-ups, ``dsa``'s orders) is prepared once per graph and reused
+by every later solve on it, at any budget: :class:`DatasetGraph` says where
+each is kept. Nothing that depends on the budget is kept, and a restricted
+candidate graph is built afresh by each solve, so it gets no reuse.
 
 The greedy loops avoid rescoring every candidate at every step, and still
 return exactly what a full rescan would:
@@ -52,10 +49,7 @@ return exactly what a full rescan would:
   order of their first keys (-score, id), kept per graph, beside a side heap
   of the candidates a rescore demoted, and rescores a candidate only before
   examining it, and only if it has shared cells and still fits. The ratio pass
-  keys by the int ``-(gain * scale // price)``, ``scale`` the largest
-  candidate price squared: two distinct ratios of positive int prices differ
-  by at least 1 / (p1*p2), so their scaled floors never tie or invert; a
-  free dataset ranks first (:func:`_ratio_key`).
+  keys by an exact int (:func:`_ratio_key`).
 * Both flags of :func:`budgeted_greedy` (the coverage flag over a unit
   denominator) and ``cmc-mg`` run one exact scan, :func:`_grow_paths`: a
   taken path makes every path sharing its nodes cheaper, so a ratio over the
@@ -79,7 +73,6 @@ import collections
 import heapq
 import itertools
 import math
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -287,8 +280,10 @@ def _ratio_key(prices, top):
     """Sort key ``key(gain, price)`` of the ratio ``gain / price``, for prices
     among ``prices`` (non-negative int cents) and gains at most ``top``: the
     plain int ``-(gain * scale // price)``, ``scale = max(prices) ** 2``,
-    which orders exactly as ``-Fraction(gain, price)`` (see
-    :func:`solve_dsa`) and compares in C. A zero price ranks first, by higher
+    which orders exactly as ``-Fraction(gain, price)`` and compares in C: if
+    g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios differ by at
+    least scale / (p1*p2) >= 1 and their floors are strictly ordered, while
+    equal ratios give equal floors. A zero price ranks first, by higher
     gain: its key ``-(top * scale + 1 + gain)`` sorts before every ratio's,
     which is at least ``-(top * scale)``."""
     scale = max(prices) ** 2
@@ -502,13 +497,6 @@ def _take_in_order(growth, b, order):
 # DSA: dual greedy over individual datasets
 
 
-# Each candidate graph's two ``dsa`` orders, keyed weakly by the graph
-# object, so an entry dies with its graph (as ``bmcc.graph._COMPONENTS``):
-# two tuples of ids, which hold no reference to the graph. Two threads may
-# both build an entry; the orders are equal and either may be kept.
-_DSA_ORDERS = weakref.WeakKeyDictionary()
-
-
 def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = None) -> Solution:
     """Two-pass greedy: gain-per-price pass, raw-gain pass, best of the two.
 
@@ -519,20 +507,16 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     both passes are lazy (Minoux's accelerated greedy): a stale key is a
     lower bound on the fresh one. Before anything is covered a gain is the
     dataset's coverage, so each pass's first keys depend on the candidate
-    graph alone, and its ids sorted by ``(first key, id)`` are kept per graph
-    (``_DSA_ORDERS``). A pass walks that order beside a side heap of the
-    ``(fresh key, id)`` entries of demoted candidates, and at each step
-    takes whichever of the side top and the next order entry sorts first.
+    graph alone, and its ids sorted by ``(first key, id)`` are kept in
+    ``candidate.kept["dsa"]`` (:class:`DatasetGraph`). A pass walks that
+    order beside a side heap of the ``(fresh key, id)`` entries of demoted
+    candidates, and at each step takes whichever of the side top and the
+    next order entry sorts first.
     A candidate over the budget left is dropped: ``spent`` only rises. One
     with shared cells is rescored, and pushed on the side heap if its fresh
     entry sorts after the side top or the next order entry; one without
     keeps its first gain. So each examination is that of a full rescan.
-    The ratio pass keys by the int ``-(gain * scale // price)``, ``scale =
-    max(candidate prices) ** 2``, which orders exactly as ``-Fraction(gain,
-    price)``: if g1/p1 > g2/p2 then g1*p2 - g2*p1 >= 1, so the scaled ratios
-    differ by at least scale / (p1*p2) >= 1 and their floors are strictly
-    ordered, while equal ratios give equal floors. A free dataset ranks
-    before every priced one, by higher gain (:func:`_ratio_key`).
+    The ratio pass keys by the exact int of :func:`_ratio_key`.
     """
     b, candidate = _prepare(market, budget, delta, graph)
     if not candidate.nodes:
@@ -543,9 +527,9 @@ def solve_dsa(market: Marketplace, budget, delta, graph: DatasetGraph | None = N
     keys = (_ratio_key(prices.values(), len(market.cells)), lambda gain, price: -gain)
     # before anything is covered, a dataset's gain is its coverage
     entries = [lambda d, key=key: (key(solo[d] + len(shared[d]), prices[d]), d) for key in keys]
-    orders = _DSA_ORDERS.get(candidate)
+    orders = candidate.kept.get("dsa")
     if orders is None:
-        orders = _DSA_ORDERS[candidate] = tuple(
+        orders = candidate.kept["dsa"] = tuple(
             tuple(sorted(adjacency, key=entry)) for entry in entries)
 
     def one_round(order, key, entry) -> tuple[set[str], int, int]:

@@ -16,7 +16,6 @@ import collections
 import numpy as np
 import pytest
 
-import bmcc.solvers as solvers
 import reference_solvers as ref
 from bmcc.graph import DatasetGraph, Subgraph, build_graph_indexed, connected_components
 from bmcc.grid import GridConfig
@@ -216,7 +215,7 @@ def test_equal_first_keys_are_kept_in_ascending_id():
     graph = DatasetGraph(0.0, hand.prices, {u: hand.adjacency[u] for u in "cba"}, hand.market)
     budget = cents_to_decimal(2)
     sol = solve_dsa(graph.market, budget, 0, graph=graph)
-    assert solvers._DSA_ORDERS[graph] == (("a", "b", "c"), ("a", "b", "c"))
+    assert graph.kept["dsa"] == (("a", "b", "c"), ("a", "b", "c"))
     assert (sol.selected, sol.round_coverages) == (("a",), (1, 1))
     assert sol == ref.solve_dsa(graph.market, budget, 0, graph=graph)
 

@@ -1,11 +1,8 @@
 """Reuse across solves on one query graph.
 
-A solve prepares what depends on the graph alone once per graph object: its
-components (``bmcc.graph._components``, keyed weakly by the graph) and, on
-each component, the result of each center search (``Subgraph.centers``) and
-each BFS tree with its path set-ups (``Subgraph.trees``); ``dsa`` keeps the
-order of each pass's first keys (``bmcc.solvers._DSA_ORDERS``, keyed weakly
-by the candidate graph).
+A solve prepares what depends on the graph alone once per graph and keeps it
+where :class:`bmcc.graph.DatasetGraph` says: on the graph (``graph.kept``),
+its components and trees.
 These tests check that a solve on a graph solved before, at other budgets,
 answers exactly as one on a freshly built graph; that no solve writes to
 what is kept; that the reuse keeps no graph alive; that a repeat center
@@ -61,7 +58,7 @@ def _solve_all(market, graph, delta, cents_list):
 def _assert_cached_equals_fresh(market, delta, warm_cents, cents_list):
     graph = build_graph_indexed(market, delta)
     _solve_all(market, graph, delta, warm_cents)
-    assert graph in graph_module._COMPONENTS
+    assert "components" in graph.kept
     for cents in cents_list:
         for label in LABELS:
             budget = cents_to_decimal(cents)
@@ -97,7 +94,7 @@ def _kept(graph):
     """A deep copy of the ``dsa`` orders kept for the graph, of every tree
     kept on its components and of the path set-ups and ``cmc-mc`` order kept
     with each, and those objects themselves."""
-    orders = solvers._DSA_ORDERS.get(graph)
+    orders = graph.kept.get("dsa")
     copies, objects = [_plain(orders)], [orders]
     for sub in graph_module._components(graph):
         for root, tree in sub.trees.items():
@@ -179,10 +176,10 @@ def test_what_solves_keep_per_tree_node_stays_small(synth_giant):
 
 
 # Bytes that a ``dsa`` solve keeps per node of synth1000's query graph,
-# measured by tracemalloc: the graph's entry in ``_DSA_ORDERS``, two tuples of
-# ids. They came to 16.2 bytes when pinned (Python 3.11.7); keeping each
-# pass's first keys beside its ids, as an ``array('q')``, comes to 32.4. The
-# gate allows 10% over the pin.
+# measured by tracemalloc: ``graph.kept["dsa"]``, two tuples of ids, and the
+# key table ``graph.kept`` grows for it. They came to 16.2 bytes when pinned
+# (Python 3.11.7); keeping each pass's first keys beside its ids, as an
+# ``array('q')``, comes to 32.4. The gate allows 10% over the pin.
 KEPT_DSA_BYTES_PER_GRAPH_NODE = 16.2
 
 
@@ -199,7 +196,7 @@ def test_what_dsa_keeps_per_graph_node_stays_small(synth_giant):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert graph in solvers._DSA_ORDERS
+    assert set(graph.kept) == {"dsa"}
     nodes = len(graph.adjacency)
     assert kept / nodes <= 1.1 * KEPT_DSA_BYTES_PER_GRAPH_NODE, kept / nodes
 
@@ -267,28 +264,39 @@ def test_tiny_components_keep_their_trees(monkeypatch, label):
             assert build_bfs_tree(sub, root) is build_bfs_tree(sub, root), (sub.members, root)
 
 
-def _live_entries():
-    """Entries of the components and of the ``dsa`` orders kept per graph."""
-    gc.collect()
-    return len(graph_module._COMPONENTS), len(solvers._DSA_ORDERS)
-
-
-def test_a_solved_graph_leaves_no_entry():
+def test_a_solved_graph_leaves_no_entry(monkeypatch):
+    """Each solve's restricted candidate graph dies with its solve, having
+    kept nothing on the query graph; a solved query graph keeps its entries
+    and dies, with all of them, when its last reference goes, with no cycle
+    collection to free it."""
     market = differential_market(0, "table")
     graph = build_graph_indexed(market, 10.0)
     every, some = _fit_budgets(market)
-    components, orders = _live_entries()
-    _solve_all(market, graph, 10.0, [some])
-    # each solve's restricted candidate graph died with its solve
-    assert graph not in graph_module._COMPONENTS and graph not in solvers._DSA_ORDERS
-    assert _live_entries() == (components, orders)
-    _solve_all(market, graph, 10.0, [every])
-    assert graph in graph_module._COMPONENTS and graph in solvers._DSA_ORDERS
-    assert _live_entries() == (components + 1, orders + 1)
-    alive = weakref.ref(graph)
-    del graph
-    assert _live_entries() == (components, orders)
-    assert alive() is None
+    candidates = []
+    restricted = DatasetGraph.restricted
+
+    def recording(self, ids):
+        candidate = restricted(self, ids)
+        candidates.append(weakref.ref(candidate))
+        return candidate
+
+    monkeypatch.setattr(DatasetGraph, "restricted", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _solve_all(market, graph, 10.0, [some])
+        assert len(candidates) == len(LABELS)
+        assert all(candidate() is None for candidate in candidates)
+        assert graph.kept == {}
+        _solve_all(market, graph, 10.0, [every])
+        assert len(candidates) == len(LABELS)
+        assert set(graph.kept) == {"components", "dsa"}
+        alive = weakref.ref(graph)
+        del graph
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _path4():
@@ -382,3 +390,6 @@ def test_two_threads_solving_one_graph_get_the_single_thread_answers(synth_giant
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want * len(shared)] * 2
+    for g in shared:
+        assert set(g.kept) == {"components", "dsa"}
+        assert graph_module._components(g) is g.kept["components"]
